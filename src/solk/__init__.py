@@ -30,6 +30,7 @@ from .intlin import (
     solve_columns,
 )
 from .ktheory import (
+    InvalidPresentation,
     KTheoryReport,
     NotWellDefined,
     Psi1,

@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 
-from .germs import DegreeNotConstant, GermClass, UnreachableVertex, occurring_classes, quotient_summary
+from .germs import DegreeNotConstant, GermClass, UnreachableVertex, quotient_summary
 from .intlin import IntMatrix
-from .ktheory import KTheoryReport, ktheory_report, with_class_order
+from .ktheory import InvalidPresentation, KTheoryReport, ktheory_report, with_class_order
 from .limits import StationaryLimitGroup, make_limit
 from .model import ParseError, parse_presentation, validate
 from .sft import SftPresentation, sft_dimension_group, validate_sft
@@ -32,17 +32,13 @@ def _class_json(c: GermClass) -> dict:
     return {"vertex": c.vertex, "in": str(c.in_dart), "out": str(c.out_dart)}
 
 
-def _matrix_json(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
-
-
 def _limit_json(g: StationaryLimitGroup) -> dict:
     return {
         "ambient_rank": g.ambient_rank,
-        "endomorphism": _matrix_json(g.endomorphism),
+        "endomorphism": g.endomorphism.to_rows(),
         "eventual_rank": g.eventual_rank,
-        "eventual_basis": _matrix_json(g.eventual_basis),
-        "reduced_endomorphism": _matrix_json(g.reduced_endomorphism),
+        "eventual_basis": g.eventual_basis.to_rows(),
+        "reduced_endomorphism": g.reduced_endomorphism.to_rows(),
         "classification": str(g.classify()),
     }
 
@@ -98,8 +94,8 @@ def _cmd_classes(args) -> int:
     if not report.ok:
         _print_findings(report)
         return 1
-    model = with_class_order(occurring_classes(p), args.order)
     summary = quotient_summary(p)
+    model = with_class_order(summary.model, args.order)
     if args.json:
         obj = {
             "classes": [_class_json(c) for c in model.classes],
@@ -110,7 +106,7 @@ def _cmd_classes(args) -> int:
                 _class_label(c): [[e, i] for e, i in model.interior_preimage_table[c]]
                 for c in model.classes
             },
-            "diagnostics": _diagnostics_json_from_summary(summary),
+            "diagnostics": _diagnostics_json(summary),
         }
         _emit_json(obj)
         return 0
@@ -124,34 +120,34 @@ def _cmd_classes(args) -> int:
     for c in model.classes:
         pairs = ", ".join(f"({e},{i})" for e, i in model.interior_preimage_table[c]) or "-"
         print(f"  {_class_label(c)} <- {pairs}")
-    _print_summary(summary)
+    _print_diagnostics(summary)
     return 0
 
 
-def _diagnostics_json_from_summary(summary) -> dict:
+# The quotient diagnostics are read from a QuotientSummary or a
+# KTheoryReport, which share these five field names.
+def _diagnostics_json(d) -> dict:
     return {
-        "hausdorff": summary.hausdorff,
+        "hausdorff": d.hausdorff,
         "hausdorff_witness": (
-            [_class_label(c) for c in summary.hausdorff_witness]
-            if summary.hausdorff_witness
-            else None
+            [_class_label(c) for c in d.hausdorff_witness] if d.hausdorff_witness else None
         ),
-        "connected": summary.connected,
-        "degree": summary.degree,
-        "nuclear_dimension_bound": summary.nuclear_dimension_bound,
+        "connected": d.connected,
+        "degree": d.degree,
+        "nuclear_dimension_bound": d.nuclear_dimension_bound,
     }
 
 
-def _print_summary(summary) -> None:
+def _print_diagnostics(d) -> None:
     print("diagnostics:")
-    print(f"  hausdorff: {'yes' if summary.hausdorff else 'no'}")
-    if summary.hausdorff_witness:
-        a, b = summary.hausdorff_witness
+    print(f"  hausdorff: {'yes' if d.hausdorff else 'no'}")
+    if d.hausdorff_witness:
+        a, b = d.hausdorff_witness
         print(f"  witness: {_class_label(a)} / {_class_label(b)}")
-    print(f"  connected: {'yes' if summary.connected else 'no'}")
-    if summary.degree is not None:
-        print(f"  degree: {summary.degree}")
-    print(f"  nuclear dimension bound: {summary.nuclear_dimension_bound}")
+    print(f"  connected: {'yes' if d.connected else 'no'}")
+    if d.degree is not None:
+        print(f"  degree: {d.degree}")
+    print(f"  nuclear dimension bound: {d.nuclear_dimension_bound}")
 
 
 def _report_json(r: KTheoryReport) -> dict:
@@ -161,44 +157,35 @@ def _report_json(r: KTheoryReport) -> dict:
         "delta0": {
             "row_labels": list(r.edges),
             "col_labels": class_labels,
-            "entries": _matrix_json(r.delta0),
+            "entries": r.delta0.to_rows(),
         },
         "k0_basis": {
             "row_labels": class_labels,
-            "entries": _matrix_json(r.k0_basis),
+            "entries": r.k0_basis.to_rows(),
         },
-        "psi0": _matrix_json(r.psi0),
+        "psi0": r.psi0.to_rows(),
         "k1": {"free_rank": r.k1.free_rank, "torsion": list(r.k1.torsion)},
-        "psi1": {"entries": _matrix_json(r.psi1.matrix), "moduli": list(r.psi1.moduli)},
+        "psi1": {"entries": r.psi1.matrix.to_rows(), "moduli": list(r.psi1.moduli)},
         "k0_limit": _limit_json(r.k0_limit),
         "k1_limit": {
             "free": _limit_json(r.k1_limit),
             "torsion_limit": list(r.k1_torsion_limit),
         },
-        "diagnostics": {
-            "hausdorff": r.hausdorff,
-            "hausdorff_witness": (
-                [_class_label(c) for c in r.hausdorff_witness] if r.hausdorff_witness else None
-            ),
-            "connected": r.connected,
-            "degree": r.degree,
-            "nuclear_dimension_bound": r.nuclear_dimension_bound,
-            "zn_target": r.zn_target,
-        },
+        "diagnostics": {**_diagnostics_json(r), "zn_target": r.zn_target},
     }
 
 
 def _cmd_ktheory(args) -> int:
     p = _load_presentation(args.file)
-    report = validate(p)
-    if not report.ok:
-        _print_findings(report)
+    try:
+        r = ktheory_report(p, order=args.order)
+    except InvalidPresentation as exc:
+        _print_findings(exc.report)
         return 1
-    r = ktheory_report(p, order=args.order)
     if args.json:
         _emit_json(_report_json(r))
         return 0
-    for f in report.warnings():
+    for f in r.validation.warnings():
         print(f"warning: [{f.code}] {f.message}")
     class_labels = [_class_label(c) for c in r.classes]
     print(f"classes ({r.order} order): " + ", ".join(class_labels))
@@ -220,20 +207,8 @@ def _cmd_ktheory(args) -> int:
     print(f"K1 of the limit algebra: {k1_lim}")
     if r.zn_target:
         print(f"trace target: {r.zn_target}")
-    _print_ktheory_diagnostics(r)
+    _print_diagnostics(r)
     return 0
-
-
-def _print_ktheory_diagnostics(r: KTheoryReport) -> None:
-    print("diagnostics:")
-    print(f"  hausdorff: {'yes' if r.hausdorff else 'no'}")
-    if r.hausdorff_witness:
-        a, b = r.hausdorff_witness
-        print(f"  witness: {_class_label(a)} / {_class_label(b)}")
-    print(f"  connected: {'yes' if r.connected else 'no'}")
-    if r.degree is not None:
-        print(f"  degree: {r.degree}")
-    print(f"  nuclear dimension bound: {r.nuclear_dimension_bound}")
 
 
 def _cmd_sft(args) -> int:
@@ -251,7 +226,7 @@ def _cmd_sft(args) -> int:
         _emit_json(
             {
                 "states": list(s.states),
-                "adjacency": _matrix_json(s.adjacency),
+                "adjacency": s.adjacency.to_rows(),
                 "k0": _limit_json(dg.k0),
                 "k1": dg.k1,
                 "warnings": [f.message for f in report.warnings()],

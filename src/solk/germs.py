@@ -199,7 +199,10 @@ def is_quotient_hausdorff(
     are approached through the same end of the same edge, i.e. when they
     share an incoming or an outgoing dart.
     """
-    model = occurring_classes(p)
+    return _hausdorff(occurring_classes(p))
+
+
+def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] | None]:
     by_vertex: dict[str, list[GermClass]] = {}
     for c in model.classes:
         by_vertex.setdefault(c.vertex, []).append(c)
@@ -236,6 +239,9 @@ def _is_connected(model: QuotientModel) -> bool:
 
 @dataclass(frozen=True)
 class QuotientSummary:
+    """Diagnostics of the quotient, with the model they were computed on."""
+
+    model: QuotientModel
     class_count_per_vertex: dict[str, int]
     hausdorff: bool
     hausdorff_witness: tuple[GermClass, GermClass] | None
@@ -250,10 +256,11 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
     When the quotient is Hausdorff and connected, the induced map has a
     constant number n >= 2 of preimages over every cell; that n is
     reported as the degree.  The one-dimensional cell structure bounds the
-    nuclear dimension of the stable algebra by 1.
+    nuclear dimension of the stable algebra by 1.  The occurring classes
+    are computed once and returned as ``model``.
     """
     model = occurring_classes(p)
-    hausdorff, witness = is_quotient_hausdorff(p)
+    hausdorff, witness = _hausdorff(model)
     connected = _is_connected(model)
 
     per_vertex: dict[str, int] = {v: 0 for v in p.graph.vertices}
@@ -275,6 +282,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
         degree = values.pop()
 
     return QuotientSummary(
+        model=model,
         class_count_per_vertex=per_vertex,
         hausdorff=hausdorff,
         hausdorff_witness=witness,

@@ -9,7 +9,6 @@ plenty fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -317,30 +316,17 @@ def determinant(A: IntMatrix) -> int:
 
 
 def invert_unimodular(M: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1; result is integral."""
+    """Inverse of a matrix with determinant +-1; result is integral.
+
+    The Smith form of a unimodular M is the identity, so U @ M @ V == I
+    gives M^-1 == V @ U.
+    """
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    work = [[Fraction(x) for x in M.row(i)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            v = work[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(v.numerator)
-    return IntMatrix(n, n, out)
+    snf = smith_normal_form(M)
+    if any(d != 1 for d in snf.diagonal()):
+        raise ValueError("matrix is not unimodular")
+    return snf.V @ snf.U
 
 
 def hermite_normal_form_rows(A: IntMatrix) -> IntMatrix:

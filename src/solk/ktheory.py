@@ -11,22 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .germs import (
-    GermClass,
-    QuotientModel,
-    occurring_classes,
-    quotient_summary,
-)
+from .germs import GermClass, QuotientModel, quotient_summary
 from .intlin import (
     CokernelStructure,
     IntMatrix,
     cokernel,
-    in_column_lattice,
     invert_unimodular,
     kernel_basis,
     rank,
     restrict_endomorphism,
     smith_normal_form,
+    solve_columns,
 )
 from .limits import Classification, StationaryLimitGroup, make_limit, stationary_torsion_limit
 from .model import Presentation, ValidationReport, validate
@@ -34,6 +29,16 @@ from .model import Presentation, ValidationReport, validate
 
 class NotWellDefined(RuntimeError):
     """The edge-level winding rule does not descend to the cokernel."""
+
+
+class InvalidPresentation(ValueError):
+    """The presentation fails validation; ``report`` holds the findings."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(
+            "presentation fails validation: " + "; ".join(f.message for f in report.errors())
+        )
+        self.report = report
 
 
 def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
@@ -172,12 +177,8 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
     """
     delta0 = boundary_matrix(p, model)
     E = first_edge_matrix(p)
-    for c in model.classes:
-        w = E.mul_vector(boundary_column(p, c))
-        if not in_column_lattice(delta0, w):
-            raise NotWellDefined(
-                f"first-edge rule does not fix the boundary image at class {c.label()}"
-            )
+    if solve_columns(delta0, E @ delta0) is None:
+        raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
 
     snf = smith_normal_form(delta0)
     m = delta0.rows
@@ -192,14 +193,6 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
             v = conj[gi, gj]
             entries.append(v % diag[gi] if diag[gi] > 1 else v)
     return Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
-
-
-def boundary_column(p: Presentation, c: GermClass) -> tuple[int, ...]:
-    edges = p.graph.edge_names()
-    col = [0] * len(edges)
-    col[edges.index(c.in_edge)] += 1
-    col[edges.index(c.out_edge)] -= 1
-    return tuple(col)
 
 
 @dataclass(frozen=True)
@@ -230,19 +223,19 @@ class KTheoryReport:
 
 
 def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
-    """Run the full pipeline on a validated presentation."""
+    """Run the full pipeline on a presentation.
+
+    Raises InvalidPresentation when it fails validation.
+    """
     report = validate(p)
     if not report.ok:
-        raise ValueError(
-            "presentation fails validation: "
-            + "; ".join(f.message for f in report.errors())
-        )
-    model = with_class_order(occurring_classes(p), order)
+        raise InvalidPresentation(report)
     summary = quotient_summary(p)
+    model = with_class_order(summary.model, order)
 
     delta0 = boundary_matrix(p, model)
     pullback = trace_pullback_matrix(p, model)
-    k0_basis, k1 = k_theory_of_g0(p, model)
+    k0_basis, k1 = kernel_basis(delta0), cokernel(delta0)
     psi0 = restrict_endomorphism(pullback, k0_basis)
     psi1 = psi_star_k1(p, model)
 
@@ -260,8 +253,10 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
 
     # Exactness bookkeeping for the six-term sequence.
     r = rank(delta0)
-    assert r + k0_basis.cols == len(model.classes)
-    assert r + k1.free_rank == len(p.graph.edge_names())
+    if r + k0_basis.cols != len(model.classes):
+        raise RuntimeError("rank(delta0) + rank(K0) differs from the number of classes")
+    if r + k1.free_rank != len(p.graph.edge_names()):
+        raise RuntimeError("rank(delta0) + free rank(K1) differs from the number of edges")
 
     zn_target = None
     if summary.hausdorff and summary.connected and summary.degree is not None:

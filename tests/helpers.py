@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from solk import (
     Dart,
@@ -71,6 +72,21 @@ def fibonacci():
 
 def n_solenoid(n: int):
     return parse_presentation(n_solenoid_text(n))
+
+
+def count_calls(monkeypatch, home, name: str) -> dict[str, int]:
+    """Count calls of ``home.name`` made through any solk module that binds it."""
+    original = getattr(home, name)
+    counts = {name: 0}
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "solk" and module.__dict__.get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def random_int_matrix(rng: random.Random, max_dim: int = 6, lo: int = -5, hi: int = 5) -> IntMatrix:

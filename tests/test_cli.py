@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import solk.germs
+import solk.model
 from solk.cli import main
 
-from helpers import AABAB_TEXT, n_solenoid_text
+from helpers import AABAB_TEXT, count_calls, n_solenoid_text
 
 
 @pytest.fixture
@@ -165,3 +167,13 @@ def test_report_byte_identical_across_runs(capsys, aabab_file):
     _, out1, _ = run(capsys, ["ktheory", aabab_file])
     _, out2, _ = run(capsys, ["ktheory", aabab_file])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["classes", "ktheory"])
+def test_command_runs_closure_and_validation_once(capsys, monkeypatch, aabab_file, command):
+    closure = count_calls(monkeypatch, solk.germs, "occurring_classes")
+    validation = count_calls(monkeypatch, solk.model, "validate")
+    code, _, _ = run(capsys, [command, aabab_file, "--json"])
+    assert code == 0
+    assert closure == {"occurring_classes": 1}
+    assert validation == {"validate": 1}

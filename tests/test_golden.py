@@ -1,0 +1,94 @@
+"""Byte-for-byte golden reports of `solk classes` and `solk ktheory`.
+
+Each file under tests/golden/ is the exact stdout of one command on one
+fixture, in text or --json form, under the lex or paper class order.  To
+rewrite them after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from solk.cli import main
+
+from helpers import (
+    AABAB_TEXT,
+    DOUBLING_TEXT,
+    FIBONACCI_TEXT,
+    THUE_MORSE_TEXT,
+    TWO_VERTEX_TEXT,
+    n_solenoid_text,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (presentation text, expected exit code)
+FIXTURES = {
+    "aabab": (AABAB_TEXT, 0),
+    "fibonacci": (FIBONACCI_TEXT, 0),
+    "doubling": (DOUBLING_TEXT, 0),
+    "thue_morse": (THUE_MORSE_TEXT, 0),
+    "two_vertex": (TWO_VERTEX_TEXT, 0),
+    "n_solenoid_2": (n_solenoid_text(2), 0),
+    "n_solenoid_3": (n_solenoid_text(3), 0),
+    "n_solenoid_6": (n_solenoid_text(6), 0),
+    # Valid, with a non-primitivity warning.
+    "imprimitive": ("solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\nmap b -> a a\n", 0),
+    # Fails validation: the substitution is a homeomorphism.
+    "non_expanding": (n_solenoid_text(1), 1),
+}
+CASES = [
+    (fixture, command, order, fmt)
+    for fixture in FIXTURES
+    for command in ("classes", "ktheory")
+    for order in ("lex", "paper")
+    for fmt in ("txt", "json")
+]
+
+
+def _case_id(fixture: str, command: str, order: str, fmt: str) -> str:
+    return f"{fixture}.{command}.{order}.{fmt}"
+
+
+def _run(path: pathlib.Path, command: str, order: str, fmt: str) -> tuple[int, str]:
+    argv = [command, str(path), "--order", order] + (["--json"] if fmt == "json" else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fixture,command,order,fmt", CASES, ids=[_case_id(*c) for c in CASES])
+def test_report_matches_golden(tmp_path, fixture, command, order, fmt):
+    text, expected_code = FIXTURES[fixture]
+    path = tmp_path / f"{fixture}.sol"
+    path.write_text(text, encoding="utf-8")
+    code, out = _run(path, command, order, fmt)
+    assert code == expected_code
+    golden = (GOLDEN / _case_id(fixture, command, order, fmt)).read_text(encoding="utf-8")
+    assert out == golden
+
+
+def record() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture, command, order, fmt in CASES:
+            text, expected_code = FIXTURES[fixture]
+            path = pathlib.Path(tmp) / f"{fixture}.sol"
+            path.write_text(text, encoding="utf-8")
+            code, out = _run(path, command, order, fmt)
+            if code != expected_code:
+                raise SystemExit(f"{_case_id(fixture, command, order, fmt)}: exit {code}")
+            (GOLDEN / _case_id(fixture, command, order, fmt)).write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

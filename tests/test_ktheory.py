@@ -1,8 +1,13 @@
 import pytest
 
+import solk.germs
+import solk.ktheory
+import solk.model
 from solk.germs import occurring_classes
 from solk.intlin import IntMatrix, rank, same_column_lattice
 from solk.ktheory import (
+    InvalidPresentation,
+    NotWellDefined,
     boundary_matrix,
     edge_trace_row,
     first_edge_matrix,
@@ -20,6 +25,7 @@ from helpers import (
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
     aabab,
+    count_calls,
     fibonacci,
     n_solenoid,
     random_valid_presentations,
@@ -195,6 +201,41 @@ def test_report_rejects_invalid_presentation():
     p = parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a\n")
     with pytest.raises(ValueError, match="fails validation"):
         ktheory_report(p)
+
+
+def test_invalid_presentation_carries_the_validation_report():
+    p = parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a\n")
+    with pytest.raises(InvalidPresentation) as exc:
+        ktheory_report(p)
+    assert not exc.value.report.ok
+    assert {f.code for f in exc.value.report.errors()} == {"homeomorphism", "not-expanding"}
+
+
+def test_report_runs_closure_and_validation_once(monkeypatch):
+    closure = count_calls(monkeypatch, solk.germs, "occurring_classes")
+    validation = count_calls(monkeypatch, solk.model, "validate")
+    ktheory_report(aabab(), order="paper")
+    assert closure == {"occurring_classes": 1}
+    assert validation == {"validate": 1}
+
+
+def test_psi1_rejects_a_rule_that_does_not_descend(monkeypatch):
+    # Sending b to 0 carries the boundary column e_a - e_b to e_a, which is
+    # not in the boundary image of aabab.
+    p = aabab()
+    m = lex_model(p)
+    monkeypatch.setattr(
+        solk.ktheory, "first_edge_matrix", lambda p: IntMatrix.from_rows([[1, 0], [0, 0]])
+    )
+    with pytest.raises(NotWellDefined):
+        psi_star_k1(p, m)
+
+
+def test_report_exactness_checks_raise(monkeypatch):
+    # Real errors, not asserts: they must also fire under python -O.
+    monkeypatch.setattr(solk.ktheory, "rank", lambda A: rank(A) + 1)
+    with pytest.raises(RuntimeError, match="rank"):
+        ktheory_report(aabab())
 
 
 def corpus():
