@@ -9,6 +9,7 @@ downstream.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import Dart, Presentation, abelianization
@@ -105,14 +106,46 @@ def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
 
 def _all_germs(p: Presentation) -> list[GermClass]:
     graph = p.graph
-    out: list[GermClass] = []
-    for v in graph.vertices:
-        in_darts = [Dart(e.name) for e in graph.edges if e.target == v]
-        out_darts = [Dart(e.name) for e in graph.edges if e.source == v]
-        for din in in_darts:
-            for dout in out_darts:
-                out.append(GermClass(vertex=v, in_dart=din, out_dart=dout))
-    return out
+    in_darts: dict[str, list[Dart]] = {v: [] for v in graph.vertices}
+    out_darts: dict[str, list[Dart]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        d = Dart(e.name)
+        in_darts[e.target].append(d)
+        out_darts[e.source].append(d)
+    return [
+        GermClass(vertex=v, in_dart=din, out_dart=dout)
+        for v in graph.vertices
+        for din in in_darts[v]
+        for dout in out_darts[v]
+    ]
+
+
+_NEW, _ON_PATH, _DONE = 0, 1, 2
+
+
+def _cycle_nodes(step: list[int]) -> bytearray:
+    """Nodes on a cycle of the functional graph ``i -> step[i]``.
+
+    Each node is walked once: a walk stops at the first node it has seen
+    before, and has closed a cycle when that node is on its own path.
+    """
+    state = bytearray(len(step))
+    on_cycle = bytearray(len(step))
+    for start in range(len(step)):
+        path = []
+        x = start
+        while state[x] == _NEW:
+            state[x] = _ON_PATH
+            path.append(x)
+            x = step[x]
+        if state[x] == _ON_PATH:
+            y = x
+            while not on_cycle[y]:
+                on_cycle[y] = 1
+                y = step[y]
+        for y in path:
+            state[y] = _DONE
+    return on_cycle
 
 
 def occurring_classes(p: Presentation) -> QuotientModel:
@@ -123,50 +156,49 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     over the full finite germ set.  Junction germs occur because every
     edge occurs densely in the line; cycle germs account for backward
     orbits of vertex points such as fixed points.
+
+    Germs are indexed by integers, so the induced map is a list and the
+    whole computation is linear in the number of germs.
     """
     full = _all_germs(p)
-    step = {c: gtilde_on_class(p, c) for c in full}
+    index = {(c.in_dart, c.out_dart): i for i, c in enumerate(full)}
 
-    on_cycle: set[GermClass] = set()
-    for c in full:
-        x = c
-        for _ in range(len(full)):
-            x = step[x]
-        # x is now on the eventual cycle of c; walk the cycle once.
-        start = x
-        cycle = [x]
-        x = step[x]
-        while x != start:
-            cycle.append(x)
-            x = step[x]
-        on_cycle.update(cycle)
+    def index_of(g: GermClass) -> int:
+        return index[g.in_dart, g.out_dart]
 
-    occurring = set(junction_germs(p)) | on_cycle
-    frontier = list(occurring)
+    step = [index_of(gtilde_on_class(p, c)) for c in full]
+    occurring = _cycle_nodes(step)
+
+    # One pass over the junctions seeds the closure and fills the
+    # interior-preimage table.
+    preimages: dict[int, list[tuple[str, int]]] = {}
+    for e in p.graph.edge_names():
+        darts = p.edge_map[e].darts
+        for i in range(len(darts) - 1):
+            j = index_of(_germ(p, darts[i], darts[i + 1]))
+            preimages.setdefault(j, []).append((e, i + 1))
+            occurring[j] = 1
+
+    frontier = [i for i, on in enumerate(occurring) if on]
     while frontier:
         nxt = step[frontier.pop()]
-        if nxt not in occurring:
-            occurring.add(nxt)
+        if not occurring[nxt]:
+            occurring[nxt] = 1
             frontier.append(nxt)
 
-    classes = tuple(sorted(occurring, key=GermClass.sort_key))
+    order = sorted((i for i, on in enumerate(occurring) if on), key=lambda i: full[i].sort_key())
+    classes = tuple(full[i] for i in order)
 
     covered = {c.vertex for c in classes}
     for v in p.graph.vertices:
         if v not in covered:
             raise UnreachableVertex(f"vertex '{v}' carries no occurring germ class")
 
-    table: dict[GermClass, list[tuple[str, int]]] = {c: [] for c in classes}
-    for e in p.graph.edge_names():
-        darts = p.edge_map[e].darts
-        for i in range(len(darts) - 1):
-            table[_germ(p, darts[i], darts[i + 1])].append((e, i + 1))
-
     return QuotientModel(
         classes=classes,
         edge_points=p.graph.edge_names(),
-        gtilde={c: step[c] for c in classes},
-        interior_preimage_table={c: tuple(v) for c, v in table.items()},
+        gtilde={full[i]: full[step[i]] for i in order},
+        interior_preimage_table={full[i]: tuple(preimages.get(i, ())) for i in order},
     )
 
 
@@ -269,7 +301,13 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     degree = None
     if hausdorff and connected and model.classes:
-        counts = {f"class {c.label()}@{c.vertex}": model.preimage_count(c) for c in model.classes}
+        # preimage_count per class, with the vertex preimages counted in one pass.
+        vertex_preimages = Counter(model.gtilde.values())
+        counts = {
+            f"class {c.label()}@{c.vertex}": vertex_preimages[c]
+            + len(model.interior_preimage_table[c])
+            for c in model.classes
+        }
         M = abelianization(p)
         names = p.graph.edge_names()
         for i, e in enumerate(names):

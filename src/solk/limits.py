@@ -85,7 +85,7 @@ class StationaryLimitGroup:
         pushed = self.endomorphism.power(self.ambient_rank).mul_vector(vector)
         coords = solve_columns(self.eventual_basis, IntMatrix.column(pushed))
         if coords is None:
-            raise AssertionError("pushed vector must lie in the eventual lattice")
+            raise RuntimeError("pushed vector must lie in the eventual lattice")
         return self._canonical(stage + self.ambient_rank, coords.col(0))
 
     def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
@@ -199,6 +199,6 @@ def stationary_torsion_limit(moduli: tuple[int, ...], endo: IntMatrix) -> tuple[
     # Structure of (lattice of the eventual image) / (relations lattice).
     coords = solve_columns(current, relations)
     if coords is None:
-        raise AssertionError("relations lattice must sit inside the image lattice")
+        raise RuntimeError("relations lattice must sit inside the image lattice")
     diag = smith_normal_form(coords).diagonal()
     return tuple(d for d in diag if d > 1)

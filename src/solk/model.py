@@ -42,23 +42,22 @@ class Edge:
 class Graph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    _by_name: dict[str, Edge] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        names = [e.name for e in self.edges]
-        if len(set(names)) != len(names):
+        by_name = {e.name: e for e in self.edges}
+        if len(by_name) != len(self.edges):
             raise ValueError("duplicate edge names")
         vset = set(self.vertices)
         for e in self.edges:
             if e.source not in vset or e.target not in vset:
                 raise ValueError(f"edge {e.name} has undeclared endpoint")
+        object.__setattr__(self, "_by_name", by_name)
 
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        return self._by_name[name]
 
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
@@ -161,6 +160,8 @@ def parse_presentation(text: str) -> Presentation:
     """
     vertices: list[str] = []
     edges: list[Edge] = []
+    edge_names: set[str] = set()
+    graph: Graph | None = None  # rebuilt only when an edge was declared after the last build
     edge_map: dict[str, EdgePath] = {}
     vmap_explicit: dict[str, str] = {}
     saw_header = False
@@ -185,18 +186,19 @@ def parse_presentation(text: str) -> Presentation:
             if len(tokens) != 4:
                 raise ParseError(line_no, "expected 'edge <name> <source> <target>'")
             name, src, tgt = tokens[1:]
-            if any(e.name == name for e in edges):
+            if name in edge_names:
                 raise ParseError(line_no, f"duplicate edge '{name}'")
             if src not in vertices:
                 raise ParseError(line_no, f"unknown vertex '{src}'")
             if tgt not in vertices:
                 raise ParseError(line_no, f"unknown vertex '{tgt}'")
             edges.append(Edge(name, src, tgt))
+            edge_names.add(name)
         elif keyword == "map":
             if len(tokens) < 4 or tokens[2] != "->":
                 raise ParseError(line_no, "expected 'map <edge> -> <edge> ...'")
             name = tokens[1]
-            if not any(e.name == name for e in edges):
+            if name not in edge_names:
                 raise ParseError(line_no, f"unknown edge '{name}'")
             if name in edge_map:
                 raise ParseError(line_no, f"duplicate map for edge '{name}'")
@@ -204,12 +206,13 @@ def parse_presentation(text: str) -> Presentation:
             for tok in tokens[3:]:
                 forward = not tok.startswith("~")
                 ename = tok if forward else tok[1:]
-                if not any(e.name == ename for e in edges):
+                if ename not in edge_names:
                     raise ParseError(line_no, f"unknown edge '{ename}'")
                 darts.append(Dart(ename, forward))
             path = EdgePath(tuple(darts))
-            graph_so_far = Graph(tuple(vertices), tuple(edges))
-            if not path.is_continuous(graph_so_far):
+            if graph is None or len(graph.edges) != len(edges):
+                graph = Graph(tuple(vertices), tuple(edges))
+            if not path.is_continuous(graph):
                 raise ParseError(line_no, f"image path of '{name}' is discontinuous")
             edge_map[name] = path
         elif keyword == "vmap":
@@ -228,7 +231,8 @@ def parse_presentation(text: str) -> Presentation:
 
     if not saw_header:
         raise ParseError(last_line or 1, "empty input; expected header 'solenoid v1'")
-    graph = Graph(tuple(vertices), tuple(edges))
+    if graph is None or len(graph.edges) != len(edges) or len(graph.vertices) != len(vertices):
+        graph = Graph(tuple(vertices), tuple(edges))
     for e in edges:
         if e.name not in edge_map:
             raise ParseError(last_line, f"no image path for edge '{e.name}'")
@@ -298,16 +302,40 @@ def substitution_power(p: Presentation, k: int) -> Presentation:
     return result
 
 
+def _bool_product(X: list[int], Y: list[int]) -> list[int]:
+    """Boolean product of square matrices stored as bit-rows.
+
+    Row i of X·Y is the OR of the rows of Y selected by the bits of row i of X.
+    """
+    out = []
+    for x in X:
+        acc = 0
+        while x:
+            low = x & -x
+            acc |= Y[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return out
+
+
 def _is_primitive(M: IntMatrix) -> bool:
+    """Whether some power of the non-negative matrix M is strictly positive.
+
+    By Wielandt's bound a primitive n x n matrix has M^k > 0 for every
+    k >= (n-1)^2 + 1, and no power of an imprimitive one is positive; so it
+    suffices to square the Boolean pattern of M until a power is positive
+    or the exponent reaches that bound.
+    """
     n = M.rows
-    if n == 0:
-        return True
-    power = M
-    for _ in range(n * n):
-        if all(x > 0 for row in power.to_rows() for x in row):
-            return True
-        power = power @ M
-    return False
+    power = [sum(1 << j for j, x in enumerate(M.row(i)) if x > 0) for i in range(n)]
+    full = (1 << n) - 1
+    exponent = 1
+    while not all(row == full for row in power):
+        if exponent >= (n - 1) ** 2 + 1:
+            return False
+        power = _bool_product(power, power)
+        exponent *= 2
+    return True
 
 
 def validate(p: Presentation) -> ValidationReport:
@@ -396,16 +424,22 @@ def validate(p: Presentation) -> ValidationReport:
             )
         )
 
-    # (e) every edge must eventually have an image of length >= 2.
+    # (e) every edge must eventually have an image of length >= 2, i.e. some
+    # column sum of M^k, k = 1..n, is >= 2.  The column sums are the row
+    # vector 1·M^k; the entries are non-negative, so clamping them at 2
+    # after each step keeps the test exact.
     n = len(graph.edges)
     if n > 0:
+        columns = [[(i, x) for i, x in enumerate(M.col(j)) if x] for j in range(n)]
         lengths_ok = [False] * n
-        power = M
+        sums = [1] * n
         for _ in range(n):
-            for j in range(n):
-                if sum(power.col(j)) >= 2:
+            sums = [min(sum(sums[i] * x for i, x in col), 2) for col in columns]
+            for j, s in enumerate(sums):
+                if s >= 2:
                     lengths_ok[j] = True
-            power = power @ M
+            if all(lengths_ok):
+                break
         for j, ok in enumerate(lengths_ok):
             if not ok:
                 findings.append(

@@ -166,3 +166,27 @@ def random_valid_presentations(seed: int, count: int, max_attempts: int = 60000)
             if len(found) == count:
                 break
     return found
+
+
+def family_text(n: int, offsets: tuple[int, ...], rng: random.Random | None = None) -> str:
+    """One vertex, n loops, ``e_i -> e_{i+o1} e_{i+o2} ...`` (indices mod n).
+
+    With ``rng`` the edges get shuffled names and a shuffled declaration order.
+    """
+    labels = rng.sample(range(n), n) if rng else list(range(n))
+    order = rng.sample(range(n), n) if rng else list(range(n))
+    name = [f"e{labels[i]}" for i in range(n)]
+    lines = ["solenoid v1", "vertex p"]
+    lines += [f"edge {name[i]} p p" for i in order]
+    lines += [f"map {name[i]} -> " + " ".join(name[(i + o) % n] for o in offsets) for i in order]
+    return "\n".join(lines) + "\n"
+
+
+def stress_text(n: int, rng: random.Random | None = None) -> str:
+    """The closure-stress family: every one of the n^2 germs occurs."""
+    return family_text(n, (1, 7, 3), rng)
+
+
+def cyclic_text(n: int, rng: random.Random | None = None) -> str:
+    """The imprimitive cyclic family ``e_i -> e_{i+1} e_{i+1}``."""
+    return family_text(n, (1, 1), rng)

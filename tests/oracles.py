@@ -1,0 +1,209 @@
+"""Test-only oracles: the quadratic germ closure and the integer-power checks.
+
+These are the straightforward versions of ``germs.occurring_classes`` and
+``model.validate``, kept verbatim so the linear-time library code can be
+compared with them: the closure walks ``len(full)`` steps from every germ,
+and primitivity and expansion are decided on exact integer powers of the
+occurrence matrix (up to n^2 of them).
+"""
+
+from __future__ import annotations
+
+from solk.germs import (
+    GermClass,
+    QuotientModel,
+    UnreachableVertex,
+    _germ,
+    gtilde_on_class,
+    junction_germs,
+)
+from solk.intlin import IntMatrix
+from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
+
+
+def all_germs_oracle(p: Presentation) -> list[GermClass]:
+    graph = p.graph
+    out: list[GermClass] = []
+    for v in graph.vertices:
+        in_darts = [Dart(e.name) for e in graph.edges if e.target == v]
+        out_darts = [Dart(e.name) for e in graph.edges if e.source == v]
+        for din in in_darts:
+            for dout in out_darts:
+                out.append(GermClass(vertex=v, in_dart=din, out_dart=dout))
+    return out
+
+
+def occurring_classes_oracle(p: Presentation) -> QuotientModel:
+    """The occurring germ classes and the model tables built over them.
+
+    Occurring = forward closure, under the induced map, of the junction
+    germs together with every germ lying on a cycle of the induced map
+    over the full finite germ set.  Junction germs occur because every
+    edge occurs densely in the line; cycle germs account for backward
+    orbits of vertex points such as fixed points.
+    """
+    full = all_germs_oracle(p)
+    step = {c: gtilde_on_class(p, c) for c in full}
+
+    on_cycle: set[GermClass] = set()
+    for c in full:
+        x = c
+        for _ in range(len(full)):
+            x = step[x]
+        # x is now on the eventual cycle of c; walk the cycle once.
+        start = x
+        cycle = [x]
+        x = step[x]
+        while x != start:
+            cycle.append(x)
+            x = step[x]
+        on_cycle.update(cycle)
+
+    occurring = set(junction_germs(p)) | on_cycle
+    frontier = list(occurring)
+    while frontier:
+        nxt = step[frontier.pop()]
+        if nxt not in occurring:
+            occurring.add(nxt)
+            frontier.append(nxt)
+
+    classes = tuple(sorted(occurring, key=GermClass.sort_key))
+
+    covered = {c.vertex for c in classes}
+    for v in p.graph.vertices:
+        if v not in covered:
+            raise UnreachableVertex(f"vertex '{v}' carries no occurring germ class")
+
+    table: dict[GermClass, list[tuple[str, int]]] = {c: [] for c in classes}
+    for e in p.graph.edge_names():
+        darts = p.edge_map[e].darts
+        for i in range(len(darts) - 1):
+            table[_germ(p, darts[i], darts[i + 1])].append((e, i + 1))
+
+    return QuotientModel(
+        classes=classes,
+        edge_points=p.graph.edge_names(),
+        gtilde={c: step[c] for c in classes},
+        interior_preimage_table={c: tuple(v) for c, v in table.items()},
+    )
+
+
+def is_primitive_oracle(M: IntMatrix) -> bool:
+    n = M.rows
+    if n == 0:
+        return True
+    power = M
+    for _ in range(n * n):
+        if all(x > 0 for row in power.to_rows() for x in row):
+            return True
+        power = power @ M
+    return False
+
+
+def validate_oracle(p: Presentation) -> ValidationReport:
+    """Substitution-level checks; see the finding codes below.
+
+    These are necessary conditions for the presentation to define an
+    expanding, mixing one-dimensional solenoid, not a full certificate:
+    (a) endpoints   (b) homeomorphism   (c) orientation
+    (d) primitivity (warning only)      (e) eventual expansion
+    """
+    findings: list[Finding] = []
+    graph = p.graph
+
+    # (a) vertex map total and compatible with the image-path endpoints.
+    for v in graph.vertices:
+        w = p.vertex_map.get(v)
+        if w is None or w not in graph.vertices:
+            findings.append(Finding("error", "endpoints", f"vertex '{v}' has no image vertex"))
+    for e in graph.edges:
+        path = p.edge_map.get(e.name)
+        if path is None:
+            findings.append(Finding("error", "endpoints", f"edge '{e.name}' has no image path"))
+            continue
+        if not path.is_continuous(graph):
+            findings.append(
+                Finding("error", "endpoints", f"image path of '{e.name}' is discontinuous")
+            )
+            continue
+        want_start = p.vertex_map.get(e.source)
+        want_end = p.vertex_map.get(e.target)
+        if want_start is not None and path.start(graph) != want_start:
+            findings.append(
+                Finding(
+                    "error",
+                    "endpoints",
+                    f"image of '{e.name}' starts at {path.start(graph)}, "
+                    f"but source vertex maps to {want_start}",
+                )
+            )
+        if want_end is not None and path.end(graph) != want_end:
+            findings.append(
+                Finding(
+                    "error",
+                    "endpoints",
+                    f"image of '{e.name}' ends at {path.end(graph)}, "
+                    f"but target vertex maps to {want_end}",
+                )
+            )
+    if any(f.code == "endpoints" for f in findings):
+        return ValidationReport(tuple(findings))
+
+    # (c) orientation: reversed darts in image paths are unsupported.
+    for e in graph.edge_names():
+        for d in p.edge_map[e].darts:
+            if not d.forward:
+                findings.append(
+                    Finding(
+                        "error",
+                        "orientation",
+                        f"unsupported: orientation-reversing image of '{e}' (dart {d})",
+                    )
+                )
+                break
+
+    # (b) the substitution must not be invertible.
+    if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
+        images = [p.edge_map[e].darts[0].edge for e in graph.edge_names()]
+        if len(set(images)) == len(images):
+            findings.append(
+                Finding(
+                    "error",
+                    "homeomorphism",
+                    "substitution permutes the edges, so the map is invertible",
+                )
+            )
+
+    M = abelianization(p)
+
+    # (d) primitivity is the combinatorial stand-in for mixing.
+    if not is_primitive_oracle(M):
+        findings.append(
+            Finding(
+                "warning",
+                "not-primitive",
+                "occurrence matrix has no strictly positive power; mixing is unverified",
+            )
+        )
+
+    # (e) every edge must eventually have an image of length >= 2.
+    n = len(graph.edges)
+    if n > 0:
+        lengths_ok = [False] * n
+        power = M
+        for _ in range(n):
+            for j in range(n):
+                if sum(power.col(j)) >= 2:
+                    lengths_ok[j] = True
+            power = power @ M
+        for j, ok in enumerate(lengths_ok):
+            if not ok:
+                findings.append(
+                    Finding(
+                        "error",
+                        "not-expanding",
+                        f"edge '{graph.edge_names()[j]}' never expands under iteration",
+                    )
+                )
+
+    return ValidationReport(tuple(findings))

@@ -217,3 +217,21 @@ def test_occurring_classes_invariant_under_substitution_powers():
         base = occurring_classes(p).classes
         for k in (2, 3):
             assert occurring_classes(substitution_power(p, k)).classes == base
+
+
+def test_stress_presentation_at_scale():
+    # Every one of the n^2 germs occurs.  All offsets of the family are odd,
+    # so every cycle of the occurrence matrix has even length when n is
+    # even: n = 50 is imprimitive (period 2) and n = 51 is primitive.
+    from solk.model import validate
+
+    from helpers import stress_text
+
+    for n, findings in ((50, ["not-primitive"]), (51, [])):
+        p = parse_presentation(stress_text(n))
+        report = validate(p)
+        assert report.ok
+        assert [f.code for f in report.findings] == findings
+        s = quotient_summary(p)
+        assert len(s.model.classes) == n * n
+        assert s.class_count_per_vertex == {"p": n * n}

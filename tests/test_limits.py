@@ -237,3 +237,17 @@ def test_torsion_limit_examples():
     assert stationary_torsion_limit((2, 2), M([[0, 1], [1, 0]])) == (2, 2)
     with pytest.raises(ValueError):
         stationary_torsion_limit((1,), M([[1]]))
+
+
+def test_from_ambient_outside_eventual_lattice_is_runtime_error(monkeypatch):
+    # An internal exactness check: it must raise a real error, also under -O.
+    g = make_limit(M([[1, 1], [1, 1]]))
+    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    with pytest.raises(RuntimeError, match="eventual lattice"):
+        g.from_ambient(0, (1, 1))
+
+
+def test_torsion_limit_relations_outside_image_is_runtime_error(monkeypatch):
+    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    with pytest.raises(RuntimeError, match="relations lattice"):
+        stationary_torsion_limit((3,), M([[2]]))

@@ -241,3 +241,50 @@ def test_parser_fuzz_only_raises_parse_error():
             parse_presentation("\n".join(lines))
         except ParseError:
             pass  # the only acceptable failure mode
+
+
+def test_graph_name_index_is_not_part_of_equality_or_repr():
+    from solk.model import Edge
+
+    edges = (Edge("a", "p", "p"), Edge("b", "p", "q"))
+    g, h = Graph(("p", "q"), edges), Graph(("p", "q"), edges)
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == "Graph(vertices=('p', 'q'), edges=" + repr(edges) + ")"
+    assert g.edge("b") is edges[1]
+    with pytest.raises(KeyError):
+        g.edge("c")
+
+
+def test_parse_builds_the_graph_once(monkeypatch):
+    import solk.model
+
+    built = []
+
+    class CountingGraph(Graph):
+        def __post_init__(self):
+            built.append(len(self.edges))
+            super().__post_init__()
+
+    monkeypatch.setattr(solk.model, "Graph", CountingGraph)
+    names = [f"e{i}" for i in range(12)]
+    text = "solenoid v1\nvertex p\n" + "".join(f"edge {e} p p\n" for e in names)
+    text += "".join(f"map {e} -> {e} {e}\n" for e in names)
+    p = parse_presentation(text)
+    assert built == [12]
+    assert p.graph.edge_names() == tuple(names)
+
+
+def test_parse_interleaved_edges_and_maps():
+    text = """solenoid v1
+vertex p
+edge a p p
+map a -> a a
+edge b p p
+map b -> b a
+"""
+    p = parse_presentation(text)
+    assert p.graph.edge_names() == ("a", "b")
+    assert str(p.edge_map["a"]) == "a a" and str(p.edge_map["b"]) == "b a"
+    bad = text.replace("map b -> b a", "vertex q\nedge c q q\nmap b -> b c")
+    with pytest.raises(ParseError, match="discontinuous"):
+        parse_presentation(bad)

@@ -1,0 +1,109 @@
+"""The linear-time closure and Boolean validation against their quadratic oracles."""
+
+import itertools
+import random
+
+import pytest
+
+from solk.germs import occurring_classes, quotient_summary
+from solk.intlin import IntMatrix
+from solk.model import _is_primitive, parse_presentation, validate
+
+from helpers import cyclic_text, random_presentation, stress_text
+from oracles import is_primitive_oracle, occurring_classes_oracle, validate_oracle
+from test_germs import corpus
+
+IMPRIMITIVE_TEXT = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\nmap b -> a a\n"
+
+
+def family_corpus():
+    out = []
+    for n in range(9, 16):
+        out += [parse_presentation(stress_text(n, random.Random(f"stress{n}:{j}"))) for j in range(2)]
+    for n in range(6, 15):
+        out += [parse_presentation(cyclic_text(n, random.Random(f"cyclic{n}:{j}"))) for j in range(2)]
+    return out
+
+
+def presentations():
+    return corpus() + [parse_presentation(IMPRIMITIVE_TEXT)] + family_corpus()
+
+
+def random_presentations(seed: int, count: int):
+    """Unvalidated random presentations: valid, invalid and imprimitive ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = random_presentation(rng)
+        if p is not None:
+            out.append(p)
+    return out
+
+
+def test_closure_matches_quadratic_oracle():
+    for p in presentations():
+        got, want = occurring_classes(p), occurring_classes_oracle(p)
+        assert got.classes == want.classes
+        assert got.edge_points == want.edge_points
+        assert list(got.gtilde.items()) == list(want.gtilde.items())
+        assert list(got.interior_preimage_table.items()) == list(
+            want.interior_preimage_table.items()
+        )
+
+
+def test_validate_matches_integer_power_oracle():
+    for p in presentations() + random_presentations(seed=7, count=300):
+        assert validate(p).findings == validate_oracle(p).findings
+
+
+def test_summary_degree_is_the_preimage_count():
+    for p in presentations():
+        s = quotient_summary(p)
+        if s.degree is not None:
+            assert all(s.model.preimage_count(c) == s.degree for c in s.model.classes)
+
+
+def M(rows):
+    return IntMatrix.from_rows(rows)
+
+
+def wielandt_matrix(n: int) -> IntMatrix:
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+    rows[n - 1][1] = 1
+    return M(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wielandt_matrix_exponent_is_the_bound(n):
+    W = wielandt_matrix(n)
+    bound = (n - 1) ** 2 + 1
+
+    def positive(A):
+        return all(x > 0 for row in A.to_rows() for x in row)
+
+    assert not positive(W.power(bound - 1))
+    assert positive(W.power(bound))
+    assert _is_primitive(W)
+
+
+def test_imprimitive_and_reducible_matrices():
+    cyclic_blocks = M([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]])
+    reducible = M([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    for A in (cyclic_blocks, reducible, M([[0]]), M([[0, 1], [1, 0]])):
+        assert not _is_primitive(A)
+    assert _is_primitive(M([[1]])) and _is_primitive(M([]))
+
+
+def test_primitive_matches_oracle_on_all_small_patterns():
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            A = IntMatrix(n, n, bits)
+            assert _is_primitive(A) == is_primitive_oracle(A)
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        A = IntMatrix(n, n, [rng.choice((0, 0, 0, 1, 2)) for _ in range(n * n)])
+        assert _is_primitive(A) == is_primitive_oracle(A)
