@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import Dart, Presentation, abelianization
+from .model import Dart, Presentation
 
 
 class UnreachableVertex(ValueError):
@@ -308,10 +308,9 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
             + len(model.interior_preimage_table[c])
             for c in model.classes
         }
-        M = abelianization(p)
-        names = p.graph.edge_names()
-        for i, e in enumerate(names):
-            counts[f"edge {e}"] = sum(M.row(i))
+        occurrences = Counter(d.edge for path in p.edge_map.values() for d in path.darts)
+        for e in p.graph.edge_names():
+            counts[f"edge {e}"] = occurrences[e]
         values = set(counts.values())
         if len(values) != 1 or min(values) < 2:
             raise DegreeNotConstant(

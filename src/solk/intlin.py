@@ -4,6 +4,9 @@ Everything here works over plain Python ints (which are unbounded), so
 normal-form pivoting never overflows and all results are exact.  Matrices
 are small (dozens of rows at most), so the classical cubic algorithms are
 plenty fast.
+
+A ``SmithDecomposition`` answers rank, kernel, cokernel and solve for the
+matrix it factors; callers asking several of these of one matrix keep it.
 """
 
 from __future__ import annotations
@@ -168,12 +171,51 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
+    A: IntMatrix
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal() if d != 0)
+
+    def kernel_basis(self) -> IntMatrix:
+        """Z-basis of ker A, as columns, canonicalized by column HNF.
+
+        The kernel of an integer matrix is saturated, so the columns also span
+        the kernel over Q.
+        """
+        n = self.A.cols  # the diagonal's zeros come last: columns rank.. of V span ker A
+        return column_hnf(self.V.submatrix(range(n), range(self.rank(), n)))
+
+    def cokernel(self) -> CokernelStructure:
+        """Structure of Z^rows modulo the column lattice of A."""
+        torsion = tuple(d for d in self.diagonal() if d > 1)
+        return CokernelStructure(free_rank=self.A.rows - self.rank(), torsion=torsion)
+
+    def solve(self, C: IntMatrix) -> IntMatrix | None:
+        """Integer solution X of A @ X = C, or None if there is none.
+
+        When A has linearly independent columns the solution is unique; in
+        general the free coordinates are set to zero.
+        """
+        if self.A.rows != C.rows:
+            raise ValueError("row count mismatch")
+        # A @ X == C iff D @ W == U @ C for X = V @ W: rows of U @ C past the rank vanish.
+        r = self.rank()
+        Y = (self.U @ C).to_rows()
+        if any(any(row) for row in Y[r:]):
+            return None
+        W = [[0] * C.cols for _ in range(self.A.cols)]
+        for i, (d, row) in enumerate(zip(self.diagonal(), Y[:r])):
+            if any(y % d for y in row):
+                return None
+            W[i] = [y // d for y in row]
+        X = self.V @ IntMatrix.from_rows(W, cols=C.cols)
+        return X if self.A @ X == C else None
 
 
 @dataclass(frozen=True)
@@ -280,6 +322,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             U[t] = [a + b for a, b in zip(U[t], U[offender])]
 
     return SmithDecomposition(
+        A=A,
         U=IntMatrix.from_rows(U, cols=m),
         D=IntMatrix.from_rows(D, cols=n),
         V=IntMatrix.from_rows(V, cols=n),
@@ -287,7 +330,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
 
 def rank(A: IntMatrix) -> int:
-    return sum(1 for d in smith_normal_form(A).diagonal() if d != 0)
+    return smith_normal_form(A).rank()
 
 
 def determinant(A: IntMatrix) -> int:
@@ -378,52 +421,15 @@ def same_column_lattice(A: IntMatrix, B: IntMatrix) -> bool:
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Z-basis of ker A, as columns, canonicalized by column HNF.
-
-    The kernel of an integer matrix is saturated, so the columns also span
-    the kernel over Q.
-    """
-    snf = smith_normal_form(A)
-    diag = snf.diagonal()
-    keep = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
-    raw = snf.V.submatrix(range(A.cols), keep)
-    return column_hnf(raw)
+    return smith_normal_form(A).kernel_basis()
 
 
 def cokernel(A: IntMatrix) -> CokernelStructure:
-    """Structure of Z^rows modulo the column lattice of A."""
-    diag = smith_normal_form(A).diagonal()
-    r = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return CokernelStructure(free_rank=A.rows - r, torsion=torsion)
+    return smith_normal_form(A).cokernel()
 
 
 def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
-    """Integer solution X of B @ X = C, or None if there is none.
-
-    When B has linearly independent columns the solution is unique; in
-    general the free coordinates are set to zero.
-    """
-    if B.rows != C.rows:
-        raise ValueError("row count mismatch")
-    snf = smith_normal_form(B)
-    diag = snf.diagonal()
-    Y = snf.U @ C
-    W = [[0] * C.cols for _ in range(B.cols)]
-    for i in range(B.rows):
-        d = diag[i] if i < len(diag) else 0
-        for j in range(C.cols):
-            y = Y[i, j]
-            if d == 0:
-                if y != 0:
-                    return None
-            else:
-                if y % d != 0:
-                    return None
-                if i < B.cols:
-                    W[i][j] = y // d
-    X = snf.V @ IntMatrix.from_rows(W, cols=C.cols)
-    return X if B @ X == C else None
+    return smith_normal_form(B).solve(C)
 
 
 def in_column_lattice(B: IntMatrix, v: Sequence[int]) -> bool:

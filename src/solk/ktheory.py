@@ -9,19 +9,17 @@ gives the K-groups of the limit algebra as stationary inductive limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .germs import GermClass, QuotientModel, quotient_summary
 from .intlin import (
     CokernelStructure,
     IntMatrix,
-    cokernel,
     invert_unimodular,
     kernel_basis,
     rank,
     restrict_endomorphism,
     smith_normal_form,
-    solve_columns,
 )
 from .limits import Classification, StationaryLimitGroup, make_limit, stationary_torsion_limit
 from .model import Presentation, ValidationReport, validate
@@ -53,12 +51,7 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
         classes = tuple(sorted(model.classes, key=GermClass.sort_key, reverse=True))
     else:
         raise ValueError(f"unknown order '{order}'")
-    return QuotientModel(
-        classes=classes,
-        edge_points=model.edge_points,
-        gtilde=model.gtilde,
-        interior_preimage_table=model.interior_preimage_table,
-    )
+    return replace(model, classes=classes)
 
 
 def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -120,8 +113,7 @@ def k_theory_of_g0(
     p: Presentation, model: QuotientModel
 ) -> tuple[IntMatrix, CokernelStructure]:
     """K0 (a kernel lattice basis, columns in class coordinates) and K1."""
-    delta0 = boundary_matrix(p, model)
-    return kernel_basis(delta0), cokernel(delta0)
+    return _boundary_k_theory(p, model)[1:3]
 
 
 def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -175,16 +167,21 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
     cokernel is checked: the rule must carry the image of the boundary map
     into itself.
     """
-    delta0 = boundary_matrix(p, model)
-    E = first_edge_matrix(p)
-    if solve_columns(delta0, E @ delta0) is None:
+    return _boundary_k_theory(p, model)[3]
+
+
+def _boundary_k_theory(
+    p: Presentation, model: QuotientModel
+) -> tuple[IntMatrix, IntMatrix, CokernelStructure, Psi1]:
+    """delta0, K0, K1 and psi1 (as U E U^-1), all from one Smith decomposition of delta0."""
+    snf = smith_normal_form(boundary_matrix(p, model))
+    delta0, E = snf.A, first_edge_matrix(p)
+    if snf.solve(E @ delta0) is None:
         raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
 
-    snf = smith_normal_form(delta0)
     m = delta0.rows
     diag = list(snf.diagonal()) + [0] * (m - min(delta0.rows, delta0.cols))
-    u_inv = invert_unimodular(snf.U)
-    conj = snf.U @ E @ u_inv
+    conj = snf.U @ E @ invert_unimodular(snf.U)
     gens = [i for i in range(m) if diag[i] != 1]
     moduli = tuple(diag[i] for i in gens)
     entries = []
@@ -192,7 +189,8 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
         for gj in gens:
             v = conj[gi, gj]
             entries.append(v % diag[gi] if diag[gi] > 1 else v)
-    return Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
+    psi1 = Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
+    return delta0, snf.kernel_basis(), snf.cokernel(), psi1
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,9 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     summary = quotient_summary(p)
     model = with_class_order(summary.model, order)
 
-    delta0 = boundary_matrix(p, model)
+    delta0, k0_basis, k1, psi1 = _boundary_k_theory(p, model)
     pullback = trace_pullback_matrix(p, model)
-    k0_basis, k1 = kernel_basis(delta0), cokernel(delta0)
     psi0 = restrict_endomorphism(pullback, k0_basis)
-    psi1 = psi_star_k1(p, model)
 
     k0_limit = make_limit(psi0)
     psi1_free = psi1.free_part()

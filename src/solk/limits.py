@@ -9,9 +9,11 @@ the coordinates of L, with (k, v) identified with (k+1, T'v).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlin import (
     IntMatrix,
+    SmithDecomposition,
     column_hnf,
     determinant,
     restrict_endomorphism,
@@ -52,8 +54,8 @@ class StationaryLimitGroup:
         r = endomorphism.rows
         self.ambient_rank = r
         self.endomorphism = endomorphism
-        power = endomorphism.power(r) if r > 0 else IntMatrix.identity(0)
-        self.eventual_basis = saturate_columns(power)
+        self._power = endomorphism.power(r) if r > 0 else IntMatrix.identity(0)
+        self.eventual_basis = saturate_columns(self._power)
         self.eventual_rank = self.eventual_basis.cols
         if self.eventual_rank > 0:
             self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
@@ -82,16 +84,24 @@ class StationaryLimitGroup:
         """
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
-        pushed = self.endomorphism.power(self.ambient_rank).mul_vector(vector)
-        coords = solve_columns(self.eventual_basis, IntMatrix.column(pushed))
+        coords = self._power_in_eventual_basis.mul_vector(vector)
+        return self._canonical(stage + self.ambient_rank, coords)
+
+    @cached_property
+    def _power_in_eventual_basis(self) -> IntMatrix:
+        coords = solve_columns(self.eventual_basis, self._power)
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
-        return self._canonical(stage + self.ambient_rank, coords.col(0))
+        return coords
+
+    @cached_property
+    def _reduced_snf(self) -> SmithDecomposition:
+        return smith_normal_form(self.reduced_endomorphism)
 
     def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
         # Minimal stage: retract through T' while the vector stays integral.
         while stage > 0:
-            pre = solve_columns(self.reduced_endomorphism, IntMatrix.column(vector))
+            pre = self._reduced_snf.solve(IntMatrix.column(vector))
             if pre is None:
                 break
             vector = pre.col(0)
@@ -200,5 +210,4 @@ def stationary_torsion_limit(moduli: tuple[int, ...], endo: IntMatrix) -> tuple[
     coords = solve_columns(current, relations)
     if coords is None:
         raise RuntimeError("relations lattice must sit inside the image lattice")
-    diag = smith_normal_form(coords).diagonal()
-    return tuple(d for d in diag if d > 1)
+    return smith_normal_form(coords).cokernel().torsion

@@ -89,6 +89,21 @@ def count_calls(monkeypatch, home, name: str) -> dict[str, int]:
     return counts
 
 
+def record_calls(monkeypatch, home, name: str) -> list:
+    """The first argument of each call of ``home.name`` made through any solk module."""
+    original = getattr(home, name)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "solk" and module.__dict__.get(name) is original:
+            monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
 def random_int_matrix(rng: random.Random, max_dim: int = 6, lo: int = -5, hi: int = 5) -> IntMatrix:
     rows = rng.randint(0, max_dim)
     cols = rng.randint(0, max_dim)

@@ -1,10 +1,14 @@
-"""Test-only oracles: the quadratic germ closure and the integer-power checks.
+"""Test-only oracles: the quadratic germ closure, the integer-power checks
+and the one-factorization-per-question linear algebra.
 
 These are the straightforward versions of ``germs.occurring_classes`` and
 ``model.validate``, kept verbatim so the linear-time library code can be
 compared with them: the closure walks ``len(full)`` steps from every germ,
 and primitivity and expansion are decided on exact integer powers of the
-occurrence matrix (up to n^2 of them).
+occurrence matrix (up to n^2 of them).  ``kernel_basis_oracle``,
+``cokernel_oracle`` and ``solve_columns_oracle`` are the free functions of
+``intlin`` as they were before ``SmithDecomposition`` answered these
+questions itself; each runs its own Smith normal form.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from solk.germs import (
     gtilde_on_class,
     junction_germs,
 )
-from solk.intlin import IntMatrix
+from solk.intlin import CokernelStructure, IntMatrix, column_hnf, smith_normal_form
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 
 
@@ -207,3 +211,52 @@ def validate_oracle(p: Presentation) -> ValidationReport:
                 )
 
     return ValidationReport(tuple(findings))
+
+
+def kernel_basis_oracle(A: IntMatrix) -> IntMatrix:
+    """Z-basis of ker A, as columns, canonicalized by column HNF.
+
+    The kernel of an integer matrix is saturated, so the columns also span
+    the kernel over Q.
+    """
+    snf = smith_normal_form(A)
+    diag = snf.diagonal()
+    keep = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
+    raw = snf.V.submatrix(range(A.cols), keep)
+    return column_hnf(raw)
+
+
+def cokernel_oracle(A: IntMatrix) -> CokernelStructure:
+    """Structure of Z^rows modulo the column lattice of A."""
+    diag = smith_normal_form(A).diagonal()
+    r = sum(1 for d in diag if d != 0)
+    torsion = tuple(d for d in diag if d > 1)
+    return CokernelStructure(free_rank=A.rows - r, torsion=torsion)
+
+
+def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
+    """Integer solution X of B @ X = C, or None if there is none.
+
+    When B has linearly independent columns the solution is unique; in
+    general the free coordinates are set to zero.
+    """
+    if B.rows != C.rows:
+        raise ValueError("row count mismatch")
+    snf = smith_normal_form(B)
+    diag = snf.diagonal()
+    Y = snf.U @ C
+    W = [[0] * C.cols for _ in range(B.cols)]
+    for i in range(B.rows):
+        d = diag[i] if i < len(diag) else 0
+        for j in range(C.cols):
+            y = Y[i, j]
+            if d == 0:
+                if y != 0:
+                    return None
+            else:
+                if y % d != 0:
+                    return None
+                if i < B.cols:
+                    W[i][j] = y // d
+    X = snf.V @ IntMatrix.from_rows(W, cols=C.cols)
+    return X if B @ X == C else None

@@ -1,5 +1,6 @@
 import pytest
 
+import solk.model
 from solk.germs import (
     GermClass,
     UnreachableVertex,
@@ -17,6 +18,7 @@ from helpers import (
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
     aabab,
+    count_calls,
     fibonacci,
     n_solenoid,
     random_valid_presentations,
@@ -235,3 +237,10 @@ def test_stress_presentation_at_scale():
         s = quotient_summary(p)
         assert len(s.model.classes) == n * n
         assert s.class_count_per_vertex == {"p": n * n}
+
+
+def test_summary_degree_check_builds_no_occurrence_matrix(monkeypatch):
+    calls = count_calls(monkeypatch, solk.model, "abelianization")
+    assert quotient_summary(n_solenoid(3)).degree == 3
+    assert quotient_summary(parse_presentation(TWO_VERTEX_TEXT)).degree == 3
+    assert calls == {"abelianization": 0}

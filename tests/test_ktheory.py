@@ -1,6 +1,7 @@
 import pytest
 
 import solk.germs
+import solk.intlin
 import solk.ktheory
 import solk.model
 from solk.germs import occurring_classes
@@ -29,6 +30,7 @@ from helpers import (
     fibonacci,
     n_solenoid,
     random_valid_presentations,
+    record_calls,
 )
 
 ALPHA_BETA = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])  # the (1,1,0), (0,0,1) lattice basis
@@ -306,3 +308,11 @@ def test_report_matrices_are_integer_valued():
     r = ktheory_report(aabab())
     for mat in (r.delta0, r.trace_pullback, r.k0_basis, r.psi0, r.psi1.matrix):
         assert all(isinstance(x, int) for row in mat.to_rows() for x in row)
+
+
+def test_report_factors_delta0_once_plus_the_rank_check(monkeypatch):
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    r = ktheory_report(aabab())
+    # One decomposition serves K0, K1 and psi1; the exactness check's own
+    # rank(delta0) is the second.
+    assert sum(A == r.delta0 for A in factored) <= 2

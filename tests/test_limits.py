@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import solk.intlin
 from solk.intlin import IntMatrix, determinant
 from solk.limits import (
     element_add,
@@ -12,7 +13,7 @@ from solk.limits import (
     stationary_torsion_limit,
 )
 
-from helpers import random_unimodular
+from helpers import random_unimodular, record_calls
 
 
 def M(rows):
@@ -251,3 +252,19 @@ def test_torsion_limit_relations_outside_image_is_runtime_error(monkeypatch):
     monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
     with pytest.raises(RuntimeError, match="relations lattice"):
         stationary_torsion_limit((3,), M([[2]]))
+
+
+def test_element_operations_factor_each_matrix_once(monkeypatch):
+    # Eventual rank 2 inside Z^3 and det T' = -2, so some retractions succeed.
+    g = make_limit(M([[1, 1, 0], [1, 0, 1], [1, 1, 0]]))
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    power, powers = IntMatrix.power, []
+    monkeypatch.setattr(IntMatrix, "power", lambda m, k: powers.append(k) or power(m, k))
+    vectors = ((1, 0, 0), (0, 2, 1), (3, -1, 2))
+    els = [g.from_ambient(stage, v) for stage in range(3) for v in vectors]
+    for a in els:
+        for b in els:
+            assert element_equal(element_add(a, b), element_add(b, a))
+        assert element_equal(element_add(a, element_negate(a)), g.zero())
+    assert len(factored) == len(set(factored))
+    assert powers == []

@@ -6,11 +6,25 @@ import random
 import pytest
 
 from solk.germs import occurring_classes, quotient_summary
-from solk.intlin import IntMatrix
+from solk.intlin import (
+    IntMatrix,
+    cokernel,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+    solve_columns,
+)
 from solk.model import _is_primitive, parse_presentation, validate
 
-from helpers import cyclic_text, random_presentation, stress_text
-from oracles import is_primitive_oracle, occurring_classes_oracle, validate_oracle
+from helpers import cyclic_text, random_int_matrix, random_presentation, stress_text
+from oracles import (
+    cokernel_oracle,
+    is_primitive_oracle,
+    kernel_basis_oracle,
+    occurring_classes_oracle,
+    solve_columns_oracle,
+    validate_oracle,
+)
 from test_germs import corpus
 
 IMPRIMITIVE_TEXT = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\nmap b -> a a\n"
@@ -107,3 +121,34 @@ def test_primitive_matches_oracle_on_all_small_patterns():
         n = rng.randint(4, 7)
         A = IntMatrix(n, n, [rng.choice((0, 0, 0, 1, 2)) for _ in range(n * n)])
         assert _is_primitive(A) == is_primitive_oracle(A)
+
+
+def int_matrix_stream(seed: int, count: int):
+    """Every empty shape up to 3x3, then seeded random matrices with entries in [-6, 6]."""
+    rng = random.Random(seed)
+    yield from (IntMatrix.zeros(r, c) for r in range(4) for c in range(4) if r * c == 0)
+    for _ in range(count):
+        yield random_int_matrix(rng, lo=-6, hi=6)
+
+
+def test_decomposition_matches_linear_algebra_oracles():
+    rng = random.Random(3)
+    outcomes = set()
+    for A in int_matrix_stream(seed=2, count=400):
+        snf = smith_normal_form(A)
+        assert snf.A == A
+        assert kernel_basis(A) == snf.kernel_basis() == kernel_basis_oracle(A)
+        assert cokernel(A) == snf.cokernel() == cokernel_oracle(A)
+        assert rank(A) == snf.rank() == A.cols - kernel_basis_oracle(A).cols
+        k = rng.randint(0, 3)
+        X = IntMatrix(A.cols, k, [rng.randint(-3, 3) for _ in range(A.cols * k)])
+        noise = IntMatrix(A.rows, k, [rng.randint(-2, 2) for _ in range(A.rows * k)])
+        for C in (A @ X, A @ X + noise):
+            got = solve_columns(A, C)
+            assert got == snf.solve(C) == solve_columns_oracle(A, C)
+            outcomes.add(got is None)
+        wrong = IntMatrix.zeros(A.rows + 1, 1)
+        for solve in (solve_columns, solve_columns_oracle):
+            with pytest.raises(ValueError, match="row count"):
+                solve(A, wrong)
+    assert outcomes == {True, False}  # solvable and unsolvable right-hand sides both ran
