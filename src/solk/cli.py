@@ -7,7 +7,8 @@ Subcommands:
     sft --matrix "1,1;1,1" invariant of a subshift of finite type
     limit --matrix "3"     classify a stationary limit lim(Z^r, T)
 
-Exit codes: 0 success, 1 validation errors, 2 parse or usage errors.
+Exit codes: 0 success, 1 validation errors, 2 parse or usage errors,
+3 internal-consistency errors (a failed exactness or well-definedness check).
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -358,6 +358,28 @@ def determinant(A: IntMatrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def rational_rank(A: IntMatrix) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination, without transforms.
+
+    Each entry left after a step is a minor of A, so the division by the
+    previous pivot is exact and coefficients grow no faster than A's minors.
+    """
+    M = A.to_rows()
+    r, prev = 0, 1
+    for col in range(A.cols):
+        pivot_row = next((i for i in range(r, A.rows) if M[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        _swap_rows(M, r, pivot_row)
+        p, top = M[r][col], M[r][col + 1 :]
+        for i in range(r + 1, A.rows):
+            a = M[i][col]
+            M[i][col + 1 :] = [(x * p - a * y) // prev for x, y in zip(M[i][col + 1 :], top)]
+        prev = p
+        r += 1
+    return r
+
+
 def invert_unimodular(M: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant +-1; result is integral.
 

@@ -1,9 +1,12 @@
 """Stationary inductive limits of free abelian groups, as first-class values.
 
-lim(Z^r, T) is presented by its eventual lattice L (the saturation of the
-column span of T^r) and the restriction T' of T to L, which is injective.
-Every element of the limit is represented at some stage k by a vector in
-the coordinates of L, with (k, v) identified with (k+1, T'v).
+lim(Z^r, T) is presented by its eventual lattice L and the restriction T'
+of T to L, which is injective.  L is the saturation of the column span of
+T^k, where k <= r is the stabilization index: the first k with
+rank T^(k+1) == rank T^k.  From there on the images of the powers of T
+span the same Q-subspace, so L is also the saturation of im T^r.  Every
+element of the limit is represented at some stage s by a vector in the
+coordinates of L, with (s, v) identified with (s+1, T'v).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .intlin import (
     SmithDecomposition,
     column_hnf,
     determinant,
+    rational_rank,
     restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
@@ -54,8 +58,15 @@ class StationaryLimitGroup:
         r = endomorphism.rows
         self.ambient_rank = r
         self.endomorphism = endomorphism
-        self._power = endomorphism.power(r) if r > 0 else IntMatrix.identity(0)
-        self.eventual_basis = saturate_columns(self._power)
+        # Successive powers until the rank stops dropping: T^k, k <= r.
+        power, power_rank, k = IntMatrix.identity(r), r, 0
+        nxt = endomorphism
+        while power_rank > 0 and (nxt_rank := rational_rank(nxt)) < power_rank:
+            power, power_rank, k = nxt, nxt_rank, k + 1
+            nxt = endomorphism @ power
+        self.stabilization_index = k
+        self._power = power
+        self.eventual_basis = saturate_columns(power)
         self.eventual_rank = self.eventual_basis.cols
         if self.eventual_rank > 0:
             self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
@@ -79,13 +90,14 @@ class StationaryLimitGroup:
     def from_ambient(self, stage: int, vector: tuple[int, ...] | list[int]) -> "LimitElement":
         """Element represented by an ambient Z^r vector at a stage.
 
-        Pushing forward r more steps lands the vector in the eventual
-        lattice, where it is re-expressed in the lattice basis.
+        Pushing forward k more steps, k the stabilization index, lands the
+        vector in the eventual lattice, where it is re-expressed in the
+        lattice basis.
         """
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
         coords = self._power_in_eventual_basis.mul_vector(vector)
-        return self._canonical(stage + self.ambient_rank, coords)
+        return self._canonical(stage + self.stabilization_index, coords)
 
     @cached_property
     def _power_in_eventual_basis(self) -> IntMatrix:

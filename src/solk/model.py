@@ -19,6 +19,7 @@ it but validation rejects orientation-reversing substitutions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .intlin import IntMatrix
@@ -319,15 +320,21 @@ def _bool_product(X: list[int], Y: list[int]) -> list[int]:
 
 
 def _is_primitive(M: IntMatrix) -> bool:
-    """Whether some power of the non-negative matrix M is strictly positive.
+    """Whether some power of the non-negative matrix M is strictly positive."""
+    return _is_primitive_pattern(
+        [sum(1 << j for j, x in enumerate(M.row(i)) if x > 0) for i in range(M.rows)]
+    )
+
+
+def _is_primitive_pattern(power: list[int]) -> bool:
+    """Whether some Boolean power of the 0/1 pattern, given as bit-rows, is all ones.
 
     By Wielandt's bound a primitive n x n matrix has M^k > 0 for every
     k >= (n-1)^2 + 1, and no power of an imprimitive one is positive; so it
     suffices to square the Boolean pattern of M until a power is positive
     or the exponent reaches that bound.
     """
-    n = M.rows
-    power = [sum(1 << j for j, x in enumerate(M.row(i)) if x > 0) for i in range(n)]
+    n = len(power)
     full = (1 << n) - 1
     exponent = 1
     while not all(row == full for row in power):
@@ -412,10 +419,19 @@ def validate(p: Presentation) -> ValidationReport:
                 )
             )
 
-    M = abelianization(p)
+    # The occurrence matrix M of ``abelianization``, read straight from the
+    # image paths: column j counts the edges in the image of edge j, and bit j
+    # of row i is set when edge i occurs in that image.
+    names = graph.edge_names()
+    index = {e: i for i, e in enumerate(names)}
+    columns = [Counter(index[d.edge] for d in p.edge_map[e].darts) for e in names]
+    pattern = [0] * len(names)
+    for j, col in enumerate(columns):
+        for i in col:
+            pattern[i] |= 1 << j
 
     # (d) primitivity is the combinatorial stand-in for mixing.
-    if not _is_primitive(M):
+    if not _is_primitive_pattern(pattern):
         findings.append(
             Finding(
                 "warning",
@@ -428,13 +444,12 @@ def validate(p: Presentation) -> ValidationReport:
     # column sum of M^k, k = 1..n, is >= 2.  The column sums are the row
     # vector 1·M^k; the entries are non-negative, so clamping them at 2
     # after each step keeps the test exact.
-    n = len(graph.edges)
+    n = len(names)
     if n > 0:
-        columns = [[(i, x) for i, x in enumerate(M.col(j)) if x] for j in range(n)]
         lengths_ok = [False] * n
         sums = [1] * n
         for _ in range(n):
-            sums = [min(sum(sums[i] * x for i, x in col), 2) for col in columns]
+            sums = [min(sum(sums[i] * x for i, x in col.items()), 2) for col in columns]
             for j, s in enumerate(sums):
                 if s >= 2:
                     lengths_ok[j] = True
@@ -446,7 +461,7 @@ def validate(p: Presentation) -> ValidationReport:
                     Finding(
                         "error",
                         "not-expanding",
-                        f"edge '{graph.edge_names()[j]}' never expands under iteration",
+                        f"edge '{names[j]}' never expands under iteration",
                     )
                 )
 

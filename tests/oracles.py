@@ -9,6 +9,9 @@ occurrence matrix (up to n^2 of them).  ``kernel_basis_oracle``,
 ``cokernel_oracle`` and ``solve_columns_oracle`` are the free functions of
 ``intlin`` as they were before ``SmithDecomposition`` answered these
 questions itself; each runs its own Smith normal form.
+``StationaryLimitGroupOracle`` builds the eventual lattice of a stationary
+limit from the full power T^r, as ``StationaryLimitGroup`` did before it
+stopped at the stabilization index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from solk.germs import (
     gtilde_on_class,
     junction_germs,
 )
-from solk.intlin import CokernelStructure, IntMatrix, column_hnf, smith_normal_form
+from solk.intlin import (
+    CokernelStructure,
+    IntMatrix,
+    column_hnf,
+    restrict_endomorphism,
+    saturate_columns,
+    smith_normal_form,
+)
+from solk.limits import LimitElement, StationaryLimitGroup
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 
 
@@ -260,3 +271,33 @@ def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
                     W[i][j] = y // d
     X = snf.V @ IntMatrix.from_rows(W, cols=C.cols)
     return X if B @ X == C else None
+
+
+class StationaryLimitGroupOracle(StationaryLimitGroup):
+    """The eventual lattice as the saturation of im T^r, and ``from_ambient``
+    pushing forward r steps; element arithmetic is inherited."""
+
+    def __init__(self, endomorphism: IntMatrix):
+        if endomorphism.rows != endomorphism.cols:
+            raise ValueError("endomorphism must be square")
+        r = endomorphism.rows
+        self.ambient_rank = r
+        self.endomorphism = endomorphism
+        self._power = endomorphism.power(r) if r > 0 else IntMatrix.identity(0)
+        self.eventual_basis = saturate_columns(self._power)
+        self.eventual_rank = self.eventual_basis.cols
+        if self.eventual_rank > 0:
+            self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
+        else:
+            self.reduced_endomorphism = IntMatrix.identity(0)
+
+    def from_ambient(self, stage: int, vector: tuple[int, ...] | list[int]) -> LimitElement:
+        """Element represented by an ambient Z^r vector at a stage.
+
+        Pushing forward r more steps lands the vector in the eventual
+        lattice, where it is re-expressed in the lattice basis.
+        """
+        if len(vector) != self.ambient_rank:
+            raise ValueError("vector length must equal the ambient rank")
+        coords = self._power_in_eventual_basis.mul_vector(vector)
+        return self._canonical(stage + self.ambient_rank, coords)

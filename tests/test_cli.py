@@ -3,8 +3,10 @@ import json
 import pytest
 
 import solk.germs
+import solk.ktheory
 import solk.model
 from solk.cli import main
+from solk.intlin import IntMatrix
 
 from helpers import AABAB_TEXT, count_calls, n_solenoid_text
 
@@ -177,3 +179,34 @@ def test_command_runs_closure_and_validation_once(capsys, monkeypatch, aabab_fil
     assert code == 0
     assert closure == {"occurring_classes": 1}
     assert validation == {"validate": 1}
+
+
+def test_exactness_failure_exit_3(capsys, monkeypatch, aabab_file):
+    monkeypatch.setattr("solk.ktheory.rank", lambda A: -1)
+    code, out, err = run(capsys, ["ktheory", aabab_file])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: rank(delta0)")
+
+
+def test_not_well_defined_exit_3(capsys, monkeypatch, aabab_file):
+    # Doubling a and dropping b does not carry the boundary image (a - b) into itself.
+    first_edge = IntMatrix.from_rows([[1, 0], [0, 0]])
+    monkeypatch.setattr("solk.ktheory.first_edge_matrix", lambda p: first_edge)
+    code, _, err = run(capsys, ["ktheory", aabab_file])
+    assert code == 3
+    assert err.startswith("internal error: first-edge rule")
+
+
+def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
+    # A doubled boundary matrix gives K1 the torsion Z/2, so the report takes
+    # the torsion limit, whose relations-lattice solve is made to fail.
+    boundary = solk.ktheory.boundary_matrix
+    monkeypatch.setattr("solk.ktheory.boundary_matrix", lambda p, m: boundary(p, m).scale(2))
+    code, out, _ = run(capsys, ["ktheory", aabab_file, "--json"])
+    assert code == 0
+    assert json.loads(out)["k1"] == {"free_rank": 1, "torsion": [2]}
+    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    code, _, err = run(capsys, ["ktheory", aabab_file])
+    assert code == 3
+    assert err.startswith("internal error: relations lattice")

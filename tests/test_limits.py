@@ -5,6 +5,7 @@ import pytest
 import solk.intlin
 from solk.intlin import IntMatrix, determinant
 from solk.limits import (
+    StationaryLimitGroup,
     element_add,
     element_equal,
     element_negate,
@@ -12,6 +13,7 @@ from solk.limits import (
     make_limit,
     stationary_torsion_limit,
 )
+from solk.sft import SftPresentation, edge_shift
 
 from helpers import random_unimodular, record_calls
 
@@ -268,3 +270,31 @@ def test_element_operations_factor_each_matrix_once(monkeypatch):
         assert element_equal(element_add(a, element_negate(a)), g.zero())
     assert len(factored) == len(set(factored))
     assert powers == []
+
+
+def dense_edge_shift() -> IntMatrix:
+    """Transfer matrix of the 56-state edge shift of an 8-state matrix with
+    7 transitions per state (one seeded zero in each row and column)."""
+    missing = random.Random(56).sample(range(8), 8)
+    rows = [[0 if j == missing[i] else 1 for j in range(8)] for i in range(8)]
+    return edge_shift(SftPresentation.from_matrix(rows)).adjacency.transpose()
+
+
+def nilpotent_shift(n: int) -> IntMatrix:
+    return IntMatrix(n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize(
+    "T", [dense_edge_shift(), nilpotent_shift(40)], ids=["edge-shift-56", "nilpotent-40"]
+)
+def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
+    # Forming T^r by repeated squaring gives T^56 entries of thousands of bits here.
+    matmul, products = IntMatrix.__matmul__, []
+    monkeypatch.setattr(IntMatrix, "power", lambda m, k: pytest.fail("IntMatrix.power called"))
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
+    )
+    g = StationaryLimitGroup(T)
+    assert sum(products) <= T.rows + 1
+    for m in (g.eventual_basis, g.reduced_endomorphism):
+        assert all(-(2**63) <= x < 2**63 for row in m.to_rows() for x in row)

@@ -1,5 +1,6 @@
 import pytest
 
+import solk.model
 from solk.model import (
     Dart,
     EdgePath,
@@ -17,6 +18,7 @@ from helpers import (
     AABAB_TEXT,
     FIBONACCI_TEXT,
     aabab,
+    count_calls,
     fibonacci,
     n_solenoid,
     n_solenoid_text,
@@ -288,3 +290,15 @@ map b -> b a
     bad = text.replace("map b -> b a", "vertex q\nedge c q q\nmap b -> b c")
     with pytest.raises(ParseError, match="discontinuous"):
         parse_presentation(bad)
+
+
+def test_validate_builds_no_occurrence_matrix(monkeypatch):
+    calls = count_calls(monkeypatch, solk.model, "abelianization")
+    imprimitive = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\nmap b -> a a\n"
+    stuck = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> a b\nmap b -> b\n"
+    assert validate(aabab()).findings == ()
+    assert [f.code for f in validate(parse_presentation(imprimitive)).findings] == [
+        "not-primitive"
+    ]
+    assert "not-expanding" in [f.code for f in validate(parse_presentation(stuck)).findings]
+    assert calls == {"abelianization": 0}

@@ -1,4 +1,5 @@
-"""The linear-time closure and Boolean validation against their quadratic oracles."""
+"""The linear-time closure, Boolean validation, one-factorization linear algebra
+and stabilization-index limits against their straightforward oracles."""
 
 import itertools
 import random
@@ -9,15 +10,27 @@ from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import (
     IntMatrix,
     cokernel,
+    determinant,
+    invert_unimodular,
     kernel_basis,
     rank,
+    rational_rank,
     smith_normal_form,
     solve_columns,
 )
+from solk.limits import StationaryLimitGroup
 from solk.model import _is_primitive, parse_presentation, validate
+from solk.sft import SftPresentation, edge_shift
 
-from helpers import cyclic_text, random_int_matrix, random_presentation, stress_text
+from helpers import (
+    cyclic_text,
+    random_int_matrix,
+    random_presentation,
+    random_unimodular,
+    stress_text,
+)
 from oracles import (
+    StationaryLimitGroupOracle,
     cokernel_oracle,
     is_primitive_oracle,
     kernel_basis_oracle,
@@ -152,3 +165,76 @@ def test_decomposition_matches_linear_algebra_oracles():
             with pytest.raises(ValueError, match="row count"):
                 solve(A, wrong)
     assert outcomes == {True, False}  # solvable and unsolvable right-hand sides both ran
+
+
+def random_square(rng: random.Random, n: int, kind: str) -> IntMatrix:
+    """A seeded n x n matrix of one kind, with entries of either sign."""
+    if kind == "zero" or n == 0:
+        return IntMatrix.zeros(n, n)
+    if kind == "nonsingular":
+        while True:
+            A = IntMatrix(n, n, [rng.randint(-4, 4) for _ in range(n * n)])
+            if determinant(A) != 0:
+                return A
+    if kind == "rank-deficient":
+        k = rng.randint(0, n - 1)
+        B = IntMatrix(n, k, [rng.randint(-3, 3) for _ in range(n * k)])
+        return B @ IntMatrix(k, n, [rng.randint(-3, 3) for _ in range(k * n)])
+    # Nilpotent Jordan blocks, then (for "jordan") a nonsingular diagonal
+    # part, conjugated by a unimodular change of basis.
+    m = n if kind == "nilpotent" else rng.randint(0, n)
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    while i < m:
+        size = rng.randint(1, m - i)
+        for j in range(i, i + size - 1):
+            rows[j][j + 1] = 1
+        i += size
+    for j in range(m, n):
+        rows[j][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    U = random_unimodular(rng, n)
+    return invert_unimodular(U) @ IntMatrix.from_rows(rows, cols=n) @ U
+
+
+def irreducible_edge_shift(rng: random.Random, n: int) -> IntMatrix:
+    """Transfer matrix of the edge shift of a seeded irreducible n-state matrix."""
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1  # a Hamiltonian cycle makes the graph irreducible
+    return edge_shift(SftPresentation.from_matrix(rows)).adjacency.transpose()
+
+
+def endomorphism_stream(seed: int):
+    rng = random.Random(seed)
+    for n in range(9):
+        for kind in ("zero", "nonsingular", "rank-deficient", "nilpotent", "jordan"):
+            for _ in range(2 if kind == "zero" else 4):
+                yield random_square(rng, n, kind)
+    for n in range(2, 6):
+        for _ in range(3):
+            yield irreducible_edge_shift(rng, n)
+
+
+def test_limit_at_stabilization_index_matches_full_power_oracle():
+    rng = random.Random(17)
+    indices = set()
+    for T in endomorphism_stream(seed=16):
+        new, old = StationaryLimitGroup(T), StationaryLimitGroupOracle(T)
+        assert new.eventual_basis == old.eventual_basis
+        assert new.reduced_endomorphism == old.reduced_endomorphism
+        assert new.classify() == old.classify()
+        assert new.stabilization_index <= T.rows
+        indices.add(new.stabilization_index)
+        for _ in range(4):
+            stage = rng.randint(0, 3)
+            v = [rng.randint(-4, 4) for _ in range(T.rows)]
+            a, b = new.from_ambient(stage, v), old.from_ambient(stage, v)
+            assert (a.stage, a.vector) == (b.stage, b.vector)
+    assert {0, 1, 2, 3} <= indices  # nonsingular, one-step and longer nilpotent tails all ran
+
+
+def test_rational_rank_matches_smith_rank():
+    for A in int_matrix_stream(seed=5, count=400):
+        assert rational_rank(A) == smith_normal_form(A).rank()
+    for T in endomorphism_stream(seed=16):
+        assert rational_rank(T) == smith_normal_form(T).rank()
