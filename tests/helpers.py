@@ -104,6 +104,16 @@ def record_calls(monkeypatch, home, name: str) -> list:
     return seen
 
 
+def wedge_text(k: int) -> str:
+    """One vertex, k loop edges, images of length 2..4 drawn from random.Random(k)."""
+    rng = random.Random(k)
+    names = [f"e{i}" for i in range(k)]
+    images = {e: [rng.choice(names) for _ in range(rng.randint(2, 4))] for e in names}
+    lines = ["solenoid v1", "vertex p"] + [f"edge {e} p p" for e in names]
+    lines += [f"map {e} -> {' '.join(w)}" for e, w in images.items()]
+    return "\n".join(lines) + "\n"
+
+
 def random_int_matrix(rng: random.Random, max_dim: int = 6, lo: int = -5, hi: int = 5) -> IntMatrix:
     rows = rng.randint(0, max_dim)
     cols = rng.randint(0, max_dim)

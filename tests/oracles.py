@@ -11,7 +11,11 @@ occurrence matrix (up to n^2 of them).  ``kernel_basis_oracle``,
 questions itself; each runs its own Smith normal form.
 ``StationaryLimitGroupOracle`` builds the eventual lattice of a stationary
 limit from the full power T^r, as ``StationaryLimitGroup`` did before it
-stopped at the stabilization index.
+stopped at the stabilization index.  ``hermite_normal_form_rows_oracle`` is
+the column-by-column Hermite elimination that never reduces the rows below
+the pivot, and ``matmul_oracle`` the entry-by-entry product over index
+arithmetic, as ``intlin`` had them before the reducing Hermite kernel and
+the column-slice product.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from solk.germs import (
 from solk.intlin import (
     CokernelStructure,
     IntMatrix,
+    _swap_rows,
     column_hnf,
     restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
+    xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
@@ -301,3 +307,51 @@ class StationaryLimitGroupOracle(StationaryLimitGroup):
             raise ValueError("vector length must equal the ambient rank")
         coords = self._power_in_eventual_basis.mul_vector(vector)
         return self._canonical(stage + self.ambient_rank, coords)
+
+
+def hermite_normal_form_rows_oracle(A: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form with zero rows dropped.
+
+    Pivots are positive, strictly to the right as rows descend, and the
+    entries above each pivot are reduced into [0, pivot).  The result is
+    the canonical basis of the row lattice of A.
+    """
+    H = A.to_rows()
+    nrows, ncols = A.rows, A.cols
+    r = 0
+    for col in range(ncols):
+        # Combine rows r.. so only row r has a nonzero in this column.
+        pivot_row = next((i for i in range(r, nrows) if H[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        _swap_rows(H, r, pivot_row)
+        for i in range(r + 1, nrows):
+            if H[i][col] == 0:
+                continue
+            g, x, y = xgcd(H[r][col], H[i][col])
+            a, b = H[r][col] // g, H[i][col] // g
+            H[r], H[i] = (
+                [x * p + y * q for p, q in zip(H[r], H[i])],
+                [-b * p + a * q for p, q in zip(H[r], H[i])],
+            )
+        if H[r][col] < 0:
+            H[r] = [-x for x in H[r]]
+        for i in range(r):
+            q = H[i][col] // H[r][col]
+            if q:
+                H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+        r += 1
+        if r == nrows:
+            break
+    return IntMatrix.from_rows(H[:r], cols=ncols)
+
+
+def matmul_oracle(self: IntMatrix, other: IntMatrix) -> IntMatrix:
+    if self.cols != other.rows:
+        raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+    out = []
+    for i in range(self.rows):
+        ri = self.row(i)
+        for j in range(other.cols):
+            out.append(sum(ri[k] * other._entries[k * other.cols + j] for k in range(self.cols)))
+    return IntMatrix(self.rows, other.cols, out)

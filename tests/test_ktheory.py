@@ -31,6 +31,7 @@ from helpers import (
     n_solenoid,
     random_valid_presentations,
     record_calls,
+    wedge_text,
 )
 
 ALPHA_BETA = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])  # the (1,1,0), (0,0,1) lattice basis
@@ -316,3 +317,20 @@ def test_report_factors_delta0_once_plus_the_rank_check(monkeypatch):
     # One decomposition serves K0, K1 and psi1; the exactness check's own
     # rank(delta0) is the second.
     assert sum(A == r.delta0 for A in factored) <= 2
+
+
+def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):
+    """One vertex, 24 loops: unreduced Hermite elimination stalled here on entry growth."""
+    largest = 0
+    xgcd = solk.intlin.xgcd
+
+    def recorded(a, b):
+        nonlocal largest
+        largest = max(largest, abs(a).bit_length(), abs(b).bit_length())
+        return xgcd(a, b)
+
+    monkeypatch.setattr(solk.intlin, "xgcd", recorded)
+    r = ktheory_report(parse_presentation(wedge_text(24)))
+    assert r.k0_limit.eventual_rank > 0
+    assert all(abs(x).bit_length() < 64 for x in r.k0_limit.eventual_basis._entries)
+    assert 0 < largest < 64  # every pivot merge in the Hermite kernel stays within a word

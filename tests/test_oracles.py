@@ -1,5 +1,6 @@
-"""The linear-time closure, Boolean validation, one-factorization linear algebra
-and stabilization-index limits against their straightforward oracles."""
+"""The linear-time closure, Boolean validation, one-factorization linear algebra,
+stabilization-index limits, reducing Hermite kernel and column-slice product
+against their straightforward oracles."""
 
 import itertools
 import random
@@ -10,7 +11,9 @@ from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import (
     IntMatrix,
     cokernel,
+    column_hnf,
     determinant,
+    hermite_normal_form_rows,
     invert_unimodular,
     kernel_basis,
     rank,
@@ -32,8 +35,10 @@ from helpers import (
 from oracles import (
     StationaryLimitGroupOracle,
     cokernel_oracle,
+    hermite_normal_form_rows_oracle,
     is_primitive_oracle,
     kernel_basis_oracle,
+    matmul_oracle,
     occurring_classes_oracle,
     solve_columns_oracle,
     validate_oracle,
@@ -238,3 +243,71 @@ def test_rational_rank_matches_smith_rank():
         assert rational_rank(A) == smith_normal_form(A).rank()
     for T in endomorphism_stream(seed=16):
         assert rational_rank(T) == smith_normal_form(T).rank()
+
+
+def normal_form_stream(seed: int, count: int):
+    """Every empty shape up to 3x3, then seeded draws of four kinds in turn:
+    entries in [-6, 6], the same with some columns zeroed, rank-deficient
+    products, and mostly-zero matrices."""
+    rng = random.Random(seed)
+    yield from (IntMatrix.zeros(r, c) for r in range(4) for c in range(4) if r * c == 0)
+    for i in range(count):
+        A = random_int_matrix(rng, max_dim=7, lo=-6, hi=6)
+        m, n = A.shape
+        if i % 4 == 1 and n:
+            zero = set(rng.sample(range(n), rng.randint(1, n)))
+            A = IntMatrix(m, n, [0 if t % n in zero else x for t, x in enumerate(A._entries)])
+        elif i % 4 == 2:
+            k = rng.randint(0, max(min(m, n) - 1, 0))
+            B = IntMatrix(m, k, [rng.randint(-4, 4) for _ in range(m * k)])
+            A = matmul_oracle(B, IntMatrix(k, n, [rng.randint(-4, 4) for _ in range(k * n)]))
+        elif i % 4 == 3:
+            A = IntMatrix(m, n, [rng.choice((0, 0, 0, 0, 1, -1, 3)) for _ in range(m * n)])
+        yield A
+
+
+def test_reducing_hermite_form_matches_unreduced_oracle():
+    deficient = 0
+    for A in normal_form_stream(seed=23, count=480):
+        H = hermite_normal_form_rows(A)
+        want = hermite_normal_form_rows_oracle(A)
+        assert (H.shape, H._entries) == (want.shape, want._entries)
+        assert all(type(x) is int for x in H._entries)
+        deficient += H.rows < min(A.shape)
+    assert deficient >= 100  # rank-deficient inputs are well represented
+
+
+def test_column_slice_product_matches_oracle():
+    rng = random.Random(29)
+    branches = set()
+    for A in normal_form_stream(seed=31, count=480):
+        branches.update(2 * sum(map(bool, A.row(i))) < A.cols for i in range(A.rows))
+        k = rng.randint(0, 6)
+        for entries in ((-6, 6), (0, 0, 0, 1, -2)):
+            if len(entries) == 2:
+                B = IntMatrix(A.cols, k, [rng.randint(*entries) for _ in range(A.cols * k)])
+            else:
+                B = IntMatrix(A.cols, k, [rng.choice(entries) for _ in range(A.cols * k)])
+            got, want = A @ B, matmul_oracle(A, B)
+            assert (got.shape, got._entries) == (want.shape, want._entries)
+        v = [rng.randint(-6, 6) for _ in range(A.cols)]
+        assert A.mul_vector(v) == matmul_oracle(A, IntMatrix.column(v))._entries
+        assert A.transpose()._entries == tuple(A[i, j] for j in range(A.cols) for i in range(A.rows))
+        assert all(A.col(j) == tuple(A[i, j] for i in range(A.rows)) for j in range(A.cols))
+    assert branches == {True, False}  # sparse and dense rows both ran
+
+
+def test_hermite_form_spans_the_sympy_lattice():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as reference_hnf
+
+    checked = 0
+    for A in normal_form_stream(seed=37, count=200):
+        if A.rows == 0 or A.cols == 0:
+            continue
+        # sympy reduces by column operations, so its result spans A's column lattice.
+        ref = reference_hnf(sympy.Matrix(A.to_rows()))
+        theirs = IntMatrix(ref.rows, ref.cols, [int(x) for x in ref])
+        assert column_hnf(theirs) == column_hnf(A)
+        checked += 1
+    assert checked >= 150
