@@ -12,11 +12,14 @@ left factor as a combination of the rows of the right factor it selects.
 
 A ``SmithDecomposition`` answers rank, kernel, cokernel and solve for the
 matrix it factors; callers asking several of these of one matrix keep it.
+A column HNF needs no Smith form: ``solve_echelon`` solves against it by
+forward substitution, and ``saturate_columns`` returns it if its pivots are 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -495,6 +498,31 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
     return smith_normal_form(B).solve(C)
 
 
+def solve_echelon(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
+    """The solution X of B @ X = C for B in column echelon form, or None.
+
+    Forward substitution on the pivot rows (the first nonzero row of each
+    column, strictly increasing, as in a column HNF) with exact division,
+    then a check of B @ X == C; any other B goes through ``solve_columns``.
+    """
+    if B.rows != C.rows:
+        raise ValueError("row count mismatch")
+    pivots = [next((i for i, x in enumerate(B.col(j)) if x), B.rows) for j in range(B.cols)]
+    if B.rows in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return solve_columns(B, C)
+    coords: list[list[int]] = []  # entry j: the row of X along column j of B
+    for j, i in enumerate(pivots):
+        acc, row = list(C.row(i)), B.row(i)
+        for k, x in enumerate(coords):
+            if row[k]:
+                acc = [a - row[k] * y for a, y in zip(acc, x)]
+        if any(a % row[j] for a in acc):
+            return None
+        coords.append([a // row[j] for a in acc])
+    X = IntMatrix.from_rows(coords, cols=C.cols)
+    return X if B @ X == C else None
+
+
 def in_column_lattice(B: IntMatrix, v: Sequence[int]) -> bool:
     return solve_columns(B, IntMatrix.column(v)) is not None
 
@@ -509,13 +537,48 @@ def restrict_endomorphism(T: IntMatrix, B: IntMatrix) -> IntMatrix:
         raise ValueError("endomorphism matrix must be square")
     if T.cols != B.rows:
         raise ValueError("shape mismatch between T and B")
-    S = solve_columns(B, T @ B)
+    S = solve_echelon(B, T @ B)
     if S is None:
         raise NotInvariant("image of the lattice is not contained in the lattice")
     return S
 
 
 def saturate_columns(A: IntMatrix) -> IntMatrix:
-    """Canonical basis of Z^rows intersected with the Q-span of A's columns."""
+    """Canonical basis of Z^rows intersected with the Q-span of A's columns.
+
+    H = column_hnf(A) is that basis when all its pivots are 1, as its minor
+    on the pivot rows is then unimodular; otherwise two Smith forms give it.
+    """
+    H = column_hnf(A)
+    if all(next(filter(None, H.col(j))) == 1 for j in range(H.cols)):
+        return H
     left_kernel = kernel_basis(A.transpose())  # columns annihilate A from the left
     return kernel_basis(left_kernel.transpose())
+
+
+def echelon_span(A: IntMatrix) -> IntMatrix:
+    """Primitive reduced echelon basis, as columns, of the Q-span of A's columns.
+
+    Each column has a positive pivot at its first nonzero row, zeros in the
+    other pivot rows and content 1 (Gauss-Jordan elimination that divides by
+    the content after every update), so the basis depends only on the Q-span.
+    """
+    basis: dict[int, list[int]] = {}  # pivot row -> column
+    for v in A.transpose().to_rows():
+        for c, b in basis.items():
+            if v[c]:
+                v = _primitive([b[c] * x - v[c] * y for x, y in zip(v, b)])
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        v = _primitive(v if v[pivot] > 0 else [-x for x in v])
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _primitive([v[pivot] * x - b[pivot] * y for x, y in zip(b, v)])
+        basis[pivot] = v
+    return IntMatrix.from_rows([basis[c] for c in sorted(basis)], cols=A.rows).transpose()
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return v if g <= 1 else [x // g for x in v]

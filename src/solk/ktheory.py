@@ -17,7 +17,7 @@ from .intlin import (
     IntMatrix,
     invert_unimodular,
     kernel_basis,
-    rank,
+    rational_rank,
     restrict_endomorphism,
     smith_normal_form,
 )
@@ -96,16 +96,13 @@ def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     """
     k = len(model.classes)
     index = {c: i for i, c in enumerate(model.classes)}
-    rows = []
-    for c in model.classes:
-        row = [0] * k
-        for pre in model.classes:
-            if model.gtilde[pre] == c:
-                row[index[pre]] += 1
+    trace = {e: edge_trace_row(p, model, e) for e in p.graph.edge_names()}
+    rows = [[0] * k for _ in range(k)]
+    for pre in model.classes:
+        rows[index[model.gtilde[pre]]][index[pre]] += 1
+    for c, row in zip(model.classes, rows):
         for e, _ in model.interior_preimage_table[c]:
-            for j, x in enumerate(edge_trace_row(p, model, e)):
-                row[j] += x
-        rows.append(row)
+            row[:] = [a + b for a, b in zip(row, trace[e])]
     return IntMatrix.from_rows(rows, cols=k)
 
 
@@ -248,7 +245,7 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
         k1_torsion_limit = ()
 
     # Exactness bookkeeping for the six-term sequence.
-    r = rank(delta0)
+    r = rational_rank(delta0)
     if r + k0_basis.cols != len(model.classes):
         raise RuntimeError("rank(delta0) + rank(K0) differs from the number of classes")
     if r + k1.free_rank != len(p.graph.edge_names()):

@@ -1,12 +1,13 @@
 """Stationary inductive limits of free abelian groups, as first-class values.
 
 lim(Z^r, T) is presented by its eventual lattice L and the restriction T'
-of T to L, which is injective.  L is the saturation of the column span of
-T^k, where k <= r is the stabilization index: the first k with
-rank T^(k+1) == rank T^k.  From there on the images of the powers of T
-span the same Q-subspace, so L is also the saturation of im T^r.  Every
-element of the limit is represented at some stage s by a vector in the
-coordinates of L, with (s, v) identified with (s+1, T'v).
+of T to L, which is injective.  L is the saturation of the Q-span of im T^k,
+k <= r the stabilization index: the first k with rank T^(k+1) == rank T^k.
+No power of T is multiplied out to find it: from the identity on, a basis E
+is replaced by the echelon basis of the Q-span of T E until its rank stops
+dropping.  Saturating that basis takes no Smith form when its Hermite
+pivots are all 1.  Every element of the limit is represented at some stage
+s by a vector in the coordinates of L, with (s, v) identified with (s+1, T'v).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .intlin import (
     SmithDecomposition,
     column_hnf,
     determinant,
-    rational_rank,
+    echelon_span,
     restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
-    solve_columns,
+    solve_echelon,
 )
 
 
@@ -55,18 +56,14 @@ class StationaryLimitGroup:
     def __init__(self, endomorphism: IntMatrix):
         if endomorphism.rows != endomorphism.cols:
             raise ValueError("endomorphism must be square")
-        r = endomorphism.rows
-        self.ambient_rank = r
+        self.ambient_rank = endomorphism.rows
         self.endomorphism = endomorphism
-        # Successive powers until the rank stops dropping: T^k, k <= r.
-        power, power_rank, k = IntMatrix.identity(r), r, 0
-        nxt = endomorphism
-        while power_rank > 0 and (nxt_rank := rational_rank(nxt)) < power_rank:
-            power, power_rank, k = nxt, nxt_rank, k + 1
-            nxt = endomorphism @ power
+        # Echelon bases of the Q-spans of im T^j until the rank stops dropping.
+        span, k = IntMatrix.identity(endomorphism.rows), 0
+        while span.cols > 0 and (nxt := echelon_span(endomorphism @ span)).cols < span.cols:
+            span, k = nxt, k + 1
         self.stabilization_index = k
-        self._power = power
-        self.eventual_basis = saturate_columns(power)
+        self.eventual_basis = saturate_columns(span)
         self.eventual_rank = self.eventual_basis.cols
         if self.eventual_rank > 0:
             self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
@@ -101,7 +98,10 @@ class StationaryLimitGroup:
 
     @cached_property
     def _power_in_eventual_basis(self) -> IntMatrix:
-        coords = solve_columns(self.eventual_basis, self._power)
+        power = IntMatrix.identity(self.ambient_rank)
+        for _ in range(self.stabilization_index):
+            power = self.endomorphism @ power
+        coords = solve_echelon(self.eventual_basis, power)
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
         return coords
@@ -219,7 +219,7 @@ def stationary_torsion_limit(moduli: tuple[int, ...], endo: IntMatrix) -> tuple[
         current = nxt
 
     # Structure of (lattice of the eventual image) / (relations lattice).
-    coords = solve_columns(current, relations)
+    coords = solve_echelon(current, relations)
     if coords is None:
         raise RuntimeError("relations lattice must sit inside the image lattice")
     return smith_normal_form(coords).cokernel().torsion

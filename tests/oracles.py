@@ -15,10 +15,21 @@ stopped at the stabilization index.  ``hermite_normal_form_rows_oracle`` is
 the column-by-column Hermite elimination that never reduces the rows below
 the pivot, and ``matmul_oracle`` the entry-by-entry product over index
 arithmetic, as ``intlin`` had them before the reducing Hermite kernel and
-the column-slice product.
+the column-slice product.  ``StationaryLimitGroupPowerOracle`` multiplies
+out T, T^2, ... until Bareiss ``rational_rank`` stops dropping, saturates
+that power with ``saturate_columns_oracle`` (the kernel of the left kernel,
+two Smith forms) and solves with ``solve_columns``, as ``limits`` did before
+it built the eventual lattice from echelon spans.  ``echelon_span_oracle``
+is Gauss-Jordan elimination over the rationals, and
+``trace_pullback_matrix_oracle`` the class-by-class scan for preimages that
+``ktheory`` had before it built the matrix in one pass.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from solk.germs import (
     GermClass,
@@ -33,12 +44,16 @@ from solk.intlin import (
     IntMatrix,
     _swap_rows,
     column_hnf,
+    kernel_basis,
+    rational_rank,
     restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
+    solve_columns,
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
+from solk.ktheory import edge_trace_row
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 
 
@@ -279,9 +294,56 @@ def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
     return X if B @ X == C else None
 
 
-class StationaryLimitGroupOracle(StationaryLimitGroup):
+def saturate_columns_oracle(A: IntMatrix) -> IntMatrix:
+    """Canonical basis of Z^rows intersected with the Q-span of A's columns."""
+    left_kernel = kernel_basis(A.transpose())  # columns annihilate A from the left
+    return kernel_basis(left_kernel.transpose())
+
+
+def restrict_endomorphism_oracle(T: IntMatrix, B: IntMatrix) -> IntMatrix | None:
+    """Matrix S with T @ B = B @ S, through the general Smith-form solve."""
+    return solve_columns(B, T @ B)
+
+
+class StationaryLimitGroupPowerOracle(StationaryLimitGroup):
+    """The eventual lattice as the saturation of T^k, k found by Bareiss ranks
+    of successive powers; element arithmetic is inherited."""
+
+    def __init__(self, endomorphism: IntMatrix):
+        if endomorphism.rows != endomorphism.cols:
+            raise ValueError("endomorphism must be square")
+        r = endomorphism.rows
+        self.ambient_rank = r
+        self.endomorphism = endomorphism
+        # Successive powers until the rank stops dropping: T^k, k <= r.
+        power, power_rank, k = IntMatrix.identity(r), r, 0
+        nxt = endomorphism
+        while power_rank > 0 and (nxt_rank := rational_rank(nxt)) < power_rank:
+            power, power_rank, k = nxt, nxt_rank, k + 1
+            nxt = endomorphism @ power
+        self.stabilization_index = k
+        self._power = power
+        self.eventual_basis = saturate_columns_oracle(power)
+        self.eventual_rank = self.eventual_basis.cols
+        if self.eventual_rank > 0:
+            self.reduced_endomorphism = restrict_endomorphism_oracle(
+                endomorphism, self.eventual_basis
+            )
+        else:
+            self.reduced_endomorphism = IntMatrix.identity(0)
+
+    @cached_property
+    def _power_in_eventual_basis(self) -> IntMatrix:
+        coords = solve_columns(self.eventual_basis, self._power)
+        if coords is None:
+            raise RuntimeError("pushed vector must lie in the eventual lattice")
+        return coords
+
+
+class StationaryLimitGroupOracle(StationaryLimitGroupPowerOracle):
     """The eventual lattice as the saturation of im T^r, and ``from_ambient``
-    pushing forward r steps; element arithmetic is inherited."""
+    pushing forward r steps through T^r in lattice coordinates (the Smith-form
+    solve of the power oracle); element arithmetic is inherited."""
 
     def __init__(self, endomorphism: IntMatrix):
         if endomorphism.rows != endomorphism.cols:
@@ -355,3 +417,49 @@ def matmul_oracle(self: IntMatrix, other: IntMatrix) -> IntMatrix:
         for j in range(other.cols):
             out.append(sum(ri[k] * other._entries[k * other.cols + j] for k in range(self.cols)))
     return IntMatrix(self.rows, other.cols, out)
+
+
+def echelon_span_oracle(A: IntMatrix) -> IntMatrix:
+    """Reduced column echelon form of A over Q (pivot at the first nonzero
+    row of each column), each column scaled to a primitive integer vector
+    with a positive pivot."""
+    cols = [[Fraction(x) for x in A.col(j)] for j in range(A.cols)]
+    basis: list[list[Fraction]] = []
+    for row in range(A.rows):
+        pick = next((c for c in cols if c[row] != 0), None)
+        if pick is None:
+            continue
+        cols.remove(pick)
+        pick = [x / pick[row] for x in pick]
+        cols = [[x - c[row] * y for x, y in zip(c, pick)] for c in cols]
+        basis = [[x - b[row] * y for x, y in zip(b, pick)] for b in basis] + [pick]
+    out = []
+    for b in basis:
+        scale = 1
+        for x in b:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        ints = [int(x * scale) for x in b]
+        g = gcd(*ints)
+        out.append([x // g for x in ints])
+    return IntMatrix.from_rows(out, cols=A.rows).transpose()
+
+
+def trace_pullback_matrix_oracle(p: Presentation, model: QuotientModel) -> IntMatrix:
+    """Matrix of trace precomposition with the connecting endomorphism.
+
+    The row of a class sums a unit row for each vertex-class preimage and
+    an edge trace row for each interior preimage.
+    """
+    k = len(model.classes)
+    index = {c: i for i, c in enumerate(model.classes)}
+    rows = []
+    for c in model.classes:
+        row = [0] * k
+        for pre in model.classes:
+            if model.gtilde[pre] == c:
+                row[index[pre]] += 1
+        for e, _ in model.interior_preimage_table[c]:
+            for j, x in enumerate(edge_trace_row(p, model, e)):
+                row[j] += x
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=k)

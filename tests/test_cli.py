@@ -182,7 +182,7 @@ def test_command_runs_closure_and_validation_once(capsys, monkeypatch, aabab_fil
 
 
 def test_exactness_failure_exit_3(capsys, monkeypatch, aabab_file):
-    monkeypatch.setattr("solk.ktheory.rank", lambda A: -1)
+    monkeypatch.setattr("solk.ktheory.rational_rank", lambda A: -1)
     code, out, err = run(capsys, ["ktheory", aabab_file])
     assert code == 3
     assert out == ""
@@ -206,7 +206,7 @@ def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
     code, out, _ = run(capsys, ["ktheory", aabab_file, "--json"])
     assert code == 0
     assert json.loads(out)["k1"] == {"free_rank": 1, "torsion": [2]}
-    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
     code, _, err = run(capsys, ["ktheory", aabab_file])
     assert code == 3
     assert err.startswith("internal error: relations lattice")

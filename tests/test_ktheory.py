@@ -236,7 +236,7 @@ def test_psi1_rejects_a_rule_that_does_not_descend(monkeypatch):
 
 def test_report_exactness_checks_raise(monkeypatch):
     # Real errors, not asserts: they must also fire under python -O.
-    monkeypatch.setattr(solk.ktheory, "rank", lambda A: rank(A) + 1)
+    monkeypatch.setattr(solk.ktheory, "rational_rank", lambda A: rank(A) + 1)
     with pytest.raises(RuntimeError, match="rank"):
         ktheory_report(aabab())
 
@@ -315,8 +315,14 @@ def test_report_factors_delta0_once_plus_the_rank_check(monkeypatch):
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
     r = ktheory_report(aabab())
     # One decomposition serves K0, K1 and psi1; the exactness check's own
-    # rank(delta0) is the second.
+    # rank(delta0) comes from Bareiss elimination, not a second one.
     assert sum(A == r.delta0 for A in factored) <= 2
+
+
+def test_exactness_check_runs_no_second_smith_form(monkeypatch):
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    r = ktheory_report(aabab())
+    assert sum(A == r.delta0 for A in factored) == 1
 
 
 def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):

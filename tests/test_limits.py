@@ -15,7 +15,7 @@ from solk.limits import (
 )
 from solk.sft import SftPresentation, edge_shift
 
-from helpers import random_unimodular, record_calls
+from helpers import count_calls, random_unimodular, record_calls
 
 
 def M(rows):
@@ -245,13 +245,13 @@ def test_torsion_limit_examples():
 def test_from_ambient_outside_eventual_lattice_is_runtime_error(monkeypatch):
     # An internal exactness check: it must raise a real error, also under -O.
     g = make_limit(M([[1, 1], [1, 1]]))
-    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
     with pytest.raises(RuntimeError, match="eventual lattice"):
         g.from_ambient(0, (1, 1))
 
 
 def test_torsion_limit_relations_outside_image_is_runtime_error(monkeypatch):
-    monkeypatch.setattr("solk.limits.solve_columns", lambda A, B: None)
+    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
     with pytest.raises(RuntimeError, match="relations lattice"):
         stationary_torsion_limit((3,), M([[2]]))
 
@@ -298,3 +298,11 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
     assert sum(products) <= T.rows + 1
     for m in (g.eventual_basis, g.reduced_endomorphism):
         assert all(-(2**63) <= x < 2**63 for row in m.to_rows() for x in row)
+
+
+def test_construction_runs_no_smith_form(monkeypatch):
+    # Echelon spans, a unit-pivot saturation and triangular solves suffice here.
+    factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    g = StationaryLimitGroup(dense_edge_shift())
+    assert g.eventual_rank > 0
+    assert factored == {"smith_normal_form": 0}

@@ -1,46 +1,58 @@
 """The linear-time closure, Boolean validation, one-factorization linear algebra,
-stabilization-index limits, reducing Hermite kernel and column-slice product
-against their straightforward oracles."""
+stabilization-index limits, reducing Hermite kernel, column-slice product,
+echelon-span limits, unit-pivot saturation and echelon solve against their
+straightforward oracles."""
 
 import itertools
 import random
 
 import pytest
 
+import solk.intlin
 from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import (
     IntMatrix,
     cokernel,
     column_hnf,
     determinant,
+    echelon_span,
     hermite_normal_form_rows,
     invert_unimodular,
     kernel_basis,
     rank,
     rational_rank,
+    saturate_columns,
     smith_normal_form,
     solve_columns,
+    solve_echelon,
 )
+from solk.ktheory import trace_pullback_matrix, with_class_order
 from solk.limits import StationaryLimitGroup
 from solk.model import _is_primitive, parse_presentation, validate
 from solk.sft import SftPresentation, edge_shift
 
 from helpers import (
+    count_calls,
     cyclic_text,
     random_int_matrix,
     random_presentation,
     random_unimodular,
     stress_text,
+    wedge_text,
 )
 from oracles import (
     StationaryLimitGroupOracle,
+    StationaryLimitGroupPowerOracle,
     cokernel_oracle,
+    echelon_span_oracle,
     hermite_normal_form_rows_oracle,
     is_primitive_oracle,
     kernel_basis_oracle,
     matmul_oracle,
     occurring_classes_oracle,
+    saturate_columns_oracle,
     solve_columns_oracle,
+    trace_pullback_matrix_oracle,
     validate_oracle,
 )
 from test_germs import corpus
@@ -311,3 +323,101 @@ def test_hermite_form_spans_the_sympy_lattice():
         assert column_hnf(theirs) == column_hnf(A)
         checked += 1
     assert checked >= 150
+
+
+def test_limit_from_echelon_spans_matches_power_oracle():
+    rng = random.Random(41)
+    indices = set()
+    for T in endomorphism_stream(seed=43):
+        new, old = StationaryLimitGroup(T), StationaryLimitGroupPowerOracle(T)
+        assert new.stabilization_index == old.stabilization_index
+        assert new.eventual_basis == old.eventual_basis
+        assert new.reduced_endomorphism == old.reduced_endomorphism
+        assert new.classify() == old.classify()
+        indices.add(new.stabilization_index)
+        for _ in range(4):
+            stage = rng.randint(0, 3)
+            v = [rng.randint(-4, 4) for _ in range(T.rows)]
+            a, b = new.from_ambient(stage, v), old.from_ambient(stage, v)
+            assert (a.stage, a.vector) == (b.stage, b.vector)
+    assert {0, 1, 2, 3} <= indices
+
+
+def test_echelon_span_matches_rational_gauss_jordan():
+    for A in normal_form_stream(seed=47, count=480):
+        E, want = echelon_span(A), echelon_span_oracle(A)
+        assert (E.shape, E._entries) == (want.shape, want._entries)
+        assert E.cols == rational_rank(A)
+
+
+def saturation_cases():
+    M = IntMatrix.from_rows
+    yield from normal_form_stream(seed=53, count=480)
+    yield M([[2], [1]])  # saturated, but its Hermite pivot is 2
+    yield M([[1], [2]])
+    yield M([[2, 0], [1, 3]])
+    yield M([[2], [2]])  # index 2 in its saturation
+    yield M([[1, 1], [1, -1]])
+    yield M([[2, 0], [0, 1], [0, 0]])
+    yield M([[4, 2], [0, 0], [2, 4]])
+    yield M([[0, 0], [0, 2], [0, 2]])  # a zero column
+    yield IntMatrix.zeros(3, 2)
+    yield from (IntMatrix.zeros(r, c) for r in range(3) for c in range(3) if r * c == 0)
+
+
+def test_saturation_matches_two_kernel_oracle(monkeypatch):
+    factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    paths = set()
+    for A in saturation_cases():
+        before = factored["smith_normal_form"]
+        got, want = saturate_columns(A), saturate_columns_oracle(A)
+        assert (got.shape, got._entries) == (want.shape, want._entries)
+        paths.add(factored["smith_normal_form"] > before + 2)  # the oracle runs two
+    assert paths == {True, False}  # the unit-pivot short cut and the fallback both ran
+    assert saturate_columns(IntMatrix.from_rows([[2], [1]])).to_rows() == [[2], [1]]
+
+
+def column_hnf_bases(seed: int, count: int):
+    """Column HNFs of seeded random matrices (pivots of either size), empty ones included."""
+    rng = random.Random(seed)
+    yield IntMatrix.zeros(3, 0)
+    for _ in range(count):
+        B = column_hnf(random_int_matrix(rng, max_dim=6, lo=-4, hi=4))
+        if rng.random() < 0.3 and B.cols:
+            B = column_hnf(B @ IntMatrix.identity(B.cols).scale(rng.randint(2, 3)))
+        yield B
+
+
+def test_echelon_solve_matches_smith_solve():
+    rng = random.Random(59)
+    outcomes = set()
+    for B in column_hnf_bases(seed=61, count=400):
+        k = rng.randint(0, 3)
+        X = IntMatrix(B.cols, k, [rng.randint(-3, 3) for _ in range(B.cols * k)])
+        noise = IntMatrix(B.rows, k, [rng.randint(-2, 2) for _ in range(B.rows * k)])
+        for C in (B @ X, B @ X + noise):
+            got = solve_echelon(B, C)
+            assert got == solve_columns(B, C)
+            outcomes.add(got is None)
+        with pytest.raises(ValueError, match="row count"):
+            solve_echelon(B, IntMatrix.zeros(B.rows + 1, 1))
+    assert outcomes == {True, False}
+    # The two ways to fail: a pivot that does not divide, and a row off the pivots.
+    B = IntMatrix.from_rows([[2, 0], [1, 1], [0, 1]])
+    assert solve_echelon(B, IntMatrix.column([1, 0, 0])) is None
+    assert solve_columns(B, IntMatrix.column([1, 0, 0])) is None
+    assert solve_echelon(B, IntMatrix.column([2, 1, 1])) is None
+    assert solve_columns(B, IntMatrix.column([2, 1, 1])) is None
+    assert solve_echelon(B, IntMatrix.column([2, 2, 1])).to_rows() == [[1], [1]]
+    # A basis not in column echelon form goes through the Smith-form solve.
+    B = IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert solve_echelon(B, IntMatrix.column([3, 5])).to_rows() == [[5], [3]]
+
+
+def test_one_pass_trace_pullback_matches_class_scan_oracle():
+    wedges = [parse_presentation(wedge_text(k)) for k in range(2, 11)]
+    for p in presentations() + wedges:
+        model = occurring_classes(p)
+        for order in ("lex", "paper"):
+            m = with_class_order(model, order)
+            assert trace_pullback_matrix(p, m) == trace_pullback_matrix_oracle(p, m)
