@@ -12,14 +12,15 @@ left factor as a combination of the rows of the right factor it selects.
 
 A ``SmithDecomposition`` answers rank, kernel, cokernel and solve for the
 matrix it factors; callers asking several of these of one matrix keep it.
-A column HNF needs no Smith form: ``solve_echelon`` solves against it by
-forward substitution, and ``saturate_columns`` returns it if its pivots are 1.
+Kernels, saturations and solves need no Smith form: ``kernel_basis`` reads the
+kernel off the Hermite form of [A^T | I], ``saturate_columns`` takes one such
+kernel of a congruence system, and ``solve_echelon`` substitutes forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -376,6 +377,34 @@ def determinant(A: IntMatrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def adjugate(A: IntMatrix) -> tuple[IntMatrix, int]:
+    """adj(A) and det(A) of a nonsingular A, so that adj(A) @ A == det(A) I.
+
+    Fraction-free Gauss-Jordan elimination of [A | I]: every entry after a
+    step is a minor, so each division by the previous pivot is exact, and
+    the last step leaves [+-det(A) I | +-adj(A)].
+    """
+    if A.rows != A.cols:
+        raise ValueError("adjugate of a non-square matrix")
+    n = A.rows
+    M = [list(A.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if M[i][k]), None)
+        if pivot_row is None:
+            raise ValueError("adjugate by elimination needs a nonsingular matrix")
+        if pivot_row != k:
+            _swap_rows(M, k, pivot_row)
+            sign = -sign
+        top, p = M[k], M[k][k]
+        for i in range(n):
+            if i != k:
+                a = M[i][k]
+                M[i] = [(x * p - a * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+    return IntMatrix(n, n, [sign * x for row in M for x in row[n:]]), sign * prev
+
+
 def rational_rank(A: IntMatrix) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination, without transforms.
 
@@ -487,7 +516,18 @@ def same_column_lattice(A: IntMatrix, B: IntMatrix) -> bool:
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    return smith_normal_form(A).kernel_basis()
+    """Z-basis of ker A, as columns, canonicalized by column HNF.
+
+    The rows of the Hermite form of [A^T | I] that vanish on A^T span
+    {(0, x) : A x = 0}, and their right halves are the row HNF of ker A
+    (Cohen, GTM 138, §2.4).  The rows go in from the last column of A
+    to the first: for a congruence system [C | diag(m)] the moduli come first
+    and reduce the rows of C as they arrive.
+    """
+    m, n = A.rows, A.cols
+    augmented = [list(A.col(j)) + [int(i == j) for i in range(n)] for j in reversed(range(n))]
+    rows = hermite_normal_form_rows(IntMatrix.from_rows(augmented, cols=m + n)).to_rows()
+    return IntMatrix.from_rows([r[m:] for r in rows if not any(r[:m])], cols=n).transpose()
 
 
 def cokernel(A: IntMatrix) -> CokernelStructure:
@@ -546,14 +586,31 @@ def restrict_endomorphism(T: IntMatrix, B: IntMatrix) -> IntMatrix:
 def saturate_columns(A: IntMatrix) -> IntMatrix:
     """Canonical basis of Z^rows intersected with the Q-span of A's columns.
 
-    H = column_hnf(A) is that basis when all its pivots are 1, as its minor
-    on the pivot rows is then unimodular; otherwise two Smith forms give it.
+    Let E be the primitive reduced echelon basis of the span, with pivots
+    p_j.  The integer points of the span are E diag(1/p) w for the w in
+    Lambda = {w : sum_j E[i,j] w_j / p_j is an integer for every row i}, and
+    w is their restriction to the pivot rows, so E diag(1/p) HNF(Lambda) is
+    their column HNF.  Lambda is the kernel of the congruences of the rows
+    with a nontrivial denominator; it is all of Z^d, and the answer is E,
+    when every pivot is 1.
     """
-    H = column_hnf(A)
-    if all(next(filter(None, H.col(j))) == 1 for j in range(H.cols)):
-        return H
-    left_kernel = kernel_basis(A.transpose())  # columns annihilate A from the left
-    return kernel_basis(left_kernel.transpose())
+    E = echelon_span(A)
+    d = E.cols
+    pivots = [E[next(i for i, x in enumerate(E.col(j)) if x), j] for j in range(d)]
+    L = lcm(*pivots)
+    if L == 1:
+        return E
+    # Row i of E diag(L/p) w must be 0 mod L; divide out what the row shares with L.
+    scaled = IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
+    congruences = [(row, gcd(L, *row)) for row in map(scaled.row, range(E.rows))]
+    congruences = [([x // g % (L // g) for x in row], L // g) for row, g in congruences if g < L]
+    s = len(congruences)
+    system = IntMatrix.from_rows(
+        [row + [m if k == t else 0 for k in range(s)] for t, (row, m) in enumerate(congruences)]
+    )
+    # The kernel's rows past d hold the multiples of the moduli, which w determines.
+    H = kernel_basis(system).submatrix(range(d), range(d))
+    return IntMatrix(E.rows, d, [x // L for x in (scaled @ H)._entries])
 
 
 def echelon_span(A: IntMatrix) -> IntMatrix:

@@ -2,7 +2,9 @@
 
 The quotient cell model yields a six-term exact sequence whose boundary
 matrix has one column per occurring germ class; K0 is its kernel, K1 its
-cokernel.  The connecting endomorphism acts on K0 through trace pullbacks
+cokernel.  It is the incidence matrix of the class graph (edges as nodes,
+classes as arcs), so K0 is read off a spanning forest; K1 comes from its
+Smith form.  The connecting endomorphism acts on K0 through trace pullbacks
 along the induced self-map and on K1 through winding numbers; iterating
 gives the K-groups of the limit algebra as stationary inductive limits.
 """
@@ -16,7 +18,6 @@ from .intlin import (
     CokernelStructure,
     IntMatrix,
     invert_unimodular,
-    kernel_basis,
     rational_rank,
     restrict_endomorphism,
     smith_normal_form,
@@ -119,10 +120,8 @@ def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
     Raises NotInvariant if the pullback fails to preserve the kernel
     lattice, which signals a modeling bug.
     """
-    delta0 = boundary_matrix(p, model)
-    basis = kernel_basis(delta0)
     pullback = trace_pullback_matrix(p, model)
-    return restrict_endomorphism(pullback, basis)
+    return restrict_endomorphism(pullback, _class_forest(p, model)[0])
 
 
 def first_edge_matrix(p: Presentation) -> IntMatrix:
@@ -167,15 +166,50 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
     return _boundary_k_theory(p, model)[3]
 
 
+def _class_forest(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, list[int]]:
+    """K0 from a spanning forest of the class graph, and each edge's component.
+
+    The nodes are the edges and each class is an arc in_edge -> out_edge, so
+    ker delta0 is the cycle lattice.  The forest grows from the last class to
+    the first, so each fundamental cycle starts at its own non-tree class, with
+    entry 1, and meets no other one: in class order the cycles are the HNF.
+    """
+    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
+    arcs = [(idx[c.in_edge], idx[c.out_edge]) for c in model.classes]
+    component = list(range(len(idx)))
+    # chain[w]: the tree path to w from the first node of its component,
+    # +1 on a class taken from in_edge to out_edge.
+    chain = [[0] * len(arcs) for _ in idx]
+    cycles = []
+    for j in reversed(range(len(arcs))):
+        u, v = arcs[j]
+        # chain[u] + j - chain[v]: j's fundamental cycle, or what re-bases v's side at u's
+        step = [x - y for x, y in zip(chain[u], chain[v])]
+        step[j] = 1
+        a, b = component[u], component[v]
+        if a == b:
+            cycles.append(step)
+            continue
+        for w, c in enumerate(component):
+            if c == b:
+                component[w], chain[w] = a, [x + y for x, y in zip(chain[w], step)]
+    return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose(), component
+
+
 def _boundary_k_theory(
     p: Presentation, model: QuotientModel
 ) -> tuple[IntMatrix, IntMatrix, CokernelStructure, Psi1]:
-    """delta0, K0, K1 and psi1 (as U E U^-1), all from one Smith decomposition of delta0."""
-    snf = smith_normal_form(boundary_matrix(p, model))
-    delta0, E = snf.A, first_edge_matrix(p)
-    if snf.solve(E @ delta0) is None:
+    """delta0, K0 from the spanning forest, and K1 and psi1 (as U E U^-1) from
+    one Smith decomposition of delta0.  The image of the incidence matrix
+    delta0 is the vectors summing to 0 on each component; E must keep it.
+    """
+    delta0, E = boundary_matrix(p, model), first_edge_matrix(p)
+    k0_basis, component = _class_forest(p, model)
+    sums = [[int(c == r) for c in component] for r in sorted(set(component))]
+    if not (IntMatrix.from_rows(sums, cols=len(component)) @ E @ delta0).is_zero():
         raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
 
+    snf = smith_normal_form(delta0)
     m = delta0.rows
     diag = list(snf.diagonal()) + [0] * (m - min(delta0.rows, delta0.cols))
     conj = snf.U @ E @ invert_unimodular(snf.U)
@@ -187,7 +221,7 @@ def _boundary_k_theory(
             v = conj[gi, gj]
             entries.append(v % diag[gi] if diag[gi] > 1 else v)
     psi1 = Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
-    return delta0, snf.kernel_basis(), snf.cokernel(), psi1
+    return delta0, k0_basis, snf.cokernel(), psi1
 
 
 @dataclass(frozen=True)

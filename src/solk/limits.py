@@ -3,11 +3,12 @@
 lim(Z^r, T) is presented by its eventual lattice L and the restriction T'
 of T to L, which is injective.  L is the saturation of the Q-span of im T^k,
 k <= r the stabilization index: the first k with rank T^(k+1) == rank T^k.
-No power of T is multiplied out to find it: from the identity on, a basis E
-is replaced by the echelon basis of the Q-span of T E until its rank stops
-dropping.  Saturating that basis takes no Smith form when its Hermite
-pivots are all 1.  Every element of the limit is represented at some stage
-s by a vector in the coordinates of L, with (s, v) identified with (s+1, T'v).
+No power of T is multiplied out to find it: from the echelon basis of the
+Q-span of im T on, a basis E is replaced by that of T E until its rank stops
+dropping; if T has full rank, L is Z^r and T' is T.  Saturating the basis and
+restricting T to it take no Smith form.  Every element of the limit is
+represented at some stage s by a vector in the coordinates of L, with (s, v)
+identified with (s+1, T'v); adj(T') and det(T') retract it to its least stage.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 
 from .intlin import (
     IntMatrix,
-    SmithDecomposition,
+    adjugate,
     column_hnf,
     determinant,
     echelon_span,
@@ -60,15 +61,17 @@ class StationaryLimitGroup:
         self.endomorphism = endomorphism
         # Echelon bases of the Q-spans of im T^j until the rank stops dropping.
         span, k = IntMatrix.identity(endomorphism.rows), 0
-        while span.cols > 0 and (nxt := echelon_span(endomorphism @ span)).cols < span.cols:
+        nxt = echelon_span(endomorphism)
+        while nxt.cols < span.cols:
             span, k = nxt, k + 1
+            nxt = echelon_span(endomorphism @ span)
         self.stabilization_index = k
-        self.eventual_basis = saturate_columns(span)
-        self.eventual_rank = self.eventual_basis.cols
-        if self.eventual_rank > 0:
-            self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
+        if k == 0:  # T has full rank: the eventual lattice is Z^r and T' is T
+            self.eventual_basis, self.reduced_endomorphism = span, endomorphism
         else:
-            self.reduced_endomorphism = IntMatrix.identity(0)
+            self.eventual_basis = saturate_columns(span)
+            self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
+        self.eventual_rank = self.eventual_basis.cols
 
     # -- elements ---------------------------------------------------------
 
@@ -93,30 +96,26 @@ class StationaryLimitGroup:
         """
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
-        coords = self._power_in_eventual_basis.mul_vector(vector)
-        return self._canonical(stage + self.stabilization_index, coords)
-
-    @cached_property
-    def _power_in_eventual_basis(self) -> IntMatrix:
-        power = IntMatrix.identity(self.ambient_rank)
         for _ in range(self.stabilization_index):
-            power = self.endomorphism @ power
-        coords = solve_echelon(self.eventual_basis, power)
+            vector = self.endomorphism.mul_vector(vector)
+        coords = solve_echelon(self.eventual_basis, IntMatrix.column(vector))
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
-        return coords
+        return self._canonical(stage + self.stabilization_index, coords.col(0))
 
     @cached_property
-    def _reduced_snf(self) -> SmithDecomposition:
-        return smith_normal_form(self.reduced_endomorphism)
+    def _adjugate(self) -> tuple[IntMatrix, int]:
+        return adjugate(self.reduced_endomorphism)
 
     def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
-        # Minimal stage: retract through T' while the vector stays integral.
+        # Minimal stage: retract through T' while the vector stays integral;
+        # v is in im T' exactly when adj(T') v == 0 mod det(T').
+        adj, det = self._adjugate
         while stage > 0:
-            pre = self._reduced_snf.solve(IntMatrix.column(vector))
-            if pre is None:
+            pre = adj.mul_vector(vector)
+            if any(x % det for x in pre):
                 break
-            vector = pre.col(0)
+            vector = tuple(x // det for x in pre)
             stage -= 1
         return LimitElement(self, stage, tuple(vector))
 

@@ -22,7 +22,11 @@ two Smith forms) and solves with ``solve_columns``, as ``limits`` did before
 it built the eventual lattice from echelon spans.  ``echelon_span_oracle``
 is Gauss-Jordan elimination over the rationals, and
 ``trace_pullback_matrix_oracle`` the class-by-class scan for preimages that
-``ktheory`` had before it built the matrix in one pass.
+``ktheory`` had before it built the matrix in one pass.  The Smith forms stay
+here: ``saturate_columns_oracle`` takes its two kernels with
+``kernel_basis_oracle``, and ``canonical_oracle`` retracts a limit element by
+solving against the Smith form of ``T'``, as ``limits`` did before it used
+the adjugate.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from solk.intlin import (
     IntMatrix,
     _swap_rows,
     column_hnf,
-    kernel_basis,
     rational_rank,
     restrict_endomorphism,
     saturate_columns,
@@ -296,8 +299,8 @@ def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
 
 def saturate_columns_oracle(A: IntMatrix) -> IntMatrix:
     """Canonical basis of Z^rows intersected with the Q-span of A's columns."""
-    left_kernel = kernel_basis(A.transpose())  # columns annihilate A from the left
-    return kernel_basis(left_kernel.transpose())
+    left_kernel = kernel_basis_oracle(A.transpose())  # columns annihilate A from the left
+    return kernel_basis_oracle(left_kernel.transpose())
 
 
 def restrict_endomorphism_oracle(T: IntMatrix, B: IntMatrix) -> IntMatrix | None:
@@ -331,6 +334,18 @@ class StationaryLimitGroupPowerOracle(StationaryLimitGroup):
             )
         else:
             self.reduced_endomorphism = IntMatrix.identity(0)
+
+    def from_ambient(self, stage: int, vector: tuple[int, ...] | list[int]) -> LimitElement:
+        """Element represented by an ambient Z^r vector at a stage.
+
+        Pushing forward k more steps, k the stabilization index, lands the
+        vector in the eventual lattice, where it is re-expressed in the
+        lattice basis.
+        """
+        if len(vector) != self.ambient_rank:
+            raise ValueError("vector length must equal the ambient rank")
+        coords = self._power_in_eventual_basis.mul_vector(vector)
+        return self._canonical(stage + self.stabilization_index, coords)
 
     @cached_property
     def _power_in_eventual_basis(self) -> IntMatrix:
@@ -369,6 +384,21 @@ class StationaryLimitGroupOracle(StationaryLimitGroupPowerOracle):
             raise ValueError("vector length must equal the ambient rank")
         coords = self._power_in_eventual_basis.mul_vector(vector)
         return self._canonical(stage + self.ambient_rank, coords)
+
+
+def canonical_oracle(
+    self: StationaryLimitGroup, stage: int, vector: tuple[int, ...]
+) -> LimitElement:
+    """``StationaryLimitGroup._canonical`` retracting by the Smith-form solve."""
+    _reduced_snf = smith_normal_form(self.reduced_endomorphism)
+    # Minimal stage: retract through T' while the vector stays integral.
+    while stage > 0:
+        pre = _reduced_snf.solve(IntMatrix.column(vector))
+        if pre is None:
+            break
+        vector = pre.col(0)
+        stage -= 1
+    return LimitElement(self, stage, tuple(vector))
 
 
 def hermite_normal_form_rows_oracle(A: IntMatrix) -> IntMatrix:

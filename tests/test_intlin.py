@@ -6,6 +6,7 @@ from solk.intlin import (
     CokernelStructure,
     IntMatrix,
     NotInvariant,
+    adjugate,
     cokernel,
     column_hnf,
     determinant,
@@ -266,3 +267,25 @@ def test_snf_invariant_factors_against_sympy():
         ref = reference_snf(sympy.Matrix(a.to_rows()))
         theirs = [abs(ref[j, j]) for j in range(min(ref.rows, ref.cols))]
         assert mine == theirs
+
+
+def test_adjugate_times_matrix_is_determinant_times_identity():
+    rng = random.Random(83)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = IntMatrix(n, n, [rng.randint(-5, 5) for _ in range(n * n)])
+        det = determinant(a)
+        if det == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="nonsingular"):
+                adjugate(a)
+            continue
+        adj, d = adjugate(a)
+        assert d == det
+        assert adj @ a == a @ adj == IntMatrix.identity(n).scale(det)
+    assert singular > 0
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])  # a row exchange flips the sign
+    assert adjugate(swap) == (IntMatrix.from_rows([[0, -1], [-1, 0]]), -1)
+    with pytest.raises(ValueError, match="non-square"):
+        adjugate(IntMatrix.zeros(2, 3))

@@ -5,7 +5,7 @@ import solk.intlin
 import solk.ktheory
 import solk.model
 from solk.germs import occurring_classes
-from solk.intlin import IntMatrix, rank, same_column_lattice
+from solk.intlin import IntMatrix, rank, same_column_lattice, smith_normal_form
 from solk.ktheory import (
     InvalidPresentation,
     NotWellDefined,
@@ -323,6 +323,14 @@ def test_exactness_check_runs_no_second_smith_form(monkeypatch):
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
     r = ktheory_report(aabab())
     assert sum(A == r.delta0 for A in factored) == 1
+
+
+def test_report_factors_only_delta0_and_its_unimodular_transform(monkeypatch):
+    # K0 comes from a spanning forest and the limits from echelon spans and
+    # congruence kernels; only K1 and psi1 use the Smith form of delta0.
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    r = ktheory_report(parse_presentation(wedge_text(8)))
+    assert factored == [r.delta0, smith_normal_form(r.delta0).U]
 
 
 def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):

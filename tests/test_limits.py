@@ -301,8 +301,24 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
 
 
 def test_construction_runs_no_smith_form(monkeypatch):
-    # Echelon spans, a unit-pivot saturation and triangular solves suffice here.
+    # Echelon spans, a congruence-kernel saturation and triangular solves suffice here.
     factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
     g = StationaryLimitGroup(dense_edge_shift())
     assert g.eventual_rank > 0
+    assert factored == {"smith_normal_form": 0}
+
+
+def test_element_operations_on_an_edge_shift_run_no_smith_form(monkeypatch):
+    # Retraction goes through adj(T') and det(T'); from_ambient solves one column.
+    g = StationaryLimitGroup(dense_edge_shift())
+    factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    rng = random.Random(79)
+    els = [
+        g.from_ambient(stage, [rng.randint(-2, 2) for _ in range(g.ambient_rank)])
+        for stage in range(4)
+    ]
+    els.append(g.element(3, g.reduced_endomorphism.mul_vector([1] * g.eventual_rank)))
+    assert els[-1].stage == 2  # a vector in the image of T' retracts one stage
+    for a in els:
+        assert element_equal(element_add(a, element_negate(a)), g.zero())
     assert factored == {"smith_normal_form": 0}

@@ -1,6 +1,7 @@
 """The linear-time closure, Boolean validation, one-factorization linear algebra,
 stabilization-index limits, reducing Hermite kernel, column-slice product,
-echelon-span limits, unit-pivot saturation and echelon solve against their
+echelon-span limits, one-path saturation, echelon solve, spanning-forest K0,
+component-sum well-definedness and adjugate retraction against their
 straightforward oracles."""
 
 import itertools
@@ -9,6 +10,7 @@ import random
 import pytest
 
 import solk.intlin
+import solk.ktheory
 from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import (
     IntMatrix,
@@ -26,7 +28,15 @@ from solk.intlin import (
     solve_columns,
     solve_echelon,
 )
-from solk.ktheory import trace_pullback_matrix, with_class_order
+from solk.ktheory import (
+    NotWellDefined,
+    _class_forest,
+    boundary_matrix,
+    first_edge_matrix,
+    psi_star_k1,
+    trace_pullback_matrix,
+    with_class_order,
+)
 from solk.limits import StationaryLimitGroup
 from solk.model import _is_primitive, parse_presentation, validate
 from solk.sft import SftPresentation, edge_shift
@@ -37,12 +47,14 @@ from helpers import (
     random_int_matrix,
     random_presentation,
     random_unimodular,
+    random_valid_presentations,
     stress_text,
     wedge_text,
 )
 from oracles import (
     StationaryLimitGroupOracle,
     StationaryLimitGroupPowerOracle,
+    canonical_oracle,
     cokernel_oracle,
     echelon_span_oracle,
     hermite_normal_form_rows_oracle,
@@ -365,16 +377,21 @@ def saturation_cases():
     yield from (IntMatrix.zeros(r, c) for r in range(3) for c in range(3) if r * c == 0)
 
 
-def test_saturation_matches_two_kernel_oracle(monkeypatch):
+def test_one_path_saturation_matches_two_kernel_oracle(monkeypatch):
     factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
-    paths = set()
+    congruences = 0
     for A in saturation_cases():
-        before = factored["smith_normal_form"]
+        E = echelon_span(A)
+        unit = all(next(filter(None, E.col(j))) == 1 for j in range(E.cols))
         got, want = saturate_columns(A), saturate_columns_oracle(A)
         assert (got.shape, got._entries) == (want.shape, want._entries)
-        paths.add(factored["smith_normal_form"] > before + 2)  # the oracle runs two
-    assert paths == {True, False}  # the unit-pivot short cut and the fallback both ran
+        congruences += not unit
+    assert factored == {"smith_normal_form": 0}
+    assert congruences >= 100  # the congruence kernel ran, not only the unit-pivot case
     assert saturate_columns(IntMatrix.from_rows([[2], [1]])).to_rows() == [[2], [1]]
+    # Full rank with non-unit pivots: Z^3 itself, whatever the index.
+    full = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    assert saturate_columns(full) == saturate_columns_oracle(full) == IntMatrix.identity(3)
 
 
 def column_hnf_bases(seed: int, count: int):
@@ -421,3 +438,60 @@ def test_one_pass_trace_pullback_matches_class_scan_oracle():
         for order in ("lex", "paper"):
             m = with_class_order(model, order)
             assert trace_pullback_matrix(p, m) == trace_pullback_matrix_oracle(p, m)
+
+
+def class_models():
+    """Seeded valid presentations and wedges 2..18, each in both class orders."""
+    wedges = [parse_presentation(wedge_text(k)) for k in range(2, 19)]
+    for p in random_valid_presentations(seed=7, count=300) + wedges:
+        model = occurring_classes(p)
+        for order in ("lex", "paper"):
+            yield p, with_class_order(model, order)
+
+
+def test_spanning_forest_kernel_matches_smith_kernel():
+    disconnected = 0
+    for p, m in class_models():
+        basis, component = _class_forest(p, m)
+        assert basis == smith_normal_form(boundary_matrix(p, m)).kernel_basis()
+        disconnected += len(set(component)) > 1
+    assert disconnected >= 10  # class graphs with several components ran
+
+
+def test_component_sums_decide_well_definedness_like_smith_solve(monkeypatch):
+    rng = random.Random(67)
+    outcomes = set()
+    for p, m in class_models():
+        delta0, E = boundary_matrix(p, m), first_edge_matrix(p)
+        rows = E.to_rows()
+        j, i = rng.randrange(E.cols), rng.randrange(E.rows)
+        for r, row in enumerate(rows):
+            row[j] = int(r == i)
+        for F in (E, IntMatrix.from_rows(rows, cols=E.cols)):
+            want = smith_normal_form(delta0).solve(F @ delta0) is not None
+            monkeypatch.setattr(solk.ktheory, "first_edge_matrix", lambda p, F=F: F)
+            try:
+                psi_star_k1(p, m)
+                got = True
+            except NotWellDefined:
+                got = False
+            assert got == want
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_adjugate_retraction_matches_smith_solve():
+    rng = random.Random(71)
+    retracted, ranks = 0, set()
+    for T in endomorphism_stream(seed=73):
+        g = StationaryLimitGroup(T)
+        ranks.add(g.eventual_rank)
+        t = g.reduced_endomorphism
+        for stage in range(4):
+            v = [rng.randint(-4, 4) for _ in range(g.eventual_rank)]
+            for _ in range(rng.randint(0, 2)):  # some vectors in the image of T'
+                v = t.mul_vector(v)
+            a, b = g._canonical(stage, tuple(v)), canonical_oracle(g, stage, tuple(v))
+            assert (a.stage, a.vector) == (b.stage, b.vector)
+            retracted += a.stage < stage
+    assert 0 in ranks and retracted >= 50
