@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation errors, 2 parse or usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,17 +196,13 @@ def _cmd_ktheory(args) -> int:
     print(f"K0 of the cell algebra: free of rank {r.k0_basis.cols}")
     print("  basis columns (class coordinates):")
     _print_matrix(r.k0_basis, row_labels=class_labels, indent="    ")
-    k1_desc = " + ".join([f"Z/{t}" for t in r.k1.torsion] + [f"Z^{r.k1.free_rank}"])
-    print(f"K1 of the cell algebra: {k1_desc}")
+    print(f"K1 of the cell algebra: Z^{r.k1.free_rank}")
     print("connecting endomorphism on K0 (in the basis above):")
     _print_matrix(r.psi0)
     print("connecting endomorphism on K1 (cokernel generators):")
     _print_matrix(r.psi1.matrix)
     print(f"K0 of the limit algebra: {r.k0_classification}")
-    k1_lim = str(r.k1_classification)
-    if r.k1_torsion_limit:
-        k1_lim += " + " + " + ".join(f"Z/{t}" for t in r.k1_torsion_limit)
-    print(f"K1 of the limit algebra: {k1_lim}")
+    print(f"K1 of the limit algebra: {r.k1_classification}")
     if r.zn_target:
         print(f"trace target: {r.zn_target}")
     _print_diagnostics(r)
@@ -259,6 +256,8 @@ def _cmd_limit(args) -> int:
     return 0
 
 
+# Built on the first call, so importing solk.cli stays cheap; later calls of main reuse it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="solk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

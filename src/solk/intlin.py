@@ -10,11 +10,13 @@ elimination did not finish in two minutes.  The product reads each column
 of the right factor once as a strided slice, and forms a sparse row of the
 left factor as a combination of the rows of the right factor it selects.
 
-A ``SmithDecomposition`` answers rank, kernel, cokernel and solve for the
-matrix it factors; callers asking several of these of one matrix keep it.
-Kernels, saturations and solves need no Smith form: ``kernel_basis`` reads the
-kernel off the Hermite form of [A^T | I], ``saturate_columns`` takes one such
-kernel of a congruence system, and ``solve_echelon`` substitutes forward.
+A ``SmithDecomposition`` answers rank, cokernel and solve for the matrix it
+factors; callers asking several of these of one matrix keep it.  Kernels,
+saturations, solves, ranks and determinants need no Smith form:
+``kernel_basis`` reads the kernel off the Hermite form of [A^T | I],
+``saturate_columns`` takes one such kernel of a congruence system,
+``solve_echelon`` substitutes forward, and ``rank`` and ``determinant``
+share one fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -201,15 +203,6 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def kernel_basis(self) -> IntMatrix:
-        """Z-basis of ker A, as columns, canonicalized by column HNF.
-
-        The kernel of an integer matrix is saturated, so the columns also span
-        the kernel over Q.
-        """
-        n = self.A.cols  # the diagonal's zeros come last: columns rank.. of V span ker A
-        return column_hnf(self.V.submatrix(range(n), range(self.rank(), n)))
-
     def cokernel(self) -> CokernelStructure:
         """Structure of Z^rows modulo the column lattice of A."""
         torsion = tuple(d for d in self.diagonal() if d > 1)
@@ -348,33 +341,44 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _bareiss(A: IntMatrix) -> tuple[int, int]:
+    """Rank over Q and the signed last pivot, by fraction-free elimination.
+
+    Each entry left after a step is a minor of A, so the division by the
+    previous pivot is exact and coefficients grow no faster than A's minors.
+    For a nonsingular square A the signed last pivot is det(A).
+    """
+    M = A.to_rows()
+    r, prev, sign = 0, 1, 1
+    for col in range(A.cols):
+        if r == A.rows:
+            break
+        if not M[r][col]:
+            pivot_row = next((i for i in range(r + 1, A.rows) if M[i][col]), None)
+            if pivot_row is None:
+                continue
+            _swap_rows(M, r, pivot_row)
+            sign = -sign
+        p, top = M[r][col], M[r][col + 1 :]
+        for i in range(r + 1, A.rows):
+            a = M[i][col]
+            M[i][col + 1 :] = [(x * p - a * y) // prev for x, y in zip(M[i][col + 1 :], top)]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def rank(A: IntMatrix) -> int:
-    return smith_normal_form(A).rank()
+    """Rank over Q, by fraction-free (Bareiss) elimination."""
+    return _bareiss(A)[0]
 
 
 def determinant(A: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    r, last = _bareiss(A)
+    return last if r == A.rows else 0
 
 
 def adjugate(A: IntMatrix) -> tuple[IntMatrix, int]:
@@ -403,28 +407,6 @@ def adjugate(A: IntMatrix) -> tuple[IntMatrix, int]:
                 M[i] = [(x * p - a * y) // prev for x, y in zip(M[i], top)]
         prev = p
     return IntMatrix(n, n, [sign * x for row in M for x in row[n:]]), sign * prev
-
-
-def rational_rank(A: IntMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination, without transforms.
-
-    Each entry left after a step is a minor of A, so the division by the
-    previous pivot is exact and coefficients grow no faster than A's minors.
-    """
-    M = A.to_rows()
-    r, prev = 0, 1
-    for col in range(A.cols):
-        pivot_row = next((i for i in range(r, A.rows) if M[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        _swap_rows(M, r, pivot_row)
-        p, top = M[r][col], M[r][col + 1 :]
-        for i in range(r + 1, A.rows):
-            a = M[i][col]
-            M[i][col + 1 :] = [(x * p - a * y) // prev for x, y in zip(M[i][col + 1 :], top)]
-        prev = p
-        r += 1
-    return r
 
 
 def invert_unimodular(M: IntMatrix) -> IntMatrix:

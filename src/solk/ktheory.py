@@ -3,10 +3,13 @@
 The quotient cell model yields a six-term exact sequence whose boundary
 matrix has one column per occurring germ class; K0 is its kernel, K1 its
 cokernel.  It is the incidence matrix of the class graph (edges as nodes,
-classes as arcs), so K0 is read off a spanning forest; K1 comes from its
-Smith form.  The connecting endomorphism acts on K0 through trace pullbacks
-along the induced self-map and on K1 through winding numbers; iterating
-gives the K-groups of the limit algebra as stationary inductive limits.
+classes as arcs), so K0 is read off a spanning forest.  An incidence matrix
+is totally unimodular, so K1 is free, one generator per component of the
+class graph, and one Smith form of the boundary matrix gives it, the
+well-definedness check and psi1.  The connecting endomorphism acts on K0
+through trace pullbacks along the induced self-map and on K1 through
+winding numbers; iterating gives the K-groups of the limit algebra as
+stationary inductive limits.
 """
 
 from __future__ import annotations
@@ -14,15 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .germs import GermClass, QuotientModel, quotient_summary
-from .intlin import (
-    CokernelStructure,
-    IntMatrix,
-    invert_unimodular,
-    rational_rank,
-    restrict_endomorphism,
-    smith_normal_form,
-)
-from .limits import Classification, StationaryLimitGroup, make_limit, stationary_torsion_limit
+from .intlin import CokernelStructure, IntMatrix, rank, restrict_endomorphism, smith_normal_form
+from .limits import Classification, StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
 
 
@@ -121,7 +117,7 @@ def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
     lattice, which signals a modeling bug.
     """
     pullback = trace_pullback_matrix(p, model)
-    return restrict_endomorphism(pullback, _class_forest(p, model)[0])
+    return restrict_endomorphism(pullback, _class_forest(p, model))
 
 
 def first_edge_matrix(p: Presentation) -> IntMatrix:
@@ -139,17 +135,13 @@ def first_edge_matrix(p: Presentation) -> IntMatrix:
 class Psi1:
     """Connecting endomorphism on K1 = cokernel of the boundary map.
 
-    matrix acts on the cokernel generators; moduli[i] is the order of the
-    i-th generator (0 means infinite).  Generators follow the Smith
-    diagonal: torsion generators first, free generators last.
+    K1 is free: matrix acts on its generators in Smith order, the component
+    indicators of the class graph, and moduli[i] = 0 is the (infinite) order
+    of the i-th generator.
     """
 
     matrix: IntMatrix
     moduli: tuple[int, ...]
-
-    def free_part(self) -> IntMatrix:
-        free = [i for i, m in enumerate(self.moduli) if m == 0]
-        return self.matrix.submatrix(free, free)
 
     def is_identity(self) -> bool:
         return self.matrix == IntMatrix.identity(self.matrix.rows)
@@ -166,8 +158,8 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
     return _boundary_k_theory(p, model)[3]
 
 
-def _class_forest(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, list[int]]:
-    """K0 from a spanning forest of the class graph, and each edge's component.
+def _class_forest(p: Presentation, model: QuotientModel) -> IntMatrix:
+    """K0 from a spanning forest of the class graph.
 
     The nodes are the edges and each class is an arc in_edge -> out_edge, so
     ker delta0 is the cycle lattice.  The forest grows from the last class to
@@ -193,35 +185,36 @@ def _class_forest(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, lis
         for w, c in enumerate(component):
             if c == b:
                 component[w], chain[w] = a, [x + y for x, y in zip(chain[w], step)]
-    return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose(), component
+    return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose()
 
 
 def _boundary_k_theory(
     p: Presentation, model: QuotientModel
 ) -> tuple[IntMatrix, IntMatrix, CokernelStructure, Psi1]:
-    """delta0, K0 from the spanning forest, and K1 and psi1 (as U E U^-1) from
-    one Smith decomposition of delta0.  The image of the incidence matrix
-    delta0 is the vectors summing to 0 on each component; E must keep it.
+    """delta0, K0 from the spanning forest, and K1 and psi1 from one Smith
+    decomposition U delta0 V = D.  The pivots of an incidence matrix are 1,
+    so the rows of U past the rank map Z^edges onto K1 with kernel im delta0.
+    They are the 0/1 indicators of the class-graph components (each starts at
+    e_i for its own non-pivot edge i and gets only pivot rows subtracted;
+    checked below), so psi1 lifts each generator to one edge of its component.
     """
     delta0, E = boundary_matrix(p, model), first_edge_matrix(p)
-    k0_basis, component = _class_forest(p, model)
-    sums = [[int(c == r) for c in component] for r in sorted(set(component))]
-    if not (IntMatrix.from_rows(sums, cols=len(component)) @ E @ delta0).is_zero():
-        raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
-
+    k0_basis = _class_forest(p, model)
     snf = smith_normal_form(delta0)
-    m = delta0.rows
-    diag = list(snf.diagonal()) + [0] * (m - min(delta0.rows, delta0.cols))
-    conj = snf.U @ E @ invert_unimodular(snf.U)
-    gens = [i for i in range(m) if diag[i] != 1]
-    moduli = tuple(diag[i] for i in gens)
-    entries = []
-    for gi in gens:
-        for gj in gens:
-            v = conj[gi, gj]
-            entries.append(v % diag[gi] if diag[gi] > 1 else v)
-    psi1 = Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
-    return delta0, k0_basis, snf.cokernel(), psi1
+    k1 = snf.cokernel()
+    if k1.torsion:
+        raise RuntimeError(f"K1 of an incidence matrix has torsion {k1.torsion}")
+    c = k1.free_rank
+    gens = snf.U.submatrix(range(delta0.rows - c, delta0.rows), range(delta0.rows))
+    projected = gens @ E
+    if not (projected @ delta0).is_zero():
+        raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
+    # Lift generator k to the unit vector at the first edge of its component.
+    lifts = [next(i for i, x in enumerate(gens.row(k)) if x) for k in range(c)]
+    if gens.submatrix(range(c), lifts) != IntMatrix.identity(c):
+        raise RuntimeError("cokernel generators of delta0 are not component indicators")
+    psi1 = Psi1(matrix=projected.submatrix(range(c), lifts), moduli=(0,) * c)
+    return delta0, k0_basis, k1, psi1
 
 
 @dataclass(frozen=True)
@@ -267,19 +260,10 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     psi0 = restrict_endomorphism(pullback, k0_basis)
 
     k0_limit = make_limit(psi0)
-    psi1_free = psi1.free_part()
-    k1_limit = make_limit(psi1_free)
-    torsion_gens = [i for i, m in enumerate(psi1.moduli) if m > 1]
-    if torsion_gens:
-        k1_torsion_limit = stationary_torsion_limit(
-            tuple(psi1.moduli[i] for i in torsion_gens),
-            psi1.matrix.submatrix(torsion_gens, torsion_gens),
-        )
-    else:
-        k1_torsion_limit = ()
+    k1_limit = make_limit(psi1.matrix)
 
     # Exactness bookkeeping for the six-term sequence.
-    r = rational_rank(delta0)
+    r = rank(delta0)
     if r + k0_basis.cols != len(model.classes):
         raise RuntimeError("rank(delta0) + rank(K0) differs from the number of classes")
     if r + k1.free_rank != len(p.graph.edge_names()):
@@ -302,7 +286,7 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
         k0_limit=k0_limit,
         k0_classification=k0_limit.classify(),
         k1_limit=k1_limit,
-        k1_torsion_limit=k1_torsion_limit,
+        k1_torsion_limit=(),
         k1_classification=k1_limit.classify(),
         hausdorff=summary.hausdorff,
         hausdorff_witness=summary.hausdorff_witness,

@@ -16,7 +16,7 @@ the column-by-column Hermite elimination that never reduces the rows below
 the pivot, and ``matmul_oracle`` the entry-by-entry product over index
 arithmetic, as ``intlin`` had them before the reducing Hermite kernel and
 the column-slice product.  ``StationaryLimitGroupPowerOracle`` multiplies
-out T, T^2, ... until Bareiss ``rational_rank`` stops dropping, saturates
+out T, T^2, ... until the Bareiss ``rank`` stops dropping, saturates
 that power with ``saturate_columns_oracle`` (the kernel of the left kernel,
 two Smith forms) and solves with ``solve_columns``, as ``limits`` did before
 it built the eventual lattice from echelon spans.  ``echelon_span_oracle``
@@ -26,7 +26,9 @@ is Gauss-Jordan elimination over the rationals, and
 here: ``saturate_columns_oracle`` takes its two kernels with
 ``kernel_basis_oracle``, and ``canonical_oracle`` retracts a limit element by
 solving against the Smith form of ``T'``, as ``limits`` did before it used
-the adjugate.
+the adjugate.  ``psi1_oracle`` conjugates the first-edge matrix by the Smith
+transform ``U`` of the boundary matrix and reduces modulo the invariant
+factors, as ``ktheory`` did before it read psi1 off the cokernel rows of ``U``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from solk.intlin import (
     IntMatrix,
     _swap_rows,
     column_hnf,
-    rational_rank,
+    invert_unimodular,
+    rank,
     restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
@@ -56,7 +59,7 @@ from solk.intlin import (
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
-from solk.ktheory import edge_trace_row
+from solk.ktheory import Psi1, edge_trace_row
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 
 
@@ -297,6 +300,22 @@ def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
     return X if B @ X == C else None
 
 
+def psi1_oracle(delta0: IntMatrix, E: IntMatrix) -> Psi1:
+    """psi1 as U E U^-1 on the Smith generators of coker delta0, torsion rows reduced."""
+    snf = smith_normal_form(delta0)
+    m = delta0.rows
+    diag = list(snf.diagonal()) + [0] * (m - min(delta0.rows, delta0.cols))
+    conj = snf.U @ E @ invert_unimodular(snf.U)
+    gens = [i for i in range(m) if diag[i] != 1]
+    moduli = tuple(diag[i] for i in gens)
+    entries = []
+    for gi in gens:
+        for gj in gens:
+            v = conj[gi, gj]
+            entries.append(v % diag[gi] if diag[gi] > 1 else v)
+    return Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
+
+
 def saturate_columns_oracle(A: IntMatrix) -> IntMatrix:
     """Canonical basis of Z^rows intersected with the Q-span of A's columns."""
     left_kernel = kernel_basis_oracle(A.transpose())  # columns annihilate A from the left
@@ -321,7 +340,7 @@ class StationaryLimitGroupPowerOracle(StationaryLimitGroup):
         # Successive powers until the rank stops dropping: T^k, k <= r.
         power, power_rank, k = IntMatrix.identity(r), r, 0
         nxt = endomorphism
-        while power_rank > 0 and (nxt_rank := rational_rank(nxt)) < power_rank:
+        while power_rank > 0 and (nxt_rank := rank(nxt)) < power_rank:
             power, power_rank, k = nxt, nxt_rank, k + 1
             nxt = endomorphism @ power
         self.stabilization_index = k

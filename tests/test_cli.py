@@ -182,7 +182,7 @@ def test_command_runs_closure_and_validation_once(capsys, monkeypatch, aabab_fil
 
 
 def test_exactness_failure_exit_3(capsys, monkeypatch, aabab_file):
-    monkeypatch.setattr("solk.ktheory.rational_rank", lambda A: -1)
+    monkeypatch.setattr("solk.ktheory.rank", lambda A: -1)
     code, out, err = run(capsys, ["ktheory", aabab_file])
     assert code == 3
     assert out == ""
@@ -199,14 +199,12 @@ def test_not_well_defined_exit_3(capsys, monkeypatch, aabab_file):
 
 
 def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
-    # A doubled boundary matrix gives K1 the torsion Z/2, so the report takes
-    # the torsion limit, whose relations-lattice solve is made to fail.
+    # A boundary matrix is an incidence matrix, so K1 is free; a doubled one
+    # gives K1 the torsion Z/2, which the report rejects as an internal error.
     boundary = solk.ktheory.boundary_matrix
     monkeypatch.setattr("solk.ktheory.boundary_matrix", lambda p, m: boundary(p, m).scale(2))
-    code, out, _ = run(capsys, ["ktheory", aabab_file, "--json"])
-    assert code == 0
-    assert json.loads(out)["k1"] == {"free_rank": 1, "torsion": [2]}
-    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
-    code, _, err = run(capsys, ["ktheory", aabab_file])
-    assert code == 3
-    assert err.startswith("internal error: relations lattice")
+    for argv in (["ktheory", aabab_file, "--json"], ["ktheory", aabab_file]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and "torsion (2,)" in err

@@ -1,8 +1,15 @@
 """Byte-for-byte golden reports of `solk classes` and `solk ktheory`.
 
 Each file under tests/golden/ is the exact stdout of one command on one
-fixture, in text or --json form, under the lex or paper class order.  To
-rewrite them after an intended output change:
+fixture, in text or --json form, under the lex or paper class order.  The
+wedges with 24, 32 and 40 loops are too large to keep whole:
+tests/golden/wedges.sha256 holds the SHA-256 of their `solk ktheory --json`
+in both orders.  The wedge-24 digests are checked here; CI checks all six with
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
+    from test_golden import check_wedge_digests; check_wedge_digests()"
+
+To rewrite the goldens and the digests after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -10,8 +17,10 @@ rewrite them after an intended output change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import pathlib
+import tempfile
 
 import pytest
 
@@ -24,9 +33,12 @@ from helpers import (
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
     n_solenoid_text,
+    wedge_text,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+WEDGE_DIGESTS = GOLDEN / "wedges.sha256"
+WEDGE_CASES = [f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40) for order in ("lex", "paper")]
 
 # name -> (presentation text, expected exit code)
 FIXTURES = {
@@ -75,9 +87,39 @@ def test_report_matches_golden(tmp_path, fixture, command, order, fmt):
     assert out == golden
 
 
-def record() -> None:
-    import tempfile
+def wedge_digest(tmp: pathlib.Path, case_id: str) -> str:
+    """SHA-256 of the stdout of one wedge case, named like a golden file."""
+    fixture, command, order, fmt = case_id.split(".")
+    path = tmp / f"{fixture}.sol"
+    path.write_text(wedge_text(int(fixture.removeprefix("wedge_"))), encoding="utf-8")
+    code, out = _run(path, command, order, fmt)
+    if code != 0:
+        raise SystemExit(f"{case_id}: exit {code}")
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
+
+def wedge_digests() -> dict[str, str]:
+    """Case id -> SHA-256, as recorded in WEDGE_DIGESTS (``sha256sum`` layout)."""
+    lines = WEDGE_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {case_id: digest for digest, case_id in map(str.split, lines)}
+
+
+def check_wedge_digests() -> None:
+    """Recompute every wedge digest; exit nonzero naming the cases that differ."""
+    recorded = wedge_digests()
+    with tempfile.TemporaryDirectory() as tmp:
+        differ = [c for c in WEDGE_CASES if wedge_digest(pathlib.Path(tmp), c) != recorded.get(c)]
+    if differ:
+        raise SystemExit(f"wedge reports differ from {WEDGE_DIGESTS.name}: {', '.join(differ)}")
+
+
+@pytest.mark.parametrize("order", ["lex", "paper"])
+def test_wedge_24_report_matches_digest(tmp_path, order):
+    case_id = f"wedge_24.ktheory.{order}.json"
+    assert wedge_digest(tmp_path, case_id) == wedge_digests()[case_id]
+
+
+def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for fixture, command, order, fmt in CASES:
@@ -88,6 +130,8 @@ def record() -> None:
             if code != expected_code:
                 raise SystemExit(f"{_case_id(fixture, command, order, fmt)}: exit {code}")
             (GOLDEN / _case_id(fixture, command, order, fmt)).write_text(out, encoding="utf-8")
+        digests = [f"{wedge_digest(pathlib.Path(tmp), c)}  {c}\n" for c in WEDGE_CASES]
+    WEDGE_DIGESTS.write_text("".join(digests), encoding="utf-8")
 
 
 if __name__ == "__main__":

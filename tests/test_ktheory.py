@@ -3,9 +3,10 @@ import pytest
 import solk.germs
 import solk.intlin
 import solk.ktheory
+import solk.limits
 import solk.model
 from solk.germs import occurring_classes
-from solk.intlin import IntMatrix, rank, same_column_lattice, smith_normal_form
+from solk.intlin import IntMatrix, rank, same_column_lattice
 from solk.ktheory import (
     InvalidPresentation,
     NotWellDefined,
@@ -236,7 +237,7 @@ def test_psi1_rejects_a_rule_that_does_not_descend(monkeypatch):
 
 def test_report_exactness_checks_raise(monkeypatch):
     # Real errors, not asserts: they must also fire under python -O.
-    monkeypatch.setattr(solk.ktheory, "rational_rank", lambda A: rank(A) + 1)
+    monkeypatch.setattr(solk.ktheory, "rank", lambda A: rank(A) + 1)
     with pytest.raises(RuntimeError, match="rank"):
         ktheory_report(aabab())
 
@@ -325,12 +326,17 @@ def test_exactness_check_runs_no_second_smith_form(monkeypatch):
     assert sum(A == r.delta0 for A in factored) == 1
 
 
-def test_report_factors_only_delta0_and_its_unimodular_transform(monkeypatch):
+def test_report_factors_only_delta0(monkeypatch):
     # K0 comes from a spanning forest and the limits from echelon spans and
-    # congruence kernels; only K1 and psi1 use the Smith form of delta0.
+    # congruence kernels; only K1 and psi1 use the Smith form of delta0, and
+    # psi1 is read off its cokernel rows with no inverse of U.
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    inverted = count_calls(monkeypatch, solk.intlin, "invert_unimodular")
+    torsion = count_calls(monkeypatch, solk.limits, "stationary_torsion_limit")
     r = ktheory_report(parse_presentation(wedge_text(8)))
-    assert factored == [r.delta0, smith_normal_form(r.delta0).U]
+    assert factored == [r.delta0]
+    assert inverted == {"invert_unimodular": 0}
+    assert torsion == {"stationary_torsion_limit": 0}
 
 
 def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):

@@ -1,8 +1,8 @@
 """The linear-time closure, Boolean validation, one-factorization linear algebra,
 stabilization-index limits, reducing Hermite kernel, column-slice product,
 echelon-span limits, one-path saturation, echelon solve, spanning-forest K0,
-component-sum well-definedness and adjugate retraction against their
-straightforward oracles."""
+component-sum well-definedness, adjugate retraction and psi1 from the
+cokernel rows of the Smith transform against their straightforward oracles."""
 
 import itertools
 import random
@@ -22,7 +22,6 @@ from solk.intlin import (
     invert_unimodular,
     kernel_basis,
     rank,
-    rational_rank,
     saturate_columns,
     smith_normal_form,
     solve_columns,
@@ -62,6 +61,7 @@ from oracles import (
     kernel_basis_oracle,
     matmul_oracle,
     occurring_classes_oracle,
+    psi1_oracle,
     saturate_columns_oracle,
     solve_columns_oracle,
     trace_pullback_matrix_oracle,
@@ -179,7 +179,7 @@ def test_decomposition_matches_linear_algebra_oracles():
     for A in int_matrix_stream(seed=2, count=400):
         snf = smith_normal_form(A)
         assert snf.A == A
-        assert kernel_basis(A) == snf.kernel_basis() == kernel_basis_oracle(A)
+        assert kernel_basis(A) == kernel_basis_oracle(A)
         assert cokernel(A) == snf.cokernel() == cokernel_oracle(A)
         assert rank(A) == snf.rank() == A.cols - kernel_basis_oracle(A).cols
         k = rng.randint(0, 3)
@@ -262,11 +262,12 @@ def test_limit_at_stabilization_index_matches_full_power_oracle():
     assert {0, 1, 2, 3} <= indices  # nonsingular, one-step and longer nilpotent tails all ran
 
 
-def test_rational_rank_matches_smith_rank():
-    for A in int_matrix_stream(seed=5, count=400):
-        assert rational_rank(A) == smith_normal_form(A).rank()
-    for T in endomorphism_stream(seed=16):
-        assert rational_rank(T) == smith_normal_form(T).rank()
+def test_bareiss_rank_matches_smith_rank(monkeypatch):
+    matrices = [*int_matrix_stream(seed=5, count=400), *endomorphism_stream(seed=16)]
+    want = [smith_normal_form(A).rank() for A in matrices]
+    factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    assert [rank(A) for A in matrices] == want
+    assert factored == {"smith_normal_form": 0}
 
 
 def normal_form_stream(seed: int, count: int):
@@ -359,7 +360,7 @@ def test_echelon_span_matches_rational_gauss_jordan():
     for A in normal_form_stream(seed=47, count=480):
         E, want = echelon_span(A), echelon_span_oracle(A)
         assert (E.shape, E._entries) == (want.shape, want._entries)
-        assert E.cols == rational_rank(A)
+        assert E.cols == rank(A)
 
 
 def saturation_cases():
@@ -449,13 +450,42 @@ def class_models():
             yield p, with_class_order(model, order)
 
 
+def class_graph_components(p, m) -> set[frozenset[int]]:
+    """The components of the class graph (edges as nodes, classes as arcs), as edge indices."""
+    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
+    parts = [{i} for i in range(len(idx))]
+    for c in m.classes:
+        a, b = parts[idx[c.in_edge]], parts[idx[c.out_edge]]
+        if a is not b:
+            a |= b
+            for i in b:
+                parts[i] = a
+    return {frozenset(part) for part in parts}
+
+
 def test_spanning_forest_kernel_matches_smith_kernel():
     disconnected = 0
     for p, m in class_models():
-        basis, component = _class_forest(p, m)
-        assert basis == smith_normal_form(boundary_matrix(p, m)).kernel_basis()
-        disconnected += len(set(component)) > 1
+        delta0 = boundary_matrix(p, m)
+        assert _class_forest(p, m) == kernel_basis_oracle(delta0)
+        disconnected += len(class_graph_components(p, m)) > 1
     assert disconnected >= 10  # class graphs with several components ran
+
+
+def test_psi1_from_cokernel_rows_matches_conjugation_oracle():
+    disconnected = 0
+    for p, m in class_models():
+        delta0, E = boundary_matrix(p, m), first_edge_matrix(p)
+        assert psi_star_k1(p, m) == psi1_oracle(delta0, E)
+        # The rows of U past the rank are the 0/1 indicators of the components.
+        snf = smith_normal_form(delta0)
+        gens = snf.U.to_rows()[snf.rank():]
+        assert all(x in (0, 1) for row in gens for x in row)
+        supports = {frozenset(i for i, x in enumerate(row) if x) for row in gens}
+        assert len(supports) == len(gens)
+        assert supports == class_graph_components(p, m)
+        disconnected += len(gens) > 1
+    assert disconnected >= 10
 
 
 def test_component_sums_decide_well_definedness_like_smith_solve(monkeypatch):
