@@ -33,7 +33,6 @@ from .ktheory import (
     InvalidPresentation,
     KTheoryReport,
     NotWellDefined,
-    Psi1,
     boundary_matrix,
     edge_trace_row,
     k_theory_of_g0,

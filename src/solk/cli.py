@@ -166,13 +166,11 @@ def _report_json(r: KTheoryReport) -> dict:
             "entries": r.k0_basis.to_rows(),
         },
         "psi0": r.psi0.to_rows(),
-        "k1": {"free_rank": r.k1.free_rank, "torsion": list(r.k1.torsion)},
-        "psi1": {"entries": r.psi1.matrix.to_rows(), "moduli": list(r.psi1.moduli)},
+        # K1 is free: no torsion, each generator of infinite order (modulus 0).
+        "k1": {"free_rank": r.psi1.rows, "torsion": []},
+        "psi1": {"entries": r.psi1.to_rows(), "moduli": [0] * r.psi1.rows},
         "k0_limit": _limit_json(r.k0_limit),
-        "k1_limit": {
-            "free": _limit_json(r.k1_limit),
-            "torsion_limit": list(r.k1_torsion_limit),
-        },
+        "k1_limit": {"free": _limit_json(r.k1_limit), "torsion_limit": []},
         "diagnostics": {**_diagnostics_json(r), "zn_target": r.zn_target},
     }
 
@@ -196,11 +194,11 @@ def _cmd_ktheory(args) -> int:
     print(f"K0 of the cell algebra: free of rank {r.k0_basis.cols}")
     print("  basis columns (class coordinates):")
     _print_matrix(r.k0_basis, row_labels=class_labels, indent="    ")
-    print(f"K1 of the cell algebra: Z^{r.k1.free_rank}")
+    print(f"K1 of the cell algebra: Z^{r.psi1.rows}")
     print("connecting endomorphism on K0 (in the basis above):")
     _print_matrix(r.psi0)
     print("connecting endomorphism on K1 (cokernel generators):")
-    _print_matrix(r.psi1.matrix)
+    _print_matrix(r.psi1)
     print(f"K0 of the limit algebra: {r.k0_classification}")
     print(f"K1 of the limit algebra: {r.k1_classification}")
     if r.zn_target:

@@ -10,7 +10,9 @@ downstream.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .model import Dart, Presentation
 
@@ -52,8 +54,14 @@ class QuotientModel:
 
     classes: tuple[GermClass, ...]
     edge_points: tuple[str, ...]
-    gtilde: dict[GermClass, GermClass]
-    interior_preimage_table: dict[GermClass, tuple[tuple[str, int], ...]]
+    gtilde: Mapping[GermClass, GermClass]
+    interior_preimage_table: Mapping[GermClass, tuple[tuple[str, int], ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gtilde", MappingProxyType(dict(self.gtilde)))
+        object.__setattr__(
+            self, "interior_preimage_table", MappingProxyType(dict(self.interior_preimage_table))
+        )
 
     def vertex_preimages(self, c: GermClass) -> tuple[GermClass, ...]:
         return tuple(d for d in self.classes if self.gtilde[d] == c)
@@ -248,25 +256,24 @@ def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] 
     return True, None
 
 
-def _is_connected(model: QuotientModel) -> bool:
-    # Cells: one node per edge interior and one per class; a class touches
-    # the interiors of its incoming and outgoing edges.
-    nodes: list[object] = list(model.edge_points) + list(model.classes)
-    if not nodes:
-        return True
-    adj: dict[object, set[object]] = {n: set() for n in nodes}
+def edge_components(model: QuotientModel) -> list[int]:
+    """Components of the class graph: the nodes are the edges and each class
+    is an arc in_edge -- out_edge.  Entry i is the index (in ``edge_points``)
+    of the last edge of edge i's component.
+    """
+    idx = {e: i for i, e in enumerate(model.edge_points)}
+    root = list(range(len(idx)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
     for c in model.classes:
-        for e in (c.in_edge, c.out_edge):
-            adj[c].add(e)
-            adj[e].add(c)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)
+        a, b = find(idx[c.in_edge]), find(idx[c.out_edge])
+        # The larger index becomes the root, so each root is its component's last edge.
+        root[min(a, b)] = max(a, b)
+    return [find(i) for i in range(len(root))]
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
     """
     model = occurring_classes(p)
     hausdorff, witness = _hausdorff(model)
-    connected = _is_connected(model)
+    connected = len(set(edge_components(model))) <= 1
 
     per_vertex: dict[str, int] = {v: 0 for v in p.graph.vertices}
     for c in model.classes:

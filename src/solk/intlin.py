@@ -11,12 +11,13 @@ of the right factor once as a strided slice, and forms a sparse row of the
 left factor as a combination of the rows of the right factor it selects.
 
 A ``SmithDecomposition`` answers rank, cokernel and solve for the matrix it
-factors; callers asking several of these of one matrix keep it.  Kernels,
-saturations, solves, ranks and determinants need no Smith form:
-``kernel_basis`` reads the kernel off the Hermite form of [A^T | I],
-``saturate_columns`` takes one such kernel of a congruence system,
-``solve_echelon`` substitutes forward, and ``rank`` and ``determinant``
-share one fraction-free (Bareiss) elimination.
+factors; callers asking several of these of one matrix keep it.  No report
+path takes one.  Kernels, saturations, solves, ranks and determinants need
+no Smith form: ``kernel_basis`` reads the kernel off the Hermite form of
+[A^T | I], ``saturate_columns`` takes one such kernel of a congruence
+system, ``solve_echelon`` substitutes forward, and ``rank`` and
+``determinant`` share one fraction-free (Bareiss) elimination.  Nor does
+the cokernel of a boundary matrix (see ``ktheory``).
 """
 
 from __future__ import annotations

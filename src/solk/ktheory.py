@@ -5,8 +5,8 @@ matrix has one column per occurring germ class; K0 is its kernel, K1 its
 cokernel.  It is the incidence matrix of the class graph (edges as nodes,
 classes as arcs), so K0 is read off a spanning forest.  An incidence matrix
 is totally unimodular, so K1 is free, one generator per component of the
-class graph, and one Smith form of the boundary matrix gives it, the
-well-definedness check and psi1.  The connecting endomorphism acts on K0
+class graph; the component indicators give the well-definedness check and
+psi1, and no Smith form is taken.  The connecting endomorphism acts on K0
 through trace pullbacks along the induced self-map and on K1 through
 winding numbers; iterating gives the K-groups of the limit algebra as
 stationary inductive limits.
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .germs import GermClass, QuotientModel, quotient_summary
-from .intlin import CokernelStructure, IntMatrix, rank, restrict_endomorphism, smith_normal_form
+from .germs import GermClass, QuotientModel, edge_components, quotient_summary
+from .intlin import IntMatrix, rank, restrict_endomorphism
 from .limits import Classification, StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
 
@@ -103,11 +103,10 @@ def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=k)
 
 
-def k_theory_of_g0(
-    p: Presentation, model: QuotientModel
-) -> tuple[IntMatrix, CokernelStructure]:
-    """K0 (a kernel lattice basis, columns in class coordinates) and K1."""
-    return _boundary_k_theory(p, model)[1:3]
+def k_theory_of_g0(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, int]:
+    """K0 (a kernel lattice basis, columns in class coordinates) and the rank of K1."""
+    _, k0_basis, psi1 = _boundary_k_theory(p, model)
+    return k0_basis, psi1.rows
 
 
 def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -131,31 +130,16 @@ def first_edge_matrix(p: Presentation) -> IntMatrix:
     return IntMatrix.from_rows(entries, cols=n)
 
 
-@dataclass(frozen=True)
-class Psi1:
-    """Connecting endomorphism on K1 = cokernel of the boundary map.
-
-    K1 is free: matrix acts on its generators in Smith order, the component
-    indicators of the class graph, and moduli[i] = 0 is the (infinite) order
-    of the i-th generator.
-    """
-
-    matrix: IntMatrix
-    moduli: tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return self.matrix == IntMatrix.identity(self.matrix.rows)
-
-
-def psi_star_k1(p: Presentation, model: QuotientModel) -> Psi1:
+def psi_star_k1(p: Presentation, model: QuotientModel) -> IntMatrix:
     """Connecting endomorphism on K1, induced by the first-edge rule.
 
-    A winding concentrated on one edge pulls back to total winding 1 along
-    the image path, homotoped into its first edge.  Well-definedness on the
-    cokernel is checked: the rule must carry the image of the boundary map
-    into itself.
+    K1 is free on the components of the class graph, ordered by their last
+    edge.  A winding concentrated on one edge pulls back to total winding 1
+    along the image path, homotoped into its first edge.  Well-definedness on
+    the cokernel is checked: the rule must carry the image of the boundary
+    map into itself.
     """
-    return _boundary_k_theory(p, model)[3]
+    return _boundary_k_theory(p, model)[2]
 
 
 def _class_forest(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -190,31 +174,24 @@ def _class_forest(p: Presentation, model: QuotientModel) -> IntMatrix:
 
 def _boundary_k_theory(
     p: Presentation, model: QuotientModel
-) -> tuple[IntMatrix, IntMatrix, CokernelStructure, Psi1]:
-    """delta0, K0 from the spanning forest, and K1 and psi1 from one Smith
-    decomposition U delta0 V = D.  The pivots of an incidence matrix are 1,
-    so the rows of U past the rank map Z^edges onto K1 with kernel im delta0.
-    They are the 0/1 indicators of the class-graph components (each starts at
-    e_i for its own non-pivot edge i and gets only pivot rows subtracted;
-    checked below), so psi1 lifts each generator to one edge of its component.
+) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """delta0, K0 from the spanning forest, and psi1 on K1 = coker delta0.
+
+    The column of a class is e_in - e_out, so the 0/1 indicators of the
+    class-graph components vanish on im delta0 and map Z^edges onto K1 with
+    kernel im delta0 (an incidence matrix is totally unimodular).  Generator
+    k, the k-th component by last edge, lifts to its component's first edge.
     """
     delta0, E = boundary_matrix(p, model), first_edge_matrix(p)
     k0_basis = _class_forest(p, model)
-    snf = smith_normal_form(delta0)
-    k1 = snf.cokernel()
-    if k1.torsion:
-        raise RuntimeError(f"K1 of an incidence matrix has torsion {k1.torsion}")
-    c = k1.free_rank
-    gens = snf.U.submatrix(range(delta0.rows - c, delta0.rows), range(delta0.rows))
+    last = edge_components(model)
+    roots = sorted(set(last))
+    gens = IntMatrix.from_rows([[int(r == root) for r in last] for root in roots], cols=len(last))
     projected = gens @ E
     if not (projected @ delta0).is_zero():
         raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
-    # Lift generator k to the unit vector at the first edge of its component.
-    lifts = [next(i for i, x in enumerate(gens.row(k)) if x) for k in range(c)]
-    if gens.submatrix(range(c), lifts) != IntMatrix.identity(c):
-        raise RuntimeError("cokernel generators of delta0 are not component indicators")
-    psi1 = Psi1(matrix=projected.submatrix(range(c), lifts), moduli=(0,) * c)
-    return delta0, k0_basis, k1, psi1
+    lifts = [last.index(root) for root in roots]
+    return delta0, k0_basis, projected.submatrix(range(len(roots)), lifts)
 
 
 @dataclass(frozen=True)
@@ -228,12 +205,10 @@ class KTheoryReport:
     trace_pullback: IntMatrix
     k0_basis: IntMatrix
     psi0: IntMatrix
-    k1: CokernelStructure
-    psi1: Psi1
+    psi1: IntMatrix
     k0_limit: StationaryLimitGroup
     k0_classification: Classification
     k1_limit: StationaryLimitGroup
-    k1_torsion_limit: tuple[int, ...]
     k1_classification: Classification
     hausdorff: bool
     hausdorff_witness: tuple[GermClass, GermClass] | None
@@ -255,18 +230,18 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     summary = quotient_summary(p)
     model = with_class_order(summary.model, order)
 
-    delta0, k0_basis, k1, psi1 = _boundary_k_theory(p, model)
+    delta0, k0_basis, psi1 = _boundary_k_theory(p, model)
     pullback = trace_pullback_matrix(p, model)
     psi0 = restrict_endomorphism(pullback, k0_basis)
 
     k0_limit = make_limit(psi0)
-    k1_limit = make_limit(psi1.matrix)
+    k1_limit = make_limit(psi1)
 
     # Exactness bookkeeping for the six-term sequence.
     r = rank(delta0)
     if r + k0_basis.cols != len(model.classes):
         raise RuntimeError("rank(delta0) + rank(K0) differs from the number of classes")
-    if r + k1.free_rank != len(p.graph.edge_names()):
+    if r + psi1.rows != len(p.graph.edge_names()):
         raise RuntimeError("rank(delta0) + free rank(K1) differs from the number of edges")
 
     zn_target = None
@@ -281,12 +256,10 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
         trace_pullback=pullback,
         k0_basis=k0_basis,
         psi0=psi0,
-        k1=k1,
         psi1=psi1,
         k0_limit=k0_limit,
         k0_classification=k0_limit.classify(),
         k1_limit=k1_limit,
-        k1_torsion_limit=(),
         k1_classification=k1_limit.classify(),
         hausdorff=summary.hausdorff,
         hausdorff_witness=summary.hausdorff_witness,

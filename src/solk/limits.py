@@ -126,6 +126,11 @@ class StationaryLimitGroup:
         return v
 
     def classify(self) -> Classification:
+        """The classification of the limit, computed once per group."""
+        return self._classification
+
+    @cached_property
+    def _classification(self) -> Classification:
         t = self.reduced_endomorphism
         r = self.eventual_rank
         det = determinant(t)

@@ -20,7 +20,9 @@ it but validation rejects orientation-reversing substitutions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .intlin import IntMatrix
 
@@ -116,8 +118,12 @@ class EdgePath:
 @dataclass(frozen=True)
 class Presentation:
     graph: Graph
-    edge_map: dict[str, EdgePath]
-    vertex_map: dict[str, str]
+    edge_map: Mapping[str, EdgePath]
+    vertex_map: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_map", MappingProxyType(dict(self.edge_map)))
+        object.__setattr__(self, "vertex_map", MappingProxyType(dict(self.vertex_map)))
 
     def image(self, edge_name: str) -> EdgePath:
         return self.edge_map[edge_name]

@@ -58,6 +58,27 @@ map b -> b a b
 """
 
 
+# Three class-graph components, {e1, e2}, {e3} and {e0, e4, e5}; two are
+# non-trivial, and their order by last edge differs from the Smith order.
+THREE_COMPONENTS_TEXT = """solenoid v1
+vertex v0
+vertex v1
+edge e0 v1 v1
+edge e1 v0 v1
+edge e2 v1 v0
+edge e3 v0 v0
+edge e4 v1 v1
+edge e5 v1 v1
+map e0 -> e4 e5 e0 e5
+map e1 -> e4 e4 e0
+map e2 -> e5
+map e3 -> e2 e1 e2 e1
+map e4 -> e5 e5 e5 e0
+map e5 -> e4 e4 e4
+vmap v0 -> v1
+vmap v1 -> v1
+"""
+
 def n_solenoid_text(n: int) -> str:
     return "solenoid v1\nvertex p\nedge a p p\nmap a -> " + " ".join(["a"] * n) + "\n"
 

@@ -28,7 +28,8 @@ here: ``saturate_columns_oracle`` takes its two kernels with
 solving against the Smith form of ``T'``, as ``limits`` did before it used
 the adjugate.  ``psi1_oracle`` conjugates the first-edge matrix by the Smith
 transform ``U`` of the boundary matrix and reduces modulo the invariant
-factors, as ``ktheory`` did before it read psi1 off the cokernel rows of ``U``.
+factors, as ``ktheory`` did before it read psi1 off the class-graph
+components.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from solk.intlin import (
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
-from solk.ktheory import Psi1, edge_trace_row
+from solk.ktheory import edge_trace_row
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 
 
@@ -300,20 +301,19 @@ def solve_columns_oracle(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
     return X if B @ X == C else None
 
 
-def psi1_oracle(delta0: IntMatrix, E: IntMatrix) -> Psi1:
+def psi1_oracle(delta0: IntMatrix, E: IntMatrix) -> IntMatrix:
     """psi1 as U E U^-1 on the Smith generators of coker delta0, torsion rows reduced."""
     snf = smith_normal_form(delta0)
     m = delta0.rows
     diag = list(snf.diagonal()) + [0] * (m - min(delta0.rows, delta0.cols))
     conj = snf.U @ E @ invert_unimodular(snf.U)
     gens = [i for i in range(m) if diag[i] != 1]
-    moduli = tuple(diag[i] for i in gens)
     entries = []
     for gi in gens:
         for gj in gens:
             v = conj[gi, gj]
             entries.append(v % diag[gi] if diag[gi] > 1 else v)
-    return Psi1(matrix=IntMatrix(len(gens), len(gens), entries), moduli=moduli)
+    return IntMatrix(len(gens), len(gens), entries)
 
 
 def saturate_columns_oracle(A: IntMatrix) -> IntMatrix:

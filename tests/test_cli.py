@@ -3,6 +3,7 @@ import json
 import pytest
 
 import solk.germs
+import solk.intlin
 import solk.ktheory
 import solk.model
 from solk.cli import main
@@ -181,6 +182,16 @@ def test_command_runs_closure_and_validation_once(capsys, monkeypatch, aabab_fil
     assert validation == {"validate": 1}
 
 
+def test_command_classifies_each_limit_once(capsys, monkeypatch, aabab_file):
+    # The report classifies its two limits and the sft invariant its one; the
+    # JSON printer asks each group again and gets the stored classification.
+    determinants = count_calls(monkeypatch, solk.intlin, "determinant")
+    assert run(capsys, ["ktheory", aabab_file, "--json"])[0] == 0
+    assert determinants == {"determinant": 2}
+    assert run(capsys, ["sft", "--matrix", "1,1;1,1", "--json"])[0] == 0
+    assert determinants == {"determinant": 3}
+
+
 def test_exactness_failure_exit_3(capsys, monkeypatch, aabab_file):
     monkeypatch.setattr("solk.ktheory.rank", lambda A: -1)
     code, out, err = run(capsys, ["ktheory", aabab_file])
@@ -199,12 +210,20 @@ def test_not_well_defined_exit_3(capsys, monkeypatch, aabab_file):
 
 
 def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
-    # A boundary matrix is an incidence matrix, so K1 is free; a doubled one
-    # gives K1 the torsion Z/2, which the report rejects as an internal error.
+    # K1 is read off the class graph, not the boundary matrix; a boundary
+    # column e_in without its -e_out no longer matches the graph, and the
+    # report rejects it as an internal error.
     boundary = solk.ktheory.boundary_matrix
-    monkeypatch.setattr("solk.ktheory.boundary_matrix", lambda p, m: boundary(p, m).scale(2))
+
+    def broken_boundary(p, m):
+        rows = boundary(p, m).to_rows()
+        assert rows == [[0, 1, -1], [0, -1, 1]]
+        rows[1][1] = 0  # the lex class a|b: e_a - e_b becomes e_a
+        return IntMatrix.from_rows(rows, cols=3)
+
+    monkeypatch.setattr("solk.ktheory.boundary_matrix", broken_boundary)
     for argv in (["ktheory", aabab_file, "--json"], ["ktheory", aabab_file]):
         code, out, err = run(capsys, argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: ") and "torsion (2,)" in err
+        assert err.startswith("internal error: ")

@@ -11,6 +11,7 @@ from solk.germs import (
     occurring_classes,
     quotient_summary,
 )
+from solk.ktheory import with_class_order
 from solk.model import Dart, parse_presentation
 
 from helpers import (
@@ -161,6 +162,16 @@ def corpus():
         parse_presentation(THUE_MORSE_TEXT),
         parse_presentation(TWO_VERTEX_TEXT),
     ] + random_valid_presentations(seed=2024, count=30)
+
+
+def test_model_tables_are_read_only():
+    m = occurring_classes(aabab())
+    c = m.classes[0]
+    for model in (m, with_class_order(m, "paper")):
+        with pytest.raises(TypeError):
+            model.gtilde[c] = c
+        with pytest.raises(TypeError):
+            model.interior_preimage_table[c] = ()
 
 
 def test_closure_is_fixed_point():

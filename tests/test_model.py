@@ -257,6 +257,17 @@ def test_graph_name_index_is_not_part_of_equality_or_repr():
         g.edge("c")
 
 
+def test_presentation_maps_are_read_only():
+    edge_map = dict(aabab().edge_map)
+    p = Presentation(graph=aabab().graph, edge_map=edge_map, vertex_map={"p": "p"})
+    edge_map["a"] = edge_map["b"]  # the caller's dict is copied, not shared
+    assert p == aabab()
+    with pytest.raises(TypeError):
+        p.edge_map["a"] = p.edge_map["b"]
+    with pytest.raises(TypeError):
+        p.vertex_map["p"] = "q"
+
+
 def test_parse_builds_the_graph_once(monkeypatch):
     import solk.model
 

@@ -1,8 +1,8 @@
 """The linear-time closure, Boolean validation, one-factorization linear algebra,
 stabilization-index limits, reducing Hermite kernel, column-slice product,
 echelon-span limits, one-path saturation, echelon solve, spanning-forest K0,
-component-sum well-definedness, adjugate retraction and psi1 from the
-cokernel rows of the Smith transform against their straightforward oracles."""
+component-sum well-definedness, adjugate retraction and K1 and psi1 from the
+class-graph components against their straightforward oracles."""
 
 import itertools
 import random
@@ -41,6 +41,7 @@ from solk.model import _is_primitive, parse_presentation, validate
 from solk.sft import SftPresentation, edge_shift
 
 from helpers import (
+    THREE_COMPONENTS_TEXT,
     count_calls,
     cyclic_text,
     random_int_matrix,
@@ -476,6 +477,7 @@ def test_psi1_from_cokernel_rows_matches_conjugation_oracle():
     disconnected = 0
     for p, m in class_models():
         delta0, E = boundary_matrix(p, m), first_edge_matrix(p)
+        # On these models the components in last-edge order are in Smith order.
         assert psi_star_k1(p, m) == psi1_oracle(delta0, E)
         # The rows of U past the rank are the 0/1 indicators of the components.
         snf = smith_normal_form(delta0)
@@ -486,6 +488,31 @@ def test_psi1_from_cokernel_rows_matches_conjugation_oracle():
         assert supports == class_graph_components(p, m)
         disconnected += len(gens) > 1
     assert disconnected >= 10
+
+
+def test_psi1_is_the_smith_oracle_in_last_edge_order():
+    p = parse_presentation(THREE_COMPONENTS_TEXT)
+    model = occurring_classes(p)
+    for order in ("lex", "paper"):
+        m = with_class_order(model, order)
+        delta0, E = boundary_matrix(p, m), first_edge_matrix(p)
+        psi1 = psi_star_k1(p, m)
+        # e1 -> e4 ..., e3 -> e2 ...: {e1, e2} goes to {e0, e4, e5}, {e3} to {e1, e2}.
+        assert psi1.to_rows() == [[0, 1, 0], [0, 0, 0], [1, 0, 1]]
+        snf = smith_normal_form(delta0)
+        gens = snf.U.to_rows()[snf.rank():]
+        last = [max(i for i, x in enumerate(row) if x) for row in gens]
+        perm = sorted(range(len(gens)), key=last.__getitem__)
+        assert perm == [1, 0, 2]
+        assert psi1 == psi1_oracle(delta0, E).submatrix(perm, perm)
+
+
+def test_k1_rank_counts_the_class_graph_components():
+    for p, m in class_models():
+        k1_rank = psi_star_k1(p, m).rows
+        assert k1_rank == len(class_graph_components(p, m))
+        assert k1_rank == cokernel_oracle(boundary_matrix(p, m)).free_rank
+        assert quotient_summary(p).connected == (k1_rank == 1)
 
 
 def test_component_sums_decide_well_definedness_like_smith_solve(monkeypatch):
