@@ -8,7 +8,8 @@ Subcommands:
     limit --matrix "3"     classify a stationary limit lim(Z^r, T)
 
 Exit codes: 0 success, 1 validation errors, 2 parse or usage errors,
-3 internal-consistency errors (a failed exactness or well-definedness check).
+3 internal-consistency errors (a failed exactness or well-definedness check),
+141 stdout closed by its reader (as after SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .germs import DegreeNotConstant, GermClass, UnreachableVertex, quotient_summary
@@ -292,7 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the flush at exit goes to the null device, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -524,26 +524,27 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
 def solve_echelon(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
     """The solution X of B @ X = C for B in column echelon form, or None.
 
-    Forward substitution on the pivot rows (the first nonzero row of each
-    column, strictly increasing, as in a column HNF) with exact division,
-    then a check of B @ X == C; any other B goes through ``solve_columns``.
+    Forward substitution on the pivot rows (each column's first nonzero row,
+    strictly increasing, as in a column HNF) solves those rows exactly; only
+    the other rows are checked.  Any other B goes through ``solve_columns``.
     """
     if B.rows != C.rows:
         raise ValueError("row count mismatch")
     pivots = [next((i for i, x in enumerate(B.col(j)) if x), B.rows) for j in range(B.cols)]
     if B.rows in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
         return solve_columns(B, C)
+    column_of = {i: j for j, i in enumerate(pivots)}
     coords: list[list[int]] = []  # entry j: the row of X along column j of B
-    for j, i in enumerate(pivots):
-        acc, row = list(C.row(i)), B.row(i)
+    for i in range(B.rows):  # columns with a pivot below row i are zero in it
+        acc, row, j = list(C.row(i)), B.row(i), column_of.get(i)
         for k, x in enumerate(coords):
             if row[k]:
                 acc = [a - row[k] * y for a, y in zip(acc, x)]
-        if any(a % row[j] for a in acc):
+        if any(acc) if j is None else any(a % row[j] for a in acc):
             return None
-        coords.append([a // row[j] for a in acc])
-    X = IntMatrix.from_rows(coords, cols=C.cols)
-    return X if B @ X == C else None
+        if j is not None:
+            coords.append([a // row[j] for a in acc])
+    return IntMatrix.from_rows(coords, cols=C.cols)
 
 
 def in_column_lattice(B: IntMatrix, v: Sequence[int]) -> bool:
@@ -602,9 +603,10 @@ def echelon_span(A: IntMatrix) -> IntMatrix:
     Each column has a positive pivot at its first nonzero row, zeros in the
     other pivot rows and content 1 (Gauss-Jordan elimination that divides by
     the content after every update), so the basis depends only on the Q-span.
+    A repeated column, as in the transfer matrix of an edge shift, goes in once.
     """
     basis: dict[int, list[int]] = {}  # pivot row -> column
-    for v in A.transpose().to_rows():
+    for v in map(list, dict.fromkeys(map(A.col, range(A.cols)))):
         for c, b in basis.items():
             if v[c]:
                 v = _primitive([b[c] * x - v[c] * y for x, y in zip(v, b)])

@@ -6,9 +6,11 @@ k <= r the stabilization index: the first k with rank T^(k+1) == rank T^k.
 No power of T is multiplied out to find it: from the echelon basis of the
 Q-span of im T on, a basis E is replaced by that of T E until its rank stops
 dropping; if T has full rank, L is Z^r and T' is T.  Saturating the basis and
-restricting T to it take no Smith form.  Every element of the limit is
-represented at some stage s by a vector in the coordinates of L, with (s, v)
-identified with (s+1, T'v); adj(T') and det(T') retract it to its least stage.
+restricting T to it take no Smith form; T' solves E T' = T E with the last
+product kept, unless a pivot of E is not 1 and saturation changes E.  Every
+element is represented at some stage s by a vector in the coordinates of L,
+with (s, v) identified with (s+1, T'v); adj(T') and det(T') retract it to its
+least stage.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from functools import cached_property
 
 from .intlin import (
     IntMatrix,
+    NotInvariant,
     adjugate,
     column_hnf,
     determinant,
     echelon_span,
-    restrict_endomorphism,
     saturate_columns,
     smith_normal_form,
     solve_echelon,
@@ -59,19 +61,22 @@ class StationaryLimitGroup:
             raise ValueError("endomorphism must be square")
         self.ambient_rank = endomorphism.rows
         self.endomorphism = endomorphism
-        # Echelon bases of the Q-spans of im T^j until the rank stops dropping.
-        span, k = IntMatrix.identity(endomorphism.rows), 0
-        nxt = echelon_span(endomorphism)
-        while nxt.cols < span.cols:
-            span, k = nxt, k + 1
-            nxt = echelon_span(endomorphism @ span)
+        # Echelon bases of im T^j until the rank stops dropping; image is T @ span.
+        rank, image, k = endomorphism.rows, endomorphism, 0
+        while (nxt := echelon_span(image)).cols < rank:
+            span, rank, k = nxt, nxt.cols, k + 1
+            image = endomorphism @ span
         self.stabilization_index = k
         if k == 0:  # T has full rank: the eventual lattice is Z^r and T' is T
-            self.eventual_basis, self.reduced_endomorphism = span, endomorphism
+            self.eventual_basis, self.reduced_endomorphism = IntMatrix.identity(rank), endomorphism
         else:
             self.eventual_basis = saturate_columns(span)
-            self.reduced_endomorphism = restrict_endomorphism(endomorphism, self.eventual_basis)
-        self.eventual_rank = self.eventual_basis.cols
+            if self.eventual_basis != span:  # a pivot was not 1: multiply again
+                image = endomorphism @ self.eventual_basis
+            self.reduced_endomorphism = solve_echelon(self.eventual_basis, image)
+            if self.reduced_endomorphism is None:
+                raise NotInvariant("image of the eventual lattice is not contained in it")
+        self.eventual_rank = rank
 
     # -- elements ---------------------------------------------------------
 

@@ -15,6 +15,7 @@ from solk import (
     parse_presentation,
     validate,
 )
+from solk.sft import SftPresentation, edge_shift
 
 AABAB_TEXT = """solenoid v1
 vertex p
@@ -133,6 +134,19 @@ def wedge_text(k: int) -> str:
     lines = ["solenoid v1", "vertex p"] + [f"edge {e} p p" for e in names]
     lines += [f"map {e} -> {' '.join(w)}" for e, w in images.items()]
     return "\n".join(lines) + "\n"
+
+
+def dense_edge_shift() -> IntMatrix:
+    """Transfer matrix of the 56-state edge shift of an 8-state matrix with
+    7 transitions per state (one seeded zero in each row and column)."""
+    missing = random.Random(56).sample(range(8), 8)
+    rows = [[0 if j == missing[i] else 1 for j in range(8)] for i in range(8)]
+    return edge_shift(SftPresentation.from_matrix(rows)).adjacency.transpose()
+
+
+def matrix_flag(m: IntMatrix) -> str:
+    """The ``--matrix`` value of ``solk sft`` and ``solk limit`` for m."""
+    return ";".join(",".join(map(str, row)) for row in m.to_rows())
 
 
 def random_int_matrix(rng: random.Random, max_dim: int = 6, lo: int = -5, hi: int = 5) -> IntMatrix:

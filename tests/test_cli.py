@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import solk
 import solk.germs
 import solk.intlin
 import solk.ktheory
@@ -140,6 +145,23 @@ def test_limit_command_json(capsys):
     assert obj["eventual_rank"] == 1
     assert obj["reduced_endomorphism"] == [[2]]
     assert obj["classification"] == "ZOneOver(2)"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The read end is closed before the child starts, so its first write fails:
+    # no race with a reader that exits early, as `solk limit ... | head -1` has.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solk.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "solk.cli", "limit", "--matrix", "3,1;0,2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_n_solenoid_end_to_end(capsys, tmp_path):

@@ -1,8 +1,11 @@
-"""Byte-for-byte golden reports of `solk classes` and `solk ktheory`.
+"""Byte-for-byte golden reports of `solk classes`, `solk ktheory`, `solk sft`
+and `solk limit`.
 
 Each file under tests/golden/ is the exact stdout of one command on one
-fixture, in text or --json form, under the lex or paper class order.  The
-wedges with 24, 32 and 40 loops are too large to keep whole:
+fixture, in text or --json form, under the lex or paper class order;
+edge_shift_56.sft.json and edge_shift_56.limit.json hold `solk sft --json`
+and `solk limit --json` with tests/helpers.py `dense_edge_shift()` as the
+matrix.  The wedges with 24, 32 and 40 loops are too large to keep whole:
 tests/golden/wedges.sha256 holds the SHA-256 of their `solk ktheory --json`
 in both orders.  The wedge-24 digests are checked here; CI checks all six with
 
@@ -32,12 +35,15 @@ from helpers import (
     FIBONACCI_TEXT,
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
+    dense_edge_shift,
+    matrix_flag,
     n_solenoid_text,
     wedge_text,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 WEDGE_DIGESTS = GOLDEN / "wedges.sha256"
+MATRIX_COMMANDS = ("sft", "limit")
 WEDGE_CASES = [f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40) for order in ("lex", "paper")]
 
 # name -> (presentation text, expected exit code)
@@ -68,12 +74,19 @@ def _case_id(fixture: str, command: str, order: str, fmt: str) -> str:
     return f"{fixture}.{command}.{order}.{fmt}"
 
 
-def _run(path: pathlib.Path, command: str, order: str, fmt: str) -> tuple[int, str]:
-    argv = [command, str(path), "--order", order] + (["--json"] if fmt == "json" else [])
+def _main(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+def _run(path: pathlib.Path, command: str, order: str, fmt: str) -> tuple[int, str]:
+    return _main([command, str(path), "--order", order] + (["--json"] if fmt == "json" else []))
+
+
+def _run_matrix(command: str) -> tuple[int, str]:
+    return _main([command, "--matrix", matrix_flag(dense_edge_shift()), "--json"])
 
 
 @pytest.mark.parametrize("fixture,command,order,fmt", CASES, ids=[_case_id(*c) for c in CASES])
@@ -85,6 +98,13 @@ def test_report_matches_golden(tmp_path, fixture, command, order, fmt):
     assert code == expected_code
     golden = (GOLDEN / _case_id(fixture, command, order, fmt)).read_text(encoding="utf-8")
     assert out == golden
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_edge_shift_56_matches_golden(command):
+    code, out = _run_matrix(command)
+    assert code == 0
+    assert out == (GOLDEN / f"edge_shift_56.{command}.json").read_text(encoding="utf-8")
 
 
 def wedge_digest(tmp: pathlib.Path, case_id: str) -> str:
@@ -130,6 +150,11 @@ def record() -> None:
             if code != expected_code:
                 raise SystemExit(f"{_case_id(fixture, command, order, fmt)}: exit {code}")
             (GOLDEN / _case_id(fixture, command, order, fmt)).write_text(out, encoding="utf-8")
+        for command in MATRIX_COMMANDS:
+            code, out = _run_matrix(command)
+            if code != 0:
+                raise SystemExit(f"edge_shift_56.{command}: exit {code}")
+            (GOLDEN / f"edge_shift_56.{command}.json").write_text(out, encoding="utf-8")
         digests = [f"{wedge_digest(pathlib.Path(tmp), c)}  {c}\n" for c in WEDGE_CASES]
     WEDGE_DIGESTS.write_text("".join(digests), encoding="utf-8")
 

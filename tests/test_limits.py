@@ -3,7 +3,7 @@ import random
 import pytest
 
 import solk.intlin
-from solk.intlin import IntMatrix, determinant
+from solk.intlin import IntMatrix, NotInvariant, determinant
 from solk.limits import (
     StationaryLimitGroup,
     element_add,
@@ -13,9 +13,8 @@ from solk.limits import (
     make_limit,
     stationary_torsion_limit,
 )
-from solk.sft import SftPresentation, edge_shift
 
-from helpers import count_calls, random_unimodular, record_calls
+from helpers import count_calls, dense_edge_shift, random_unimodular, record_calls
 
 
 def M(rows):
@@ -250,6 +249,31 @@ def test_from_ambient_outside_eventual_lattice_is_runtime_error(monkeypatch):
         g.from_ambient(0, (1, 1))
 
 
+def test_eventual_lattice_not_invariant_raises(monkeypatch):
+    # The restriction solves E T' = T E with the kept product; a failed solve
+    # is a real error, also under -O.
+    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
+    with pytest.raises(NotInvariant):
+        make_limit(M([[1, 1], [1, 1]]))
+
+
+def test_saturation_that_changes_the_basis_multiplies_once_more(monkeypatch):
+    # im T is spanned by (2, 0, 1) and (0, 2, 1), echelon pivots 2; the
+    # saturation adds (1, 1, 1), so the kept product T E cannot serve.
+    T = M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])
+    matmul, products = IntMatrix.__matmul__, []
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
+    )
+    g = StationaryLimitGroup(T)
+    monkeypatch.undo()
+    assert g.stabilization_index == 1
+    assert sum(products) == 2
+    assert g.eventual_basis.to_rows() == [[1, 0], [1, 2], [1, 1]]
+    assert g.reduced_endomorphism.to_rows() == [[2, 0], [0, 2]]
+    assert T @ g.eventual_basis == g.eventual_basis @ g.reduced_endomorphism
+
+
 def test_torsion_limit_relations_outside_image_is_runtime_error(monkeypatch):
     monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
     with pytest.raises(RuntimeError, match="relations lattice"):
@@ -272,14 +296,6 @@ def test_element_operations_factor_each_matrix_once(monkeypatch):
     assert powers == []
 
 
-def dense_edge_shift() -> IntMatrix:
-    """Transfer matrix of the 56-state edge shift of an 8-state matrix with
-    7 transitions per state (one seeded zero in each row and column)."""
-    missing = random.Random(56).sample(range(8), 8)
-    rows = [[0 if j == missing[i] else 1 for j in range(8)] for i in range(8)]
-    return edge_shift(SftPresentation.from_matrix(rows)).adjacency.transpose()
-
-
 def nilpotent_shift(n: int) -> IntMatrix:
     return IntMatrix(n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)])
 
@@ -295,7 +311,10 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
         IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
     )
     g = StationaryLimitGroup(T)
-    assert sum(products) <= T.rows + 1
+    # One product per step of the span iteration; restricting T to the
+    # saturated basis (the span itself here) reuses the last one.
+    assert g.eventual_basis == solk.intlin.echelon_span(g.eventual_basis)
+    assert sum(products) == g.stabilization_index
     for m in (g.eventual_basis, g.reduced_endomorphism):
         assert all(-(2**63) <= x < 2**63 for row in m.to_rows() for x in row)
 

@@ -364,6 +364,26 @@ def test_echelon_span_matches_rational_gauss_jordan():
         assert E.cols == rank(A)
 
 
+def test_echelon_span_of_repeated_columns_matches_rational_gauss_jordan():
+    # Repeated, negated, scaled and zero columns: the distinct ones go in once,
+    # and the basis depends only on the Q-span.
+    rng = random.Random(67)
+    for A in normal_form_stream(seed=71, count=200):
+        extra = []
+        for j in range(A.cols):
+            col, c = A.col(j), rng.randint(2, 5)
+            extra += [col, col, tuple(-x for x in col), tuple(c * x for x in col)]
+        cols = [A.col(j) for j in range(A.cols)] + extra + [(0,) * A.rows]
+        rng.shuffle(cols)
+        B = IntMatrix.from_rows(cols, cols=A.rows).transpose()
+        E, want = echelon_span(B), echelon_span_oracle(B)
+        assert (E.shape, E._entries) == (want.shape, want._entries)
+        assert E == echelon_span(A)
+    edge = M([[1, 1, 0, 1, 1], [0, 0, 1, 0, 0], [1, 1, 0, 1, 1]])  # three equal columns
+    assert echelon_span(edge) == echelon_span_oracle(edge)
+    assert echelon_span(edge).to_rows() == [[1, 0], [0, 1], [1, 0]]
+
+
 def saturation_cases():
     M = IntMatrix.from_rows
     yield from normal_form_stream(seed=53, count=480)
@@ -428,9 +448,34 @@ def test_echelon_solve_matches_smith_solve():
     assert solve_echelon(B, IntMatrix.column([2, 1, 1])) is None
     assert solve_columns(B, IntMatrix.column([2, 1, 1])) is None
     assert solve_echelon(B, IntMatrix.column([2, 2, 1])).to_rows() == [[1], [1]]
+    # Only a row off the pivots is wrong: the pivot rows alone would give X = (1, 1).
+    B = IntMatrix.from_rows([[1, 0], [3, 0], [0, 2], [5, 7]])
+    assert solve_echelon(B, IntMatrix.column([1, 3, 2, 11])) is None
+    assert solve_columns(B, IntMatrix.column([1, 3, 2, 11])) is None
+    assert solve_echelon(B, IntMatrix.column([1, 3, 2, 12])).to_rows() == [[1], [1]]
     # A basis not in column echelon form goes through the Smith-form solve.
     B = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert solve_echelon(B, IntMatrix.column([3, 5])).to_rows() == [[5], [3]]
+
+
+def test_echelon_solve_on_tall_bases_matches_smith_solve():
+    # Many more rows than pivots, as for an eventual basis: only the rows off
+    # the pivots are checked, and a single wrong one must still give None.
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(150):
+        rows, cols = rng.randint(4, 12), rng.randint(0, 3)
+        B = column_hnf(IntMatrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)]))
+        pivots = {next(i for i, x in enumerate(B.col(j)) if x) for j in range(B.cols)}
+        X = IntMatrix(B.cols, 2, [rng.randint(-3, 3) for _ in range(B.cols * 2)])
+        C = (B @ X).to_rows()
+        off = rng.choice([i for i in range(rows) if i not in pivots])
+        C[off][rng.randrange(2)] += rng.choice([-1, 1])
+        for C in (B @ X, IntMatrix.from_rows(C, cols=2)):
+            got = solve_echelon(B, C)
+            assert got == solve_columns(B, C)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_one_pass_trace_pullback_matches_class_scan_oracle():
