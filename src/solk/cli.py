@@ -20,7 +20,9 @@ import json
 import os
 import sys
 
-from .germs import DegreeNotConstant, GermClass, UnreachableVertex, quotient_summary
+from .germs import (
+    DegreeNotConstant, GermClass, QuotientSummary, UnreachableVertex, quotient_summary,
+)
 from .intlin import IntMatrix
 from .ktheory import InvalidPresentation, KTheoryReport, ktheory_report, with_class_order
 from .limits import StationaryLimitGroup, make_limit
@@ -128,9 +130,7 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-# The quotient diagnostics are read from a QuotientSummary or a
-# KTheoryReport, which share these five field names.
-def _diagnostics_json(d) -> dict:
+def _diagnostics_json(d: QuotientSummary) -> dict:
     return {
         "hausdorff": d.hausdorff,
         "hausdorff_witness": (
@@ -142,7 +142,7 @@ def _diagnostics_json(d) -> dict:
     }
 
 
-def _print_diagnostics(d) -> None:
+def _print_diagnostics(d: QuotientSummary) -> None:
     print("diagnostics:")
     print(f"  hausdorff: {'yes' if d.hausdorff else 'no'}")
     if d.hausdorff_witness:
@@ -155,11 +155,11 @@ def _print_diagnostics(d) -> None:
 
 
 def _report_json(r: KTheoryReport) -> dict:
-    class_labels = [_class_label(c) for c in r.classes]
+    class_labels = [_class_label(c) for c in r.model.classes]
     return {
-        "classes": [_class_json(c) for c in r.classes],
+        "classes": [_class_json(c) for c in r.model.classes],
         "delta0": {
-            "row_labels": list(r.edges),
+            "row_labels": list(r.model.edge_points),
             "col_labels": class_labels,
             "entries": r.delta0.to_rows(),
         },
@@ -173,7 +173,7 @@ def _report_json(r: KTheoryReport) -> dict:
         "psi1": {"entries": r.psi1.to_rows(), "moduli": [0] * r.psi1.rows},
         "k0_limit": _limit_json(r.k0_limit),
         "k1_limit": {"free": _limit_json(r.k1_limit), "torsion_limit": []},
-        "diagnostics": {**_diagnostics_json(r), "zn_target": r.zn_target},
+        "diagnostics": {**_diagnostics_json(r.summary), "zn_target": r.zn_target},
     }
 
 
@@ -187,12 +187,11 @@ def _cmd_ktheory(args) -> int:
     if args.json:
         _emit_json(_report_json(r))
         return 0
-    for f in r.validation.warnings():
-        print(f"warning: [{f.code}] {f.message}")
-    class_labels = [_class_label(c) for c in r.classes]
+    _print_findings(r.validation)
+    class_labels = [_class_label(c) for c in r.model.classes]
     print(f"classes ({r.order} order): " + ", ".join(class_labels))
     print("boundary matrix (rows = edges, cols = classes):")
-    _print_matrix(r.delta0, row_labels=list(r.edges))
+    _print_matrix(r.delta0, row_labels=list(r.model.edge_points))
     print(f"K0 of the cell algebra: free of rank {r.k0_basis.cols}")
     print("  basis columns (class coordinates):")
     _print_matrix(r.k0_basis, row_labels=class_labels, indent="    ")
@@ -201,11 +200,11 @@ def _cmd_ktheory(args) -> int:
     _print_matrix(r.psi0)
     print("connecting endomorphism on K1 (cokernel generators):")
     _print_matrix(r.psi1)
-    print(f"K0 of the limit algebra: {r.k0_classification}")
-    print(f"K1 of the limit algebra: {r.k1_classification}")
+    print(f"K0 of the limit algebra: {r.k0_limit.classify()}")
+    print(f"K1 of the limit algebra: {r.k1_limit.classify()}")
     if r.zn_target:
         print(f"trace target: {r.zn_target}")
-    _print_diagnostics(r)
+    _print_diagnostics(r.summary)
     return 0
 
 
@@ -231,8 +230,7 @@ def _cmd_sft(args) -> int:
             }
         )
         return 0
-    for f in report.warnings():
-        print(f"warning: [{f.code}] {f.message}")
+    _print_findings(report)
     print(f"K0: {dg.k0_classification}")
     print(f"K1: {dg.k1}")
     return 0

@@ -96,20 +96,13 @@ def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     return tuple(seen)
 
 
-def _dart_image(p: Presentation, d: Dart) -> tuple[Dart, ...]:
-    img = p.edge_map[d.edge].darts
-    return img if d.forward else tuple(x.reversed() for x in reversed(img))
-
-
 def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
     """Image of a germ class under the induced map on the quotient.
 
     The class maps to (last dart of the image of the incoming dart, first
     dart of the image of the outgoing dart) at the image vertex.
     """
-    in_img = _dart_image(p, c.in_dart)
-    out_img = _dart_image(p, c.out_dart)
-    return _germ(p, in_img[-1], out_img[0])
+    return _germ(p, p.dart_image(c.in_dart)[-1], p.dart_image(c.out_dart)[0])
 
 
 def _all_germs(p: Presentation) -> list[GermClass]:

@@ -526,13 +526,13 @@ def solve_echelon(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
 
     Forward substitution on the pivot rows (each column's first nonzero row,
     strictly increasing, as in a column HNF) solves those rows exactly; only
-    the other rows are checked.  Any other B goes through ``solve_columns``.
+    the other rows are checked.  Raises ValueError for any other B.
     """
     if B.rows != C.rows:
         raise ValueError("row count mismatch")
     pivots = [next((i for i, x in enumerate(B.col(j)) if x), B.rows) for j in range(B.cols)]
     if B.rows in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        return solve_columns(B, C)
+        raise ValueError("B is not in column echelon form")
     column_of = {i: j for j, i in enumerate(pivots)}
     coords: list[list[int]] = []  # entry j: the row of X along column j of B
     for i in range(B.rows):  # columns with a pivot below row i are zero in it
@@ -554,6 +554,7 @@ def in_column_lattice(B: IntMatrix, v: Sequence[int]) -> bool:
 def restrict_endomorphism(T: IntMatrix, B: IntMatrix) -> IntMatrix:
     """Matrix S with T @ B = B @ S, i.e. T written in the columns of B.
 
+    B must be in column echelon form (see ``solve_echelon``), else ValueError.
     Raises NotInvariant when T does not carry the column lattice of B into
     itself.
     """

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .germs import GermClass, QuotientModel, edge_components, quotient_summary
+from .germs import GermClass, QuotientModel, QuotientSummary, edge_components, quotient_summary
 from .intlin import IntMatrix, rank, restrict_endomorphism
-from .limits import Classification, StationaryLimitGroup, make_limit
+from .limits import StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
 
 
@@ -58,18 +58,12 @@ def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     order.  The column of a class with equal incoming and outgoing edge is
     zero.
     """
-    edges = p.graph.edge_names()
-    idx = {e: i for i, e in enumerate(edges)}
-    cols = []
-    for c in model.classes:
-        col = [0] * len(edges)
-        col[idx[c.in_edge]] += 1
-        col[idx[c.out_edge]] -= 1
-        cols.append(col)
-    return IntMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(len(edges))],
-        cols=len(cols),
-    )
+    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
+    rows = [[0] * len(model.classes) for _ in idx]
+    for j, c in enumerate(model.classes):
+        rows[idx[c.in_edge]][j] += 1
+        rows[idx[c.out_edge]][j] -= 1
+    return IntMatrix.from_rows(rows, cols=len(model.classes))
 
 
 def edge_trace_row(p: Presentation, model: QuotientModel, edge: str) -> tuple[int, ...]:
@@ -199,22 +193,15 @@ class KTheoryReport:
     """Everything the pipeline computes for one presentation."""
 
     order: str
-    classes: tuple[GermClass, ...]
-    edges: tuple[str, ...]
+    model: QuotientModel  # summary.model with its classes in ``order``
+    summary: QuotientSummary
     delta0: IntMatrix
     trace_pullback: IntMatrix
     k0_basis: IntMatrix
     psi0: IntMatrix
     psi1: IntMatrix
     k0_limit: StationaryLimitGroup
-    k0_classification: Classification
     k1_limit: StationaryLimitGroup
-    k1_classification: Classification
-    hausdorff: bool
-    hausdorff_witness: tuple[GermClass, GermClass] | None
-    connected: bool
-    degree: int | None
-    nuclear_dimension_bound: int
     zn_target: str | None
     validation: ValidationReport
 
@@ -234,9 +221,6 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     pullback = trace_pullback_matrix(p, model)
     psi0 = restrict_endomorphism(pullback, k0_basis)
 
-    k0_limit = make_limit(psi0)
-    k1_limit = make_limit(psi1)
-
     # Exactness bookkeeping for the six-term sequence.
     r = rank(delta0)
     if r + k0_basis.cols != len(model.classes):
@@ -250,22 +234,15 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
 
     return KTheoryReport(
         order=order,
-        classes=model.classes,
-        edges=p.graph.edge_names(),
+        model=model,
+        summary=summary,
         delta0=delta0,
         trace_pullback=pullback,
         k0_basis=k0_basis,
         psi0=psi0,
         psi1=psi1,
-        k0_limit=k0_limit,
-        k0_classification=k0_limit.classify(),
-        k1_limit=k1_limit,
-        k1_classification=k1_limit.classify(),
-        hausdorff=summary.hausdorff,
-        hausdorff_witness=summary.hausdorff_witness,
-        connected=summary.connected,
-        degree=summary.degree,
-        nuclear_dimension_bound=summary.nuclear_dimension_bound,
+        k0_limit=make_limit(psi0),
+        k1_limit=make_limit(psi1),
         zn_target=zn_target,
         validation=report,
     )

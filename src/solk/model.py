@@ -125,8 +125,10 @@ class Presentation:
         object.__setattr__(self, "edge_map", MappingProxyType(dict(self.edge_map)))
         object.__setattr__(self, "vertex_map", MappingProxyType(dict(self.vertex_map)))
 
-    def image(self, edge_name: str) -> EdgePath:
-        return self.edge_map[edge_name]
+    def dart_image(self, d: Dart) -> tuple[Dart, ...]:
+        """The image path of a dart; a reversed dart runs its edge's image backwards."""
+        img = self.edge_map[d.edge].darts
+        return img if d.forward else tuple(x.reversed() for x in reversed(img))
 
 
 @dataclass(frozen=True)
@@ -297,13 +299,10 @@ def substitution_power(p: Presentation, k: int) -> Presentation:
         raise ValueError("power must be >= 1")
     result = p
     for _ in range(k - 1):
-        new_map = {}
-        for e in p.graph.edge_names():
-            darts: list[Dart] = []
-            for d in result.edge_map[e].darts:
-                img = p.edge_map[d.edge].darts
-                darts.extend(img if d.forward else tuple(x.reversed() for x in reversed(img)))
-            new_map[e] = EdgePath(tuple(darts))
+        new_map = {
+            e: EdgePath(tuple(x for d in result.edge_map[e].darts for x in p.dart_image(d)))
+            for e in p.graph.edge_names()
+        }
         new_vmap = {v: p.vertex_map[result.vertex_map[v]] for v in p.graph.vertices}
         result = Presentation(graph=p.graph, edge_map=new_map, vertex_map=new_vmap)
     return result

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .intlin import IntMatrix
 from .limits import Classification, StationaryLimitGroup, make_limit
-from .model import Finding, ValidationReport
+from .model import Finding, ValidationReport, _bool_product
 
 
 @dataclass(frozen=True)
@@ -32,23 +32,12 @@ class SftPresentation:
 
 
 def _strongly_connected(A: IntMatrix) -> bool:
+    """Whether (I + A)^(2^k) is all ones, k = n.bit_length(): every state reaches every other."""
     n = A.rows
-    if n == 0:
-        return True
-
-    def reach(start: int, forward: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                linked = A[i, j] > 0 if forward else A[j, i] > 0
-                if linked and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reach(0, True)) == n and len(reach(0, False)) == n
+    reach = [(1 << i) | sum(1 << j for j, x in enumerate(A.row(i)) if x > 0) for i in range(n)]
+    for _ in range(n.bit_length()):
+        reach = _bool_product(reach, reach)
+    return all(row == (1 << n) - 1 for row in reach)
 
 
 def validate_sft(s: SftPresentation) -> ValidationReport:

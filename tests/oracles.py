@@ -29,7 +29,9 @@ solving against the Smith form of ``T'``, as ``limits`` did before it used
 the adjugate.  ``psi1_oracle`` conjugates the first-edge matrix by the Smith
 transform ``U`` of the boundary matrix and reduces modulo the invariant
 factors, as ``ktheory`` did before it read psi1 off the class-graph
-components.
+components.  ``strongly_connected_oracle`` is the forward and backward
+depth-first search from state 0 that ``sft`` had before it squared the
+Boolean pattern of I + A.
 """
 
 from __future__ import annotations
@@ -512,3 +514,23 @@ def trace_pullback_matrix_oracle(p: Presentation, model: QuotientModel) -> IntMa
                 row[j] += x
         rows.append(row)
     return IntMatrix.from_rows(rows, cols=k)
+
+
+def strongly_connected_oracle(A: IntMatrix) -> bool:
+    n = A.rows
+    if n == 0:
+        return True
+
+    def reach(start: int, forward: bool) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                linked = A[i, j] > 0 if forward else A[j, i] > 0
+                if linked and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    return len(reach(0, True)) == n and len(reach(0, False)) == n

@@ -64,8 +64,8 @@ def test_criterion_1_aabab_golden():
         r = ktheory_report(p, order="paper")
         elapsed = time.perf_counter() - start
 
-        assert [germ_pair(c) for c in r.classes] == [("b", "a"), ("a", "b"), ("a", "a")]
-        assert len(r.classes) == 3
+        assert [germ_pair(c) for c in r.model.classes] == [("b", "a"), ("a", "b"), ("a", "a")]
+        assert len(r.model.classes) == 3
         assert r.delta0.to_rows() == [[-1, 1, 0], [1, -1, 0]]
         # K0 and K1 of the cell algebra.
         assert r.k0_basis.cols == 2
@@ -77,8 +77,8 @@ def test_criterion_1_aabab_golden():
         assert restrict_endomorphism(r.trace_pullback, alpha_beta).to_rows() == [[2, 1], [1, 1]]
         assert r.psi0.to_rows() == [[2, 1], [1, 1]]
         assert r.psi1 == IntMatrix.identity(1)
-        assert str(r.k0_classification) == "FreeAbelian(2)"
-        assert str(r.k1_classification) == "FreeAbelian(1)"
+        assert str(r.k0_limit.classify()) == "FreeAbelian(2)"
+        assert str(r.k1_limit.classify()) == "FreeAbelian(1)"
         assert elapsed < 1.0
 
     _checked("1 (aab/ab golden values)", body)
@@ -114,13 +114,13 @@ def test_criterion_3_n_solenoids():
             start = time.perf_counter()
             r = ktheory_report(n_solenoid(n))
             elapsed = time.perf_counter() - start
-            assert len(r.classes) == 1
+            assert len(r.model.classes) == 1
             assert r.delta0.to_rows() == [[0]]
             assert r.psi0.to_rows() == [[n]]
-            assert str(r.k0_classification) == f"ZOneOver({n})"
+            assert str(r.k0_limit.classify()) == f"ZOneOver({n})"
             assert r.psi1.rows == 1
             assert r.psi1 == IntMatrix.identity(1)
-            assert str(r.k1_classification) == "FreeAbelian(1)"
+            assert str(r.k1_limit.classify()) == "FreeAbelian(1)"
             assert elapsed < 1.0
 
     _checked("3 (n-solenoid family)", body)
@@ -256,7 +256,7 @@ def test_criterion_6_fibonacci():
         assert same_column_lattice(kernel_basis(boundary_matrix(p, model)), alpha_beta)
         assert restrict_endomorphism(trace_pullback_matrix(p, model), alpha_beta) == wanted
         r = ktheory_report(p)
-        assert str(r.k0_classification) == "FreeAbelian(2)"
+        assert str(r.k0_limit.classify()) == "FreeAbelian(2)"
 
     _checked("6 (Fibonacci solenoid)", body)
 

@@ -127,6 +127,14 @@ def test_restrict_not_invariant():
         restrict_endomorphism(t, b)
 
 
+def test_restrict_needs_an_echelon_basis():
+    # The same lattice as test_restrict_pullback_examples, with its columns swapped.
+    b = IntMatrix.from_rows([[0, 1], [0, 1], [1, 0]])
+    t = IntMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 1]])
+    with pytest.raises(ValueError, match="echelon"):
+        restrict_endomorphism(t, b)
+
+
 def test_column_hnf_canonicalizes():
     b1 = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
     b2 = IntMatrix.from_rows([[1, 1], [1, 1], [0, 1]])  # same lattice, mixed basis

@@ -5,7 +5,7 @@ import solk.intlin
 import solk.ktheory
 import solk.limits
 import solk.model
-from solk.germs import occurring_classes
+from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import IntMatrix, rank, same_column_lattice
 from solk.ktheory import (
     InvalidPresentation,
@@ -149,37 +149,37 @@ def test_report_aabab():
     assert r.delta0.to_rows() == [[-1, 1, 0], [1, -1, 0]]
     assert r.k0_basis == ALPHA_BETA
     assert r.psi0.to_rows() == [[2, 1], [1, 1]]
-    assert str(r.k0_classification) == "FreeAbelian(2)"
+    assert str(r.k0_limit.classify()) == "FreeAbelian(2)"
     assert r.psi1 == IntMatrix.identity(1)
-    assert str(r.k1_classification) == "FreeAbelian(1)"
-    assert not r.hausdorff and r.connected and r.degree is None
-    assert r.nuclear_dimension_bound == 1
+    assert str(r.k1_limit.classify()) == "FreeAbelian(1)"
+    assert not r.summary.hausdorff and r.summary.connected and r.summary.degree is None
+    assert r.summary.nuclear_dimension_bound == 1
     assert r.zn_target is None
 
 
 def test_report_n_solenoid():
     for n in range(2, 7):
         r = ktheory_report(n_solenoid(n))
-        assert len(r.classes) == 1
+        assert len(r.model.classes) == 1
         assert r.delta0.to_rows() == [[0]]
         assert r.psi0.to_rows() == [[n]]
-        assert str(r.k0_classification) == f"ZOneOver({n})"
+        assert str(r.k0_limit.classify()) == f"ZOneOver({n})"
         assert r.psi1 == IntMatrix.identity(1)
-        assert str(r.k1_classification) == "FreeAbelian(1)"
-        assert r.degree == n
+        assert str(r.k1_limit.classify()) == "FreeAbelian(1)"
+        assert r.summary.degree == n
         assert r.zn_target == f"Z[1/{n}]"
 
 
 def test_report_doubling_cover():
     r = ktheory_report(parse_presentation(DOUBLING_TEXT))
-    assert str(r.k0_classification) == "ZOneOver(2)"
-    assert r.degree == 2
+    assert str(r.k0_limit.classify()) == "ZOneOver(2)"
+    assert r.summary.degree == 2
 
 
 def test_report_two_vertex_cover():
     r = ktheory_report(parse_presentation(TWO_VERTEX_TEXT))
-    assert str(r.k0_classification) == "ZOneOver(3)"
-    assert r.degree == 3
+    assert str(r.k0_limit.classify()) == "ZOneOver(3)"
+    assert r.summary.degree == 3
     assert r.zn_target == "Z[1/3]"
 
 
@@ -192,9 +192,22 @@ def test_report_thue_morse():
     assert r.psi0.to_rows() == [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
     assert r.k0_limit.eventual_rank == 2
     assert r.k0_limit.reduced_endomorphism.to_rows() == [[0, 1], [2, 1]]
-    assert r.k0_classification.kind == "generic"
-    assert not r.hausdorff
+    assert r.k0_limit.classify().kind == "generic"
+    assert not r.summary.hausdorff
     assert r.psi1 == IntMatrix.identity(1)
+
+
+def test_report_model_is_its_summary_model_in_the_report_order():
+    for p in corpus():
+        for order in ("lex", "paper"):
+            r = ktheory_report(p, order=order)
+            assert r.order == order
+            assert r.model == with_class_order(r.summary.model, order)
+
+
+def test_report_summary_equals_a_fresh_quotient_summary():
+    for p in corpus():
+        assert ktheory_report(p).summary == quotient_summary(p)
 
 
 def test_report_rejects_invalid_presentation():
@@ -289,11 +302,11 @@ def test_hausdorff_connected_trace_scaling():
     # tau(psi(a)) = n * tau(a) on the kernel when Hausdorff and connected.
     for p in corpus():
         r = ktheory_report(p)
-        if not (r.hausdorff and r.connected):
+        if not (r.summary.hausdorff and r.summary.connected):
             continue
-        n = r.degree
+        n = r.summary.degree
         pullback = r.trace_pullback
-        ones = [1] * len(r.classes)
+        ones = [1] * len(r.model.classes)
         lhs = [sum(ones[i] * pullback[i, j] for i in range(pullback.rows)) for j in range(pullback.cols)]
         diff = [a - n * b for a, b in zip(lhs, ones)]
         for j in range(r.k0_basis.cols):

@@ -38,7 +38,7 @@ from solk.ktheory import (
 )
 from solk.limits import StationaryLimitGroup
 from solk.model import _is_primitive, parse_presentation, validate
-from solk.sft import SftPresentation, edge_shift
+from solk.sft import SftPresentation, _strongly_connected, edge_shift, validate_sft
 
 from helpers import (
     THREE_COMPONENTS_TEXT,
@@ -65,6 +65,7 @@ from oracles import (
     psi1_oracle,
     saturate_columns_oracle,
     solve_columns_oracle,
+    strongly_connected_oracle,
     trace_pullback_matrix_oracle,
     validate_oracle,
 )
@@ -453,9 +454,11 @@ def test_echelon_solve_matches_smith_solve():
     assert solve_echelon(B, IntMatrix.column([1, 3, 2, 11])) is None
     assert solve_columns(B, IntMatrix.column([1, 3, 2, 11])) is None
     assert solve_echelon(B, IntMatrix.column([1, 3, 2, 12])).to_rows() == [[1], [1]]
-    # A basis not in column echelon form goes through the Smith-form solve.
-    B = IntMatrix.from_rows([[0, 1], [1, 0]])
-    assert solve_echelon(B, IntMatrix.column([3, 5])).to_rows() == [[5], [3]]
+    # A basis not in column echelon form is refused: pivots out of order, a
+    # repeated pivot row, a zero column.
+    for rows in ([[0, 1], [1, 0]], [[1, 2], [0, 1]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="echelon"):
+            solve_echelon(IntMatrix.from_rows(rows), IntMatrix.column([3, 5]))
 
 
 def test_echelon_solve_on_tall_bases_matches_smith_solve():
@@ -597,3 +600,23 @@ def test_adjugate_retraction_matches_smith_solve():
             assert (a.stage, a.vector) == (b.stage, b.vector)
             retracted += a.stage < stage
     assert 0 in ranks and retracted >= 50
+
+
+def test_strongly_connected_by_boolean_squaring_matches_search():
+    rng = random.Random(97)
+    fixed = [[], [[0]], [[1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]]
+    seeded = []
+    for _ in range(600):
+        n, density = rng.randrange(10), rng.random()
+        cells = [rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n * n)]
+        seeded.append([cells[i * n : i * n + n] for i in range(n)])
+    outcomes = set()
+    for rows in fixed + seeded:
+        A = IntMatrix.from_rows(rows, cols=len(rows))
+        want = strongly_connected_oracle(A)
+        assert _strongly_connected(A) == want
+        report = validate_sft(SftPresentation.from_matrix(rows))
+        reducible = any(f.code == "reducible" for f in report.warnings())
+        assert reducible == (report.ok and not want)
+        outcomes.add((report.ok, want))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
