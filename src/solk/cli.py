@@ -102,14 +102,13 @@ def _cmd_classes(args) -> int:
         return 1
     summary = quotient_summary(p)
     model = with_class_order(summary.model, args.order)
+    label = {c: _class_label(c) for c in model.classes}
     if args.json:
         obj = {
             "classes": [_class_json(c) for c in model.classes],
-            "gtilde": {
-                _class_label(c): _class_label(model.gtilde[c]) for c in model.classes
-            },
+            "gtilde": {label[c]: label[model.gtilde[c]] for c in model.classes},
             "interior_preimages": {
-                _class_label(c): [[e, i] for e, i in model.interior_preimage_table[c]]
+                label[c]: [[e, i] for e, i in model.interior_preimage_table[c]]
                 for c in model.classes
             },
             "diagnostics": _diagnostics_json(summary),
@@ -118,14 +117,14 @@ def _cmd_classes(args) -> int:
         return 0
     print(f"classes ({args.order} order):")
     for c in model.classes:
-        print(f"  {_class_label(c)}")
+        print(f"  {label[c]}")
     print("induced map:")
     for c in model.classes:
-        print(f"  {_class_label(c)} -> {_class_label(model.gtilde[c])}")
+        print(f"  {label[c]} -> {label[model.gtilde[c]]}")
     print("interior preimages:")
     for c in model.classes:
         pairs = ", ".join(f"({e},{i})" for e, i in model.interior_preimage_table[c]) or "-"
-        print(f"  {_class_label(c)} <- {pairs}")
+        print(f"  {label[c]} <- {pairs}")
     _print_diagnostics(summary)
     return 0
 

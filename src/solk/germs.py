@@ -4,14 +4,15 @@ A vertex point of the line presented by (Y, g) is remembered by the pair
 (incoming dart, outgoing dart) at that vertex; interior points of an edge
 form a single Hausdorff cell per edge.  This module computes which germ
 classes occur, the induced self-map on them, and the preimage data needed
-downstream.
+downstream.  The closure runs on integer germ numbers and builds a
+``GermClass`` only for a class that occurs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .model import Dart, Presentation
@@ -33,6 +34,15 @@ class GermClass:
     in_dart: Dart
     out_dart: Dart
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.vertex, self.in_dart, self.out_dart)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GermClass, (self.vertex, self.in_dart, self.out_dart)
+
     @property
     def in_edge(self) -> str:
         return self.in_dart.edge
@@ -42,7 +52,7 @@ class GermClass:
         return self.out_dart.edge
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.vertex, self.in_edge, self.out_edge)
+        return (self.vertex, self.in_dart.edge, self.out_dart.edge)
 
     def label(self) -> str:
         return f"{self.in_dart}|{self.out_dart}"
@@ -56,18 +66,16 @@ class QuotientModel:
     edge_points: tuple[str, ...]
     gtilde: Mapping[GermClass, GermClass]
     interior_preimage_table: Mapping[GermClass, tuple[tuple[str, int], ...]]
+    # Per class: its vertex preimages under gtilde plus its edge-interior preimages.
+    preimage_counts: Mapping[GermClass, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gtilde", MappingProxyType(dict(self.gtilde)))
-        object.__setattr__(
-            self, "interior_preimage_table", MappingProxyType(dict(self.interior_preimage_table))
-        )
-
-    def vertex_preimages(self, c: GermClass) -> tuple[GermClass, ...]:
-        return tuple(d for d in self.classes if self.gtilde[d] == c)
-
-    def preimage_count(self, c: GermClass) -> int:
-        return len(self.vertex_preimages(c)) + len(self.interior_preimage_table[c])
+        table = MappingProxyType(dict(self.interior_preimage_table))
+        object.__setattr__(self, "interior_preimage_table", table)
+        vertex = Counter(self.gtilde.values())
+        counts = {c: vertex[c] + len(table[c]) for c in self.classes}
+        object.__setattr__(self, "preimage_counts", MappingProxyType(counts))
 
 
 def _germ(p: Presentation, in_dart: Dart, out_dart: Dart) -> GermClass:
@@ -86,14 +94,8 @@ def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     Returned in discovery order (edges in declaration order, junctions left
     to right).
     """
-    seen: list[GermClass] = []
-    for e in p.graph.edge_names():
-        darts = p.edge_map[e].darts
-        for i in range(len(darts) - 1):
-            g = _germ(p, darts[i], darts[i + 1])
-            if g not in seen:
-                seen.append(g)
-    return tuple(seen)
+    darts = [p.edge_map[e].darts for e in p.graph.edge_names()]
+    return tuple(dict.fromkeys(_germ(p, a, b) for d in darts for a, b in zip(d, d[1:])))
 
 
 def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
@@ -103,22 +105,6 @@ def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
     dart of the image of the outgoing dart) at the image vertex.
     """
     return _germ(p, p.dart_image(c.in_dart)[-1], p.dart_image(c.out_dart)[0])
-
-
-def _all_germs(p: Presentation) -> list[GermClass]:
-    graph = p.graph
-    in_darts: dict[str, list[Dart]] = {v: [] for v in graph.vertices}
-    out_darts: dict[str, list[Dart]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        d = Dart(e.name)
-        in_darts[e.target].append(d)
-        out_darts[e.source].append(d)
-    return [
-        GermClass(vertex=v, in_dart=din, out_dart=dout)
-        for v in graph.vertices
-        for din in in_darts[v]
-        for dout in out_darts[v]
-    ]
 
 
 _NEW, _ON_PATH, _DONE = 0, 1, 2
@@ -158,26 +144,50 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     edge occurs densely in the line; cycle germs account for backward
     orbits of vertex points such as fixed points.
 
-    Germs are indexed by integers, so the induced map is a list and the
-    whole computation is linear in the number of germs.
+    Germ (a, b) of edge numbers is ``row[a] + col[b]``, numbered in
+    ``sort_key`` order, so the induced map is one integer table read from
+    each edge's last and first image edge, and the computation is linear
+    in the number of germs.  Image paths must run forward, and pass the
+    endpoint check of ``validate``; ``ValueError`` names an edge that does not.
     """
-    full = _all_germs(p)
-    index = {(c.in_dart, c.out_dart): i for i, c in enumerate(full)}
+    graph, vmap, edges = p.graph, p.vertex_map, p.graph.edges
+    for e in edges:
+        path = p.edge_map[e.name]
+        for d in path.darts:
+            if not d.forward:
+                raise ValueError(f"unsupported: reversed dart {d} in the image of '{e.name}'")
+        ends = (path.start(graph), path.end(graph))
+        if not path.is_continuous(graph) or ends != (vmap.get(e.source), vmap.get(e.target)):
+            raise ValueError(f"image path of '{e.name}' fails the endpoint check of validate()")
+    number = {e.name: i for i, e in enumerate(edges)}
+    images = [[number[d.edge] for d in p.edge_map[e.name].darts] for e in edges]
 
-    def index_of(g: GermClass) -> int:
-        return index[g.in_dart, g.out_dart]
+    ins: dict[str, list[int]] = {v: [] for v in sorted(graph.vertices)}
+    outs: dict[str, list[int]] = {v: [] for v in ins}
+    for i in sorted(range(len(edges)), key=lambda i: edges[i].name):
+        ins[edges[i].target].append(i)
+        outs[edges[i].source].append(i)
+    col = {b: k for v in ins for k, b in enumerate(outs[v])}
+    row, n = {}, 0
+    for v in ins:
+        for a in ins[v]:
+            row[a], n = n, n + len(outs[v])
 
-    step = [index_of(gtilde_on_class(p, c)) for c in full]
+    step: list[int] = []
+    for v in ins:
+        firsts = [col[images[b][0]] for b in outs[v]]
+        for a in ins[v]:
+            last = row[images[a][-1]]
+            step += [last + f for f in firsts]
     occurring = _cycle_nodes(step)
 
     # One pass over the junctions seeds the closure and fills the
     # interior-preimage table.
     preimages: dict[int, list[tuple[str, int]]] = {}
-    for e in p.graph.edge_names():
-        darts = p.edge_map[e].darts
-        for i in range(len(darts) - 1):
-            j = index_of(_germ(p, darts[i], darts[i + 1]))
-            preimages.setdefault(j, []).append((e, i + 1))
+    for e, path in zip(edges, images):
+        for i, (a, b) in enumerate(zip(path, path[1:]), start=1):
+            j = row[a] + col[b]
+            preimages.setdefault(j, []).append((e.name, i))
             occurring[j] = 1
 
     frontier = [i for i, on in enumerate(occurring) if on]
@@ -187,19 +197,25 @@ def occurring_classes(p: Presentation) -> QuotientModel:
             occurring[nxt] = 1
             frontier.append(nxt)
 
-    order = sorted((i for i, on in enumerate(occurring) if on), key=lambda i: full[i].sort_key())
-    classes = tuple(full[i] for i in order)
+    # Germ numbers follow sort_key order, so the classes come out sorted.
+    darts = [Dart(e.name) for e in edges]
+    made: dict[int, GermClass] = {}
+    for v in ins:
+        for a in ins[v]:
+            for k, b in enumerate(outs[v], start=row[a]):
+                if occurring[k]:
+                    made[k] = GermClass(v, darts[a], darts[b])
 
-    covered = {c.vertex for c in classes}
+    covered = {c.vertex for c in made.values()}
     for v in p.graph.vertices:
         if v not in covered:
             raise UnreachableVertex(f"vertex '{v}' carries no occurring germ class")
 
     return QuotientModel(
-        classes=classes,
-        edge_points=p.graph.edge_names(),
-        gtilde={full[i]: full[step[i]] for i in order},
-        interior_preimage_table={full[i]: tuple(preimages.get(i, ())) for i in order},
+        classes=tuple(made.values()),
+        edge_points=graph.edge_names(),
+        gtilde={c: made[step[j]] for j, c in made.items()},
+        interior_preimage_table={c: tuple(preimages.get(j, ())) for j, c in made.items()},
     )
 
 
@@ -274,7 +290,7 @@ class QuotientSummary:
     """Diagnostics of the quotient, with the model they were computed on."""
 
     model: QuotientModel
-    class_count_per_vertex: dict[str, int]
+    class_count_per_vertex: Mapping[str, int]
     hausdorff: bool
     hausdorff_witness: tuple[GermClass, GermClass] | None
     connected: bool
@@ -301,13 +317,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     degree = None
     if hausdorff and connected and model.classes:
-        # preimage_count per class, with the vertex preimages counted in one pass.
-        vertex_preimages = Counter(model.gtilde.values())
-        counts = {
-            f"class {c.label()}@{c.vertex}": vertex_preimages[c]
-            + len(model.interior_preimage_table[c])
-            for c in model.classes
-        }
+        counts = {f"class {c.label()}@{c.vertex}": n for c, n in model.preimage_counts.items()}
         occurrences = Counter(d.edge for path in p.edge_map.values() for d in path.darts)
         for e in p.graph.edge_names():
             counts[f"edge {e}"] = occurrences[e]
@@ -320,7 +330,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     return QuotientSummary(
         model=model,
-        class_count_per_vertex=per_vertex,
+        class_count_per_vertex=MappingProxyType(per_vertex),
         hausdorff=hausdorff,
         hausdorff_witness=witness,
         connected=connected,

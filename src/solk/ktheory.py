@@ -14,7 +14,8 @@ stationary inductive limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 from .germs import GermClass, QuotientModel, QuotientSummary, edge_components, quotient_summary
 from .intlin import IntMatrix, rank, restrict_endomorphism
@@ -41,6 +42,7 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
 
     Descending lexicographic order reproduces the conventional (ba, ab, aa)
     ordering for the one-vertex two-edge examples used in regression tests.
+    The copy shares the model's read-only tables.
     """
     if order == "lex":
         classes = tuple(sorted(model.classes, key=GermClass.sort_key))
@@ -48,7 +50,9 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
         classes = tuple(sorted(model.classes, key=GermClass.sort_key, reverse=True))
     else:
         raise ValueError(f"unknown order '{order}'")
-    return replace(model, classes=classes)
+    reordered = copy.copy(model)
+    object.__setattr__(reordered, "classes", classes)
+    return reordered
 
 
 def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:

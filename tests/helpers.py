@@ -242,8 +242,9 @@ def family_text(n: int, offsets: tuple[int, ...], rng: random.Random | None = No
     return "\n".join(lines) + "\n"
 
 
-def stress_text(n: int, rng: random.Random | None = None) -> str:
-    """The closure-stress family: every one of the n^2 germs occurs."""
+def closure_stress_text(n: int, rng: random.Random | None = None) -> str:
+    """The closure-stress family ``e_i -> e_{i+1} e_{i+7} e_{i+3}``: every one
+    of the n^2 germs occurs."""
     return family_text(n, (1, 7, 3), rng)
 
 

@@ -1,8 +1,18 @@
+import dataclasses
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import solk
+import solk.germs
 import solk.model
 from solk.germs import (
     GermClass,
+    QuotientModel,
     UnreachableVertex,
     gtilde_on_class,
     interior_preimages,
@@ -19,10 +29,12 @@ from helpers import (
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
     aabab,
+    closure_stress_text,
     count_calls,
     fibonacci,
     n_solenoid,
     random_valid_presentations,
+    wedge_text,
 )
 
 
@@ -172,6 +184,81 @@ def test_model_tables_are_read_only():
             model.gtilde[c] = c
         with pytest.raises(TypeError):
             model.interior_preimage_table[c] = ()
+        with pytest.raises(TypeError):
+            model.preimage_counts[c] = 0
+    # Reordering shares the tables instead of copying them.
+    assert with_class_order(m, "paper").gtilde is m.gtilde
+    # The model keeps its own copy of the tables it is given.
+    gtilde, table = dict(m.gtilde), dict(m.interior_preimage_table)
+    own = QuotientModel(m.classes, m.edge_points, gtilde, table)
+    gtilde.clear()
+    table[c] = (("x", 9),)
+    assert own == m
+    assert dict(own.preimage_counts) == dict(m.preimage_counts)
+
+
+def test_summary_class_counts_are_read_only():
+    s = quotient_summary(aabab())
+    with pytest.raises(TypeError):
+        s.class_count_per_vertex["p"] = 0
+    assert s.class_count_per_vertex == {"p": 3}
+
+
+def test_germ_class_and_dart_hash_contract():
+    a = GermClass("p", Dart("a"), Dart("b"))
+    b = GermClass(vertex="p", in_dart=Dart("a", True), out_dart=Dart(edge="b"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
+    assert a != GermClass("p", Dart("b"), Dart("a"))
+    assert Dart("a") == Dart("a", True) and hash(Dart("a")) == hash(Dart("a", True))
+    assert {Dart("a"): 1}[Dart("a")] == 1 and Dart("a") != Dart("a", False)
+    assert repr(a) == (
+        "GermClass(vertex='p', in_dart=Dart(edge='a', forward=True), "
+        "out_dart=Dart(edge='b', forward=True))"
+    )
+    assert [f.name for f in dataclasses.fields(GermClass)] == ["vertex", "in_dart", "out_dart"]
+    for obj, name in ((a, "vertex"), (a, "in_dart"), (Dart("a"), "edge")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, "x")
+
+
+def test_germ_class_pickled_under_another_hash_seed_is_the_same_key():
+    # The hash is taken at construction; unpickling must construct again,
+    # or a class written by a process with another string-hash seed would
+    # miss its equal in every dict here.
+    code = (
+        "import pickle, sys; from solk.germs import GermClass; from solk.model import Dart; "
+        "sys.stdout.buffer.write(pickle.dumps(GermClass('p', Dart('a'), Dart('b'))))"
+    )
+    src = str(pathlib.Path(solk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
+    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    g = pickle.loads(blob.stdout)
+    assert {GermClass("p", Dart("a"), Dart("b")): 1}[g] == 1
+
+
+@pytest.mark.parametrize(
+    "text", [closure_stress_text(15), wedge_text(18)], ids=["closure_stress_15", "wedge_18"]
+)
+def test_closure_builds_one_germ_class_per_occurring_class(monkeypatch, text):
+    p = parse_presentation(text)
+    calls = count_calls(monkeypatch, solk.germs, "GermClass")
+    model = occurring_classes(p)
+    assert calls == {"GermClass": len(model.classes)}
+
+
+@pytest.mark.parametrize(
+    "images, edge, dart",
+    [(("a b ~b ~b", "a b"), "a", "~b"), (("a a b", "~a ~b"), "b", "~a")],
+)
+def test_orientation_reversing_image_is_named(images, edge, dart):
+    text = "solenoid v1\nvertex p\nedge a p p\nedge b p p\n"
+    text += f"map a -> {images[0]}\nmap b -> {images[1]}\n"
+    p = parse_presentation(text)
+    message = f"reversed dart {dart} in the image of '{edge}'"
+    for f in (occurring_classes, quotient_summary):
+        with pytest.raises(ValueError, match=message):
+            f(p)
 
 
 def test_closure_is_fixed_point():
@@ -193,7 +280,7 @@ def test_gtilde_surjective_on_classes():
     for p in corpus():
         model = occurring_classes(p)
         for c in model.classes:
-            assert model.preimage_count(c) >= 1
+            assert model.preimage_counts[c] >= 1
 
 
 def test_junction_count_identity():
@@ -238,10 +325,10 @@ def test_stress_presentation_at_scale():
     # even: n = 50 is imprimitive (period 2) and n = 51 is primitive.
     from solk.model import validate
 
-    from helpers import stress_text
+    from helpers import closure_stress_text
 
     for n, findings in ((50, ["not-primitive"]), (51, [])):
-        p = parse_presentation(stress_text(n))
+        p = parse_presentation(closure_stress_text(n))
         report = validate(p)
         assert report.ok
         assert [f.code for f in report.findings] == findings

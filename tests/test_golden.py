@@ -12,6 +12,11 @@ in both orders.  The wedge-24 digests are checked here; CI checks all six with
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
 
+`solk classes --json` on the closure-stress family at n = 15 and the cyclic
+family at n = 14 (tests/helpers.py ``closure_stress_text``, ``cyclic_text``),
+the sizes the benchmark's closure workload reaches, is kept whole in both
+orders.
+
 To rewrite the goldens and the digests after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +40,8 @@ from helpers import (
     FIBONACCI_TEXT,
     THUE_MORSE_TEXT,
     TWO_VERTEX_TEXT,
+    closure_stress_text,
+    cyclic_text,
     dense_edge_shift,
     matrix_flag,
     n_solenoid_text,
@@ -68,6 +75,11 @@ CASES = [
     for order in ("lex", "paper")
     for fmt in ("txt", "json")
 ]
+# name -> presentation text; `solk classes --json` only.
+CLOSURE_FIXTURES = {"closure_stress_15": closure_stress_text(15), "cyclic_14": cyclic_text(14)}
+CLOSURE_CASES = [
+    (fixture, "classes", order, "json") for fixture in CLOSURE_FIXTURES for order in ("lex", "paper")
+]
 
 
 def _case_id(fixture: str, command: str, order: str, fmt: str) -> str:
@@ -98,6 +110,17 @@ def test_report_matches_golden(tmp_path, fixture, command, order, fmt):
     assert code == expected_code
     golden = (GOLDEN / _case_id(fixture, command, order, fmt)).read_text(encoding="utf-8")
     assert out == golden
+
+
+@pytest.mark.parametrize(
+    "fixture,command,order,fmt", CLOSURE_CASES, ids=[_case_id(*c) for c in CLOSURE_CASES]
+)
+def test_closure_report_matches_golden(tmp_path, fixture, command, order, fmt):
+    path = tmp_path / f"{fixture}.sol"
+    path.write_text(CLOSURE_FIXTURES[fixture], encoding="utf-8")
+    code, out = _run(path, command, order, fmt)
+    assert code == 0
+    assert out == (GOLDEN / _case_id(fixture, command, order, fmt)).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", MATRIX_COMMANDS)
@@ -148,6 +171,13 @@ def record() -> None:
             path.write_text(text, encoding="utf-8")
             code, out = _run(path, command, order, fmt)
             if code != expected_code:
+                raise SystemExit(f"{_case_id(fixture, command, order, fmt)}: exit {code}")
+            (GOLDEN / _case_id(fixture, command, order, fmt)).write_text(out, encoding="utf-8")
+        for fixture, command, order, fmt in CLOSURE_CASES:
+            path = pathlib.Path(tmp) / f"{fixture}.sol"
+            path.write_text(CLOSURE_FIXTURES[fixture], encoding="utf-8")
+            code, out = _run(path, command, order, fmt)
+            if code != 0:
                 raise SystemExit(f"{_case_id(fixture, command, order, fmt)}: exit {code}")
             (GOLDEN / _case_id(fixture, command, order, fmt)).write_text(out, encoding="utf-8")
         for command in MATRIX_COMMANDS:

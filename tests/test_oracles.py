@@ -42,13 +42,13 @@ from solk.sft import SftPresentation, _strongly_connected, edge_shift, validate_
 
 from helpers import (
     THREE_COMPONENTS_TEXT,
+    closure_stress_text,
     count_calls,
     cyclic_text,
     random_int_matrix,
     random_presentation,
     random_unimodular,
     random_valid_presentations,
-    stress_text,
     wedge_text,
 )
 from oracles import (
@@ -77,7 +77,7 @@ IMPRIMITIVE_TEXT = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\
 def family_corpus():
     out = []
     for n in range(9, 16):
-        out += [parse_presentation(stress_text(n, random.Random(f"stress{n}:{j}"))) for j in range(2)]
+        out += [parse_presentation(closure_stress_text(n, random.Random(f"stress{n}:{j}"))) for j in range(2)]
     for n in range(6, 15):
         out += [parse_presentation(cyclic_text(n, random.Random(f"cyclic{n}:{j}"))) for j in range(2)]
     return out
@@ -99,14 +99,18 @@ def random_presentations(seed: int, count: int):
 
 
 def test_closure_matches_quadratic_oracle():
-    for p in presentations():
-        got, want = occurring_classes(p), occurring_classes_oracle(p)
-        assert got.classes == want.classes
-        assert got.edge_points == want.edge_points
-        assert list(got.gtilde.items()) == list(want.gtilde.items())
-        assert list(got.interior_preimage_table.items()) == list(
-            want.interior_preimage_table.items()
-        )
+    wedges = [parse_presentation(wedge_text(k)) for k in range(2, 19)]
+    for p in presentations() + random_valid_presentations(7, 300) + wedges:
+        closure, oracle = occurring_classes(p), occurring_classes_oracle(p)
+        for order in ("lex", "paper"):
+            got, want = with_class_order(closure, order), with_class_order(oracle, order)
+            assert got.classes == want.classes
+            assert got.edge_points == want.edge_points
+            assert list(got.gtilde.items()) == list(want.gtilde.items())
+            assert list(got.interior_preimage_table.items()) == list(
+                want.interior_preimage_table.items()
+            )
+            assert list(got.preimage_counts.items()) == list(want.preimage_counts.items())
 
 
 def test_validate_matches_integer_power_oracle():
@@ -118,7 +122,7 @@ def test_summary_degree_is_the_preimage_count():
     for p in presentations():
         s = quotient_summary(p)
         if s.degree is not None:
-            assert all(s.model.preimage_count(c) == s.degree for c in s.model.classes)
+            assert all(s.model.preimage_counts[c] == s.degree for c in s.model.classes)
 
 
 def M(rows):
