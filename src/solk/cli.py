@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .germs import (
     DegreeNotConstant, GermClass, QuotientSummary, UnreachableVertex, quotient_summary,
@@ -80,8 +81,55 @@ def _print_findings(report) -> None:
         print(f"{f.severity}: [{f.code}] {f.message}")
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``, byte for byte.
+
+    The stdlib takes its pure-Python encoder whenever ``indent`` is set; here
+    a list of plain ints is one ``str.join`` and strings go through the C
+    escaper that ``json.dumps`` uses under ``ensure_ascii``.  ``int`` is tested
+    by exact type, so a bool is not written as an int; other scalars go
+    through ``json.dumps`` one at a time.  ``newline`` is a line break plus
+    the indent of the line that holds ``value``.
+    """
+    t = type(value)
+    if t is str:
+        return _escape(value)
+    if t is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            items = map(int.__repr__, value)
+        elif types == {str}:
+            items = map(_escape, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            (_escape(k) if type(k) is str else _json_key(k)) + ": "
+            + (_escape(v) if type(v) is str else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _escape(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _cmd_validate(args) -> int:

@@ -68,6 +68,10 @@ class QuotientModel:
     interior_preimage_table: Mapping[GermClass, tuple[tuple[str, int], ...]]
     # Per class: its vertex preimages under gtilde plus its edge-interior preimages.
     preimage_counts: Mapping[GermClass, int] = field(init=False, repr=False, compare=False)
+    # Components of the class graph: the nodes are the edges and each class is
+    # an arc in edge -- out edge.  Entry i is the index (in ``edge_points``)
+    # of the last edge of edge i's component.
+    edge_components: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gtilde", MappingProxyType(dict(self.gtilde)))
@@ -76,6 +80,22 @@ class QuotientModel:
         vertex = Counter(self.gtilde.values())
         counts = {c: vertex[c] + len(table[c]) for c in self.classes}
         object.__setattr__(self, "preimage_counts", MappingProxyType(counts))
+        object.__setattr__(self, "edge_components", self._components())
+
+    def _components(self) -> tuple[int, ...]:
+        idx = {e: i for i, e in enumerate(self.edge_points)}
+        root = list(range(len(idx)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for c in self.classes:
+            a, b = find(idx[c.in_dart.edge]), find(idx[c.out_dart.edge])
+            # The larger index becomes the root, so each root is its component's last edge.
+            root[min(a, b)] = max(a, b)
+        return tuple(find(i) for i in range(len(root)))
 
 
 def _germ(p: Presentation, in_dart: Dart, out_dart: Dart) -> GermClass:
@@ -265,26 +285,6 @@ def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] 
     return True, None
 
 
-def edge_components(model: QuotientModel) -> list[int]:
-    """Components of the class graph: the nodes are the edges and each class
-    is an arc in_edge -- out_edge.  Entry i is the index (in ``edge_points``)
-    of the last edge of edge i's component.
-    """
-    idx = {e: i for i, e in enumerate(model.edge_points)}
-    root = list(range(len(idx)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for c in model.classes:
-        a, b = find(idx[c.in_edge]), find(idx[c.out_edge])
-        # The larger index becomes the root, so each root is its component's last edge.
-        root[min(a, b)] = max(a, b)
-    return [find(i) for i in range(len(root))]
-
-
 @dataclass(frozen=True)
 class QuotientSummary:
     """Diagnostics of the quotient, with the model they were computed on."""
@@ -309,7 +309,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
     """
     model = occurring_classes(p)
     hausdorff, witness = _hausdorff(model)
-    connected = len(set(edge_components(model))) <= 1
+    connected = len(set(model.edge_components)) <= 1
 
     per_vertex: dict[str, int] = {v: 0 for v in p.graph.vertices}
     for c in model.classes:

@@ -579,7 +579,12 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     with a nontrivial denominator; it is all of Z^d, and the answer is E,
     when every pivot is 1.
     """
-    E = echelon_span(A)
+    return _saturate_echelon(echelon_span(A))
+
+
+def _saturate_echelon(E: IntMatrix) -> IntMatrix:
+    """``saturate_columns`` for a primitive reduced echelon basis E, without
+    its echelon step."""
     d = E.cols
     pivots = [E[next(i for i, x in enumerate(E.col(j)) if x), j] for j in range(d)]
     L = lcm(*pivots)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .germs import GermClass, QuotientModel, QuotientSummary, edge_components, quotient_summary
+from .germs import GermClass, QuotientModel, QuotientSummary, quotient_summary
 from .intlin import IntMatrix, rank, restrict_endomorphism
 from .limits import StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
@@ -182,7 +182,7 @@ def _boundary_k_theory(
     """
     delta0, E = boundary_matrix(p, model), first_edge_matrix(p)
     k0_basis = _class_forest(p, model)
-    last = edge_components(model)
+    last = model.edge_components
     roots = sorted(set(last))
     gens = IntMatrix.from_rows([[int(r == root) for r in last] for root in roots], cols=len(last))
     projected = gens @ E

@@ -21,11 +21,11 @@ from functools import cached_property
 from .intlin import (
     IntMatrix,
     NotInvariant,
+    _saturate_echelon,
     adjugate,
     column_hnf,
     determinant,
     echelon_span,
-    saturate_columns,
     smith_normal_form,
     solve_echelon,
 )
@@ -70,7 +70,7 @@ class StationaryLimitGroup:
         if k == 0:  # T has full rank: the eventual lattice is Z^r and T' is T
             self.eventual_basis, self.reduced_endomorphism = IntMatrix.identity(rank), endomorphism
         else:
-            self.eventual_basis = saturate_columns(span)
+            self.eventual_basis = _saturate_echelon(span)  # span is already echelon
             if self.eventual_basis != span:  # a pivot was not 1: multiply again
                 image = endomorphism @ self.eventual_basis
             self.reduced_endomorphism = solve_echelon(self.eventual_basis, image)

@@ -165,7 +165,9 @@ def parse_presentation(text: str) -> Presentation:
 
     Graph-level structure (name uniqueness, declared endpoints, internal
     continuity of image paths) is enforced here; substitution-level checks
-    live in validate().
+    live in validate().  A class is labelled ``in|out@vertex`` and ``~``
+    marks a reversed dart, so an edge name may not contain ``|`` or start
+    with ``~``, and a vertex name may not contain ``@``.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
@@ -188,6 +190,8 @@ def parse_presentation(text: str) -> Presentation:
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected 'vertex <name>'")
             name = tokens[1]
+            if "@" in name:
+                raise ParseError(line_no, f"vertex name '{name}' contains '@'")
             if name in vertices:
                 raise ParseError(line_no, f"duplicate vertex '{name}'")
             vertices.append(name)
@@ -195,6 +199,8 @@ def parse_presentation(text: str) -> Presentation:
             if len(tokens) != 4:
                 raise ParseError(line_no, "expected 'edge <name> <source> <target>'")
             name, src, tgt = tokens[1:]
+            if "|" in name or name.startswith("~"):
+                raise ParseError(line_no, f"edge name '{name}' contains '|' or starts with '~'")
             if name in edge_names:
                 raise ParseError(line_no, f"duplicate edge '{name}'")
             if src not in vertices:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import solk.germs
 import solk.intlin
 import solk.ktheory
 import solk.model
-from solk.cli import main
+from solk.cli import _json_text, main
 from solk.intlin import IntMatrix
 
 from helpers import AABAB_TEXT, count_calls, n_solenoid_text
@@ -249,3 +250,125 @@ def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ")
+
+
+# Characters the JSON escaper treats differently: quotes, backslashes, control
+# characters, non-ASCII (escaped under ensure_ascii) and astral ones (escaped
+# as surrogate pairs), plus the label separators.
+_CHARS = ['a', 'Z', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9', '\u00df',
+          '\u4e2d', '\u2028', '\U0001f600', '\U0001d538', '/', '|', '@', '~']
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return rng.randrange(-10, 10)
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.randrange(1, 300))
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(
+            [0.0, -0.0, 1.5, -2.25e-300, 1e300, float("inf"), float("-inf"), float("nan"),
+             rng.random()]
+        )
+    return _random_text(rng)
+
+
+def _random_key(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.randrange(-1000, 1000)
+    if kind == 1:
+        return rng.choice([True, False, None, 2.5])
+    return _random_text(rng)
+
+
+def _random_json_value(rng, depth=0):
+    kind = rng.randrange(7) if depth < 4 else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # mostly ints, sometimes with a bool among them
+        return [rng.randrange(-5, 5) if rng.random() < 0.9 else rng.choice([True, False])
+                for _ in range(rng.randrange(5))]
+    if kind == 2:
+        return [_random_text(rng) for _ in range(rng.randrange(4))]
+    if kind in (3, 4):
+        items = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return items if rng.random() < 0.7 else tuple(items)
+    return {_random_key(rng): _random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_writer_matches_indented_json_dumps():
+    rng = random.Random(1414)
+    for _ in range(10_000):
+        value = _random_json_value(rng)
+        assert _json_text(value) == json.dumps(value, indent=2), value
+    for value in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, ((),), [[], [[]]], [True, 1],
+                  {1: "x", -2.5: None, False: 0, None: [None]}, -(2**200), "\U0001f600"):
+        assert _json_text(value) == json.dumps(value, indent=2), value
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    for value in ({(1, 2): 0}, {1}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+NON_ASCII_TEXT = """solenoid v1
+vertex \u00f8
+edge \u03b1 \u00f8 \u00f8
+edge \U0001d7b9 \u00f8 \u00f8
+map \u03b1 -> \u03b1 \u03b1 \U0001d7b9
+map \U0001d7b9 -> \u03b1 \U0001d7b9
+"""
+
+
+@pytest.mark.parametrize("command", ["classes", "ktheory"])
+def test_json_of_non_ascii_names_reserialises_identically(capsys, tmp_path, command):
+    f = tmp_path / "non_ascii.sol"
+    f.write_text(NON_ASCII_TEXT, encoding="utf-8")
+    for order in ("lex", "paper"):
+        code, out, _ = run(capsys, [command, str(f), "--order", order, "--json"])
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        assert out.isascii() and "\\ud835\\udfb9" in out  # the astral name as a surrogate pair
+        assert {c["vertex"] for c in json.loads(out)["classes"]} == {"\u00f8"}
+
+
+def test_ktheory_json_makes_no_indented_json_dumps_call(capsys, monkeypatch, aabab_file):
+    calls = []
+    dumps = json.dumps
+
+    def recording_dumps(obj, **kwargs):
+        calls.append(kwargs)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording_dumps)
+    code, out, _ = run(capsys, ["ktheory", aabab_file, "--json"])
+    assert code == 0
+    assert calls  # the diagnostics' bools and None go through json.dumps one by one
+    assert all("indent" not in kwargs for kwargs in calls)
+
+
+def test_colliding_class_labels_exit_2(capsys, tmp_path):
+    # Edges a|b and b|c would give two classes the label a|b|c@p.
+    f = tmp_path / "collide.sol"
+    f.write_text(
+        "solenoid v1\nvertex p\nedge a p p\nedge b|c p p\nedge a|b p p\nedge c p p\n"
+        "map a -> a b|c\nmap b|c -> a|b c\nmap a|b -> a b|c c\nmap c -> a|b c a\n",
+        encoding="utf-8",
+    )
+    for command in ("classes", "ktheory"):
+        code, out, err = run(capsys, [command, str(f), "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: line 4: edge name 'b|c'")

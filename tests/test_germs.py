@@ -188,6 +188,8 @@ def test_model_tables_are_read_only():
             model.preimage_counts[c] = 0
     # Reordering shares the tables instead of copying them.
     assert with_class_order(m, "paper").gtilde is m.gtilde
+    assert with_class_order(m, "paper").edge_components is m.edge_components
+    assert isinstance(m.edge_components, tuple)
     # The model keeps its own copy of the tables it is given.
     gtilde, table = dict(m.gtilde), dict(m.interior_preimage_table)
     own = QuotientModel(m.classes, m.edge_points, gtilde, table)
@@ -195,6 +197,7 @@ def test_model_tables_are_read_only():
     table[c] = (("x", 9),)
     assert own == m
     assert dict(own.preimage_counts) == dict(m.preimage_counts)
+    assert own.edge_components == m.edge_components
 
 
 def test_summary_class_counts_are_read_only():

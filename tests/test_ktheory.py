@@ -363,3 +363,17 @@ def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):
     assert r.k0_limit.eventual_rank > 0
     assert all(abs(x).bit_length() < 64 for x in r.k0_limit.eventual_basis._entries)
     assert 0 < largest < 64  # every pivot merge in the Hermite kernel stays within a word
+
+
+@pytest.mark.parametrize("order", ["lex", "paper"])
+def test_report_computes_class_graph_components_once(monkeypatch, order):
+    # quotient_summary reads them for `connected` and the report for K1; the
+    # reordered model shares them.
+    components, models = solk.germs.QuotientModel._components, []
+    monkeypatch.setattr(
+        solk.germs.QuotientModel, "_components", lambda m: models.append(m) or components(m)
+    )
+    r = ktheory_report(parse_presentation(TWO_VERTEX_TEXT), order=order)
+    assert len(models) == 1
+    assert r.model.edge_components is r.summary.model.edge_components
+    assert r.psi1.rows == len(set(r.model.edge_components))

@@ -319,6 +319,22 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
         assert all(-(2**63) <= x < 2**63 for row in m.to_rows() for x in row)
 
 
+@pytest.mark.parametrize(
+    "T",
+    [dense_edge_shift(), nilpotent_shift(40), M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])],
+    ids=["edge-shift-56", "nilpotent-40", "pivots-2"],
+)
+def test_construction_takes_one_echelon_span_per_step(monkeypatch, T):
+    # The span the iteration ends on is already echelon; saturating it runs
+    # no second elimination.
+    spans = count_calls(monkeypatch, solk.intlin, "echelon_span")
+    g = StationaryLimitGroup(T)
+    assert g.stabilization_index > 0
+    assert spans == {"echelon_span": g.stabilization_index + 1}
+    monkeypatch.undo()
+    assert g.eventual_basis == solk.intlin.saturate_columns(g.eventual_basis)
+
+
 def test_construction_runs_no_smith_form(monkeypatch):
     # Echelon spans, a congruence-kernel saturation and triangular solves suffice here.
     factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")

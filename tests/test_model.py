@@ -75,6 +75,28 @@ def test_parse_errors():
         parse_presentation("solenoid v1\nvertex\n")
 
 
+@pytest.mark.parametrize(
+    "declaration, reason",
+    [
+        ("edge b|c p p", "edge name 'b|c' contains '|'"),
+        ("edge ~b p p", "edge name '~b' contains '|' or starts with '~'"),
+        ("vertex q@r", "vertex name 'q@r' contains '@'"),
+    ],
+)
+def test_names_that_make_class_labels_ambiguous_are_rejected(declaration, reason):
+    # A class is labelled in|out@vertex and ~ marks a reversed dart.
+    text = f"solenoid v1\nvertex p\nedge a p p\n{declaration}\nmap a -> a a\n"
+    with pytest.raises(ParseError, match=reason) as exc:
+        parse_presentation(text)
+    assert exc.value.line_no == 4
+
+
+def test_names_with_label_characters_elsewhere_parse():
+    text = "solenoid v1\nvertex p~|\nedge a@~ p~| p~|\nedge b~ p~| p~|\nmap a@~ -> a@~ b~\nmap b~ -> a@~ b~\n"
+    p = parse_presentation(text)
+    assert p.graph.edge_names() == ("a@~", "b~")
+
+
 def test_parse_discontinuous_path():
     text = """solenoid v1
 vertex u
