@@ -3,20 +3,22 @@
 lim(Z^r, T) is presented by its eventual lattice L and the restriction T'
 of T to L, which is injective.  L is the saturation of the Q-span of im T^k,
 k <= r the stabilization index: the first k with rank T^(k+1) == rank T^k.
-No power of T is multiplied out to find it: from the echelon basis of the
-Q-span of im T on, a basis E is replaced by that of T E until its rank stops
-dropping; if T has full rank, L is Z^r and T' is T.  Saturating the basis and
-restricting T to it take no Smith form; T' solves E T' = T E with the last
-product kept, unless a pivot of E is not 1 and saturation changes E.  Every
-element is represented at some stage s by a vector in the coordinates of L,
-with (s, v) identified with (s+1, T'v); adj(T') and det(T') retract it to its
-least stage.
+No power of T is multiplied out.  If T has full rank, L is Z^r and T' is T.
+Otherwise im T is written in the pivot rows of its echelon basis E1, where a
+multiple M of T restricted to it is d1 x d1, and a basis Y is replaced by the
+echelon basis of M Y until its rank stops dropping.  Saturating and
+restricting take no Smith form, and no product with T unless a pivot of E1
+is not 1.  Every element is represented at some stage s by a vector in the
+coordinates of L, with (s, v) identified with (s+1, T'v); adj(T') and
+det(T') retract it to its least stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .intlin import (
     IntMatrix,
@@ -59,24 +61,36 @@ class StationaryLimitGroup:
     def __init__(self, endomorphism: IntMatrix):
         if endomorphism.rows != endomorphism.cols:
             raise ValueError("endomorphism must be square")
-        self.ambient_rank = endomorphism.rows
+        self.ambient_rank = r = endomorphism.rows
         self.endomorphism = endomorphism
-        # Echelon bases of im T^j until the rank stops dropping; image is T @ span.
-        rank, image, k = endomorphism.rows, endomorphism, 0
+        rank = (span := echelon_span(endomorphism)).cols  # span is E1, the basis of im T
+        if rank == r:  # T has full rank: the eventual lattice is Z^r and T' is T
+            self.stabilization_index, self.eventual_rank = 0, r
+            self.eventual_basis, self.reduced_endomorphism = IntMatrix.identity(r), endomorphism
+            return
+        # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
+        # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
+        pivot_rows = [next(i for i, x in enumerate(span.col(j)) if x) for j in range(rank)]
+        q = [span[i, j] for j, i in enumerate(pivot_rows)]
+        L = lcm(*q)
+        scaled = IntMatrix(r, rank, [x * (L // q[t % rank]) for t, x in enumerate(span._entries)])
+        M = IntMatrix(rank, r, [x for i in pivot_rows for x in endomorphism.row(i)]) @ scaled
+        # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
+        Y, image, k = IntMatrix.identity(rank), M, 1
         while (nxt := echelon_span(image)).cols < rank:
-            span, rank, k = nxt, nxt.cols, k + 1
-            image = endomorphism @ span
-        self.stabilization_index = k
-        if k == 0:  # T has full rank: the eventual lattice is Z^r and T' is T
-            self.eventual_basis, self.reduced_endomorphism = IntMatrix.identity(rank), endomorphism
-        else:
-            self.eventual_basis = _saturate_echelon(span)  # span is already echelon
-            if self.eventual_basis != span:  # a pivot was not 1: multiply again
-                image = endomorphism @ self.eventual_basis
-            self.reduced_endomorphism = solve_echelon(self.eventual_basis, image)
-            if self.reduced_endomorphism is None:
-                raise NotInvariant("image of the eventual lattice is not contained in it")
-        self.eventual_rank = rank
+            Y, rank, k = nxt, nxt.cols, k + 1
+            image = M @ Y
+        self.stabilization_index, self.eventual_rank = k, rank
+        if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
+            basis = _saturate_echelon(Y)
+            self.eventual_basis = span if k == 1 else span @ basis
+            reduced = solve_echelon(basis, image if basis is Y else M @ basis)
+        else:  # back to Z^r once, through the integral E1 diag(L/q) Y
+            basis = _saturate_echelon(span if k == 1 else echelon_span(scaled @ Y))
+            self.eventual_basis, reduced = basis, solve_echelon(basis, endomorphism @ basis)
+        if reduced is None:
+            raise NotInvariant("image of the eventual lattice is not contained in it")
+        self.reduced_endomorphism = reduced
 
     # -- elements ---------------------------------------------------------
 
@@ -102,22 +116,28 @@ class StationaryLimitGroup:
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
         for _ in range(self.stabilization_index):
-            vector = self.endomorphism.mul_vector(vector)
+            vector = _apply(self._row_lists[0], vector)
         coords = solve_echelon(self.eventual_basis, IntMatrix.column(vector))
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
         return self._canonical(stage + self.stabilization_index, coords.col(0))
 
+    # Vectors are pushed through the rows of T, T' and adj(T'), sliced once per group.
     @cached_property
-    def _adjugate(self) -> tuple[IntMatrix, int]:
-        return adjugate(self.reduced_endomorphism)
+    def _row_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        return self.endomorphism.to_rows(), self.reduced_endomorphism.to_rows()
+
+    @cached_property
+    def _adjugate(self) -> tuple[list[list[int]], int]:
+        adj, det = adjugate(self.reduced_endomorphism)
+        return adj.to_rows(), det
 
     def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
         # Minimal stage: retract through T' while the vector stays integral;
         # v is in im T' exactly when adj(T') v == 0 mod det(T').
         adj, det = self._adjugate
         while stage > 0:
-            pre = adj.mul_vector(vector)
+            pre = _apply(adj, vector)
             if any(x % det for x in pre):
                 break
             vector = tuple(x // det for x in pre)
@@ -127,7 +147,7 @@ class StationaryLimitGroup:
     def _promote(self, el: "LimitElement", stage: int) -> tuple[int, ...]:
         v = el.vector
         for _ in range(stage - el.stage):
-            v = self.reduced_endomorphism.mul_vector(v)
+            v = _apply(self._row_lists[1], v)
         return v
 
     def classify(self) -> Classification:
@@ -161,6 +181,11 @@ class LimitElement:
     group: StationaryLimitGroup
     stage: int
     vector: tuple[int, ...]
+
+
+def _apply(rows: list[list[int]], v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The matrix with these rows times v; a list comprehension beats a generator here."""
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def make_limit(T: IntMatrix) -> StationaryLimitGroup:

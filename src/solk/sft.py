@@ -95,10 +95,9 @@ def edge_shift(s: SftPresentation) -> SftPresentation:
             for k in range(A[i, j]):
                 edges.append((i, j, k))
     n = len(edges)
-    entries = [[0] * n for _ in range(n)]
-    for a, (_, j, _) in enumerate(edges):
-        for b, (i2, _, _) in enumerate(edges):
-            if j == i2:
-                entries[a][b] = 1
+    leaving = [[0] * n for _ in range(A.rows)]  # the row of a state: the edges leaving it
+    for b, (i, _, _) in enumerate(edges):
+        leaving[i][b] = 1
     states = tuple(f"{s.states[i]}>{s.states[j]}#{k}" for i, j, k in edges)
-    return SftPresentation(states=states, adjacency=IntMatrix.from_rows(entries, cols=n))
+    rows = [leaving[j] for _, j, _ in edges]  # an edge's row is the row of its target
+    return SftPresentation(states=states, adjacency=IntMatrix.from_rows(rows, cols=n))

@@ -31,7 +31,8 @@ transform ``U`` of the boundary matrix and reduces modulo the invariant
 factors, as ``ktheory`` did before it read psi1 off the class-graph
 components.  ``strongly_connected_oracle`` is the forward and backward
 depth-first search from state 0 that ``sft`` had before it squared the
-Boolean pattern of I + A.
+Boolean pattern of I + A, and ``edge_shift_oracle`` the comparison of every
+pair of edges that ``sft.edge_shift`` made before it built one row per state.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from solk.intlin import (
 from solk.limits import LimitElement, StationaryLimitGroup
 from solk.ktheory import edge_trace_row
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
+from solk.sft import SftPresentation
 
 
 def all_germs_oracle(p: Presentation) -> list[GermClass]:
@@ -534,3 +536,20 @@ def strongly_connected_oracle(A: IntMatrix) -> bool:
         return seen
 
     return len(reach(0, True)) == n and len(reach(0, False)) == n
+
+
+def edge_shift_oracle(s: SftPresentation) -> SftPresentation:
+    A = s.adjacency
+    edges: list[tuple[int, int, int]] = []
+    for i in range(A.rows):
+        for j in range(A.cols):
+            for k in range(A[i, j]):
+                edges.append((i, j, k))
+    n = len(edges)
+    entries = [[0] * n for _ in range(n)]
+    for a, (_, j, _) in enumerate(edges):
+        for b, (i2, _, _) in enumerate(edges):
+            if j == i2:
+                entries[a][b] = 1
+    states = tuple(f"{s.states[i]}>{s.states[j]}#{k}" for i, j, k in edges)
+    return SftPresentation(states=states, adjacency=IntMatrix.from_rows(entries, cols=n))

@@ -5,9 +5,11 @@ Each file under tests/golden/ is the exact stdout of one command on one
 fixture, in text or --json form, under the lex or paper class order;
 edge_shift_56.sft.json and edge_shift_56.limit.json hold `solk sft --json`
 and `solk limit --json` with tests/helpers.py `dense_edge_shift()` as the
-matrix.  The wedges with 24, 32 and 40 loops are too large to keep whole:
-tests/golden/wedges.sha256 holds the SHA-256 of their `solk ktheory --json`
-in both orders.  The wedge-24 digests are checked here; CI checks all six with
+matrix, and pivots2.limit.json `solk limit --json` with PIVOTS2_MATRIX, whose
+image span has echelon pivots 2 and drops rank once more.  The wedges with
+24, 32 and 40 loops are too large to keep whole: tests/golden/wedges.sha256
+holds the SHA-256 of their `solk ktheory --json` in both orders.  The
+wedge-24 digests are checked here; CI checks all six with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
@@ -51,6 +53,8 @@ from helpers import (
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 WEDGE_DIGESTS = GOLDEN / "wedges.sha256"
 MATRIX_COMMANDS = ("sft", "limit")
+# im T has echelon pivots 2, 2, 1, and im T^2 has rank 2: stabilization index 2.
+PIVOTS2_MATRIX = "2,0,0,0;0,2,0,0;1,1,0,0;0,0,1,0"
 WEDGE_CASES = [f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40) for order in ("lex", "paper")]
 
 # name -> (presentation text, expected exit code)
@@ -130,6 +134,12 @@ def test_edge_shift_56_matches_golden(command):
     assert out == (GOLDEN / f"edge_shift_56.{command}.json").read_text(encoding="utf-8")
 
 
+def test_pivots2_limit_matches_golden():
+    code, out = _main(["limit", "--matrix", PIVOTS2_MATRIX, "--json"])
+    assert code == 0
+    assert out == (GOLDEN / "pivots2.limit.json").read_text(encoding="utf-8")
+
+
 def wedge_digest(tmp: pathlib.Path, case_id: str) -> str:
     """SHA-256 of the stdout of one wedge case, named like a golden file."""
     fixture, command, order, fmt = case_id.split(".")
@@ -185,6 +195,10 @@ def record() -> None:
             if code != 0:
                 raise SystemExit(f"edge_shift_56.{command}: exit {code}")
             (GOLDEN / f"edge_shift_56.{command}.json").write_text(out, encoding="utf-8")
+        code, out = _main(["limit", "--matrix", PIVOTS2_MATRIX, "--json"])
+        if code != 0:
+            raise SystemExit(f"pivots2.limit: exit {code}")
+        (GOLDEN / "pivots2.limit.json").write_text(out, encoding="utf-8")
         digests = [f"{wedge_digest(pathlib.Path(tmp), c)}  {c}\n" for c in WEDGE_CASES]
     WEDGE_DIGESTS.write_text("".join(digests), encoding="utf-8")
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -297,3 +299,13 @@ def test_adjugate_times_matrix_is_determinant_times_identity():
     assert adjugate(swap) == (IntMatrix.from_rows([[0, -1], [-1, 0]]), -1)
     with pytest.raises(ValueError, match="non-square"):
         adjugate(IntMatrix.zeros(2, 3))
+
+
+def test_int_matrix_survives_copy_pickle_and_deepcopy():
+    big = IntMatrix.from_rows([[1, -2], [3, 2**80]])
+    for m in (big, IntMatrix.zeros(0, 3), IntMatrix.zeros(2, 0)):
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(twin) is IntMatrix and twin == m and twin.shape == m.shape
+            assert hash(twin) == hash(m)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.rows = 5

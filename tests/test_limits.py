@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -259,7 +261,8 @@ def test_eventual_lattice_not_invariant_raises(monkeypatch):
 
 def test_saturation_that_changes_the_basis_multiplies_once_more(monkeypatch):
     # im T is spanned by (2, 0, 1) and (0, 2, 1), echelon pivots 2; the
-    # saturation adds (1, 1, 1), so the kept product T E cannot serve.
+    # saturation adds (1, 1, 1).  The span iteration runs in the pivot rows
+    # of im T, so T itself is multiplied once, by the saturated basis.
     T = M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])
     matmul, products = IntMatrix.__matmul__, []
     monkeypatch.setattr(
@@ -268,7 +271,7 @@ def test_saturation_that_changes_the_basis_multiplies_once_more(monkeypatch):
     g = StationaryLimitGroup(T)
     monkeypatch.undo()
     assert g.stabilization_index == 1
-    assert sum(products) == 2
+    assert sum(products) == 1
     assert g.eventual_basis.to_rows() == [[1, 0], [1, 2], [1, 1]]
     assert g.reduced_endomorphism.to_rows() == [[2, 0], [0, 2]]
     assert T @ g.eventual_basis == g.eventual_basis @ g.reduced_endomorphism
@@ -311,10 +314,15 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
         IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
     )
     g = StationaryLimitGroup(T)
-    # One product per step of the span iteration; restricting T to the
-    # saturated basis (the span itself here) reuses the last one.
+    monkeypatch.undo()
+    # Every pivot of the echelon basis of im T is 1 here, so the span
+    # iteration and the restriction run on T written in its pivot rows, and
+    # T itself is never multiplied.
+    first = solk.intlin.echelon_span(T)
+    assert {next(x for x in first.col(j) if x) for j in range(first.cols)} == {1}
+    assert g.stabilization_index > 0
     assert g.eventual_basis == solk.intlin.echelon_span(g.eventual_basis)
-    assert sum(products) == g.stabilization_index
+    assert sum(products) == 0
     for m in (g.eventual_basis, g.reduced_endomorphism):
         assert all(-(2**63) <= x < 2**63 for row in m.to_rows() for x in row)
 
@@ -357,3 +365,18 @@ def test_element_operations_on_an_edge_shift_run_no_smith_form(monkeypatch):
     for a in els:
         assert element_equal(element_add(a, element_negate(a)), g.zero())
     assert factored == {"smith_normal_form": 0}
+
+
+def test_group_and_element_survive_pickle_and_deepcopy():
+    g = make_limit(M([[2, 0, 0, 0], [0, 2, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]))
+    a, b = g.from_ambient(1, (1, 0, 3, 1)), g.element(2, (1, 1))
+    for h, x, y in (pickle.loads(pickle.dumps((g, a, b))), copy.deepcopy((g, a, b))):
+        assert x.group is h and y.group is h and h is not g
+        for name in ("ambient_rank", "endomorphism", "stabilization_index", "eventual_rank",
+                     "eventual_basis", "reduced_endomorphism"):
+            assert getattr(h, name) == getattr(g, name)
+        assert (x.stage, x.vector) == (a.stage, a.vector)
+        assert h.classify() == g.classify()
+        s, t = element_add(x, y), element_add(a, b)
+        assert (s.stage, s.vector) == (t.stage, t.vector)
+        assert element_equal(h.from_ambient(1, (1, 0, 3, 1)), x)

@@ -57,6 +57,7 @@ from oracles import (
     canonical_oracle,
     cokernel_oracle,
     echelon_span_oracle,
+    edge_shift_oracle,
     hermite_normal_form_rows_oracle,
     is_primitive_oracle,
     kernel_basis_oracle,
@@ -266,6 +267,30 @@ def test_limit_at_stabilization_index_matches_full_power_oracle():
             a, b = new.from_ambient(stage, v), old.from_ambient(stage, v)
             assert (a.stage, a.vector) == (b.stage, b.vector)
     assert {0, 1, 2, 3} <= indices  # nonsingular, one-step and longer nilpotent tails all ran
+
+
+def test_limit_multiplies_t_only_when_a_first_pivot_is_not_1(monkeypatch):
+    # The span iteration runs on T restricted to im T, in the pivot rows of
+    # its echelon basis E1.  When every pivot of E1 is 1 the limit never
+    # multiplies by T itself; otherwise it returns to Z^r once, for T @ E.
+    matmul, products, cases = IntMatrix.__matmul__, [], set()
+    for T in endomorphism_stream(seed=43):
+        products.clear()
+        monkeypatch.setattr(
+            IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
+        )
+        g = StationaryLimitGroup(T)
+        monkeypatch.undo()
+        first = echelon_span(T)
+        unit = all(next(x for x in first.col(j) if x) == 1 for j in range(first.cols))
+        k = g.stabilization_index
+        assert sum(products) == (0 if k == 0 or unit else 1)
+        if k:
+            cases.add((first.cols > 0, unit, min(k, 2)))
+    # Both finishes after one step and after several, and an empty first span.
+    assert cases == {
+        (True, True, 1), (True, True, 2), (True, False, 1), (True, False, 2), (False, True, 1)
+    }
 
 
 def test_bareiss_rank_matches_smith_rank(monkeypatch):
@@ -604,6 +629,24 @@ def test_adjugate_retraction_matches_smith_solve():
             assert (a.stage, a.vector) == (b.stage, b.vector)
             retracted += a.stage < stage
     assert 0 in ranks and retracted >= 50
+
+
+def test_edge_shift_rows_per_state_match_pairwise_oracle():
+    rng = random.Random(101)
+    fixed = [[], [[0]], [[3]], [[1, 0], [0, 1]], [[0, 2], [1, 0]]]
+    seeded = []
+    for _ in range(300):
+        n, density = rng.randrange(7), rng.random()
+        cells = [rng.randint(1, 3) if rng.random() < density else 0 for _ in range(n * n)]
+        seeded.append([cells[i * n : i * n + n] for i in range(n)])
+    for rows in fixed + seeded:
+        s = SftPresentation.from_matrix(rows)
+        got, want = edge_shift(s), edge_shift_oracle(s)
+        assert got.states == want.states
+        assert (got.adjacency.shape, got.adjacency._entries) == (
+            want.adjacency.shape,
+            want.adjacency._entries,
+        )
 
 
 def test_strongly_connected_by_boolean_squaring_matches_search():
