@@ -142,7 +142,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(map(mul, self.row(i), v)) for i in range(self.rows)])
 
     def power(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -585,16 +585,26 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     return _saturate_echelon(echelon_span(A))
 
 
+def _cleared_pivots(E: IntMatrix) -> tuple[list[int], int, IntMatrix]:
+    """The pivot rows of a column echelon E, the lcm L of its pivots p, and
+    E diag(L/p), whose pivots all equal L (E itself when L is 1)."""
+    d = E.cols
+    rows = [next(i for i, x in enumerate(E.col(j)) if x) for j in range(d)]
+    pivots = [E[i, j] for j, i in enumerate(rows)]
+    L = lcm(*pivots)
+    if L == 1:
+        return rows, L, E
+    return rows, L, IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
+
+
 def _saturate_echelon(E: IntMatrix) -> IntMatrix:
     """``saturate_columns`` for a primitive reduced echelon basis E, without
     its echelon step."""
     d = E.cols
-    pivots = [E[next(i for i, x in enumerate(E.col(j)) if x), j] for j in range(d)]
-    L = lcm(*pivots)
+    _, L, scaled = _cleared_pivots(E)
     if L == 1:
         return E
     # Row i of E diag(L/p) w must be 0 mod L; divide out what the row shares with L.
-    scaled = IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
     congruences = [(row, gcd(L, *row)) for row in map(scaled.row, range(E.rows))]
     congruences = [([x // g % (L // g) for x in row], L // g) for row, g in congruences if g < L]
     s = len(congruences)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from operator import mul
 
 from .intlin import (
     IntMatrix,
     NotInvariant,
+    _cleared_pivots,
     _saturate_echelon,
     adjugate,
     column_hnf,
@@ -70,10 +69,7 @@ class StationaryLimitGroup:
             return
         # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
         # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
-        pivot_rows = [next(i for i, x in enumerate(span.col(j)) if x) for j in range(rank)]
-        q = [span[i, j] for j, i in enumerate(pivot_rows)]
-        L = lcm(*q)
-        scaled = IntMatrix(r, rank, [x * (L // q[t % rank]) for t, x in enumerate(span._entries)])
+        pivot_rows, L, scaled = _cleared_pivots(span)
         M = IntMatrix(rank, r, [x for i in pivot_rows for x in endomorphism.row(i)]) @ scaled
         # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
         Y, image, k = IntMatrix.identity(rank), M, 1
@@ -116,28 +112,22 @@ class StationaryLimitGroup:
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
         for _ in range(self.stabilization_index):
-            vector = _apply(self._row_lists[0], vector)
+            vector = self.endomorphism.mul_vector(vector)
         coords = solve_echelon(self.eventual_basis, IntMatrix.column(vector))
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
         return self._canonical(stage + self.stabilization_index, coords.col(0))
 
-    # Vectors are pushed through the rows of T, T' and adj(T'), sliced once per group.
     @cached_property
-    def _row_lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        return self.endomorphism.to_rows(), self.reduced_endomorphism.to_rows()
-
-    @cached_property
-    def _adjugate(self) -> tuple[list[list[int]], int]:
-        adj, det = adjugate(self.reduced_endomorphism)
-        return adj.to_rows(), det
+    def _adjugate(self) -> tuple[IntMatrix, int]:
+        return adjugate(self.reduced_endomorphism)
 
     def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
         # Minimal stage: retract through T' while the vector stays integral;
         # v is in im T' exactly when adj(T') v == 0 mod det(T').
         adj, det = self._adjugate
         while stage > 0:
-            pre = _apply(adj, vector)
+            pre = adj.mul_vector(vector)
             if any(x % det for x in pre):
                 break
             vector = tuple(x // det for x in pre)
@@ -147,7 +137,7 @@ class StationaryLimitGroup:
     def _promote(self, el: "LimitElement", stage: int) -> tuple[int, ...]:
         v = el.vector
         for _ in range(stage - el.stage):
-            v = _apply(self._row_lists[1], v)
+            v = self.reduced_endomorphism.mul_vector(v)
         return v
 
     def classify(self) -> Classification:
@@ -181,11 +171,6 @@ class LimitElement:
     group: StationaryLimitGroup
     stage: int
     vector: tuple[int, ...]
-
-
-def _apply(rows: list[list[int]], v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """The matrix with these rows times v; a list comprehension beats a generator here."""
-    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def make_limit(T: IntMatrix) -> StationaryLimitGroup:
