@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import compress
 
 from .germs import GermClass, QuotientModel, QuotientSummary, quotient_summary
-from .intlin import IntMatrix, rank, restrict_endomorphism
+from .intlin import IntMatrix, NotInvariant, rank
 from .limits import StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
 
@@ -90,15 +91,32 @@ def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     an edge trace row for each interior preimage.
     """
     k = len(model.classes)
-    index = {c: i for i, c in enumerate(model.classes)}
-    trace = {e: edge_trace_row(p, model, e) for e in p.graph.edge_names()}
-    rows = [[0] * k for _ in range(k)]
-    for pre in model.classes:
-        rows[index[model.gtilde[pre]]][index[pre]] += 1
-    for c, row in zip(model.classes, rows):
+    rows = _pullback_rows(p, model, [{i: 1} for i in range(k)])
+    return IntMatrix(k, k, [x.get(j, 0) for x in rows for j in range(k)])
+
+
+def _pullback_rows(
+    p: Presentation, model: QuotientModel, rows: list[dict[int, int]]
+) -> list[dict[int, int]]:
+    """P @ R for the trace pullback P, without forming P; R and the result
+    are given by their sparse rows, one per class.
+
+    P = G + A Tr: G is the class map, A counts interior preimages and Tr
+    holds the edge traces.  So row gtilde(c) gains R[c] for every class c,
+    and row c gains tau_e = Tr_e @ R for each interior preimage (e, _) of c.
+    """
+    classes, graph = model.classes, p.graph
+    index = {c: i for i, c in enumerate(classes)}
+    tau: dict[str, dict[int, int]] = {e: {} for e in graph.edge_names()}
+    X: list[dict[int, int]] = [{} for _ in classes]
+    for c, row in zip(classes, rows):
+        if c.vertex == graph.edge(c.out_edge).source:  # edge_trace_row's rule
+            _add_row(tau[c.out_edge], row)
+        _add_row(X[index[model.gtilde[c]]], row)
+    for c, x in zip(classes, X):
         for e, _ in model.interior_preimage_table[c]:
-            row[:] = [a + b for a, b in zip(row, trace[e])]
-    return IntMatrix.from_rows(rows, cols=k)
+            _add_row(x, tau[e])
+    return X
 
 
 def k_theory_of_g0(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, int]:
@@ -113,8 +131,7 @@ def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
     Raises NotInvariant if the pullback fails to preserve the kernel
     lattice, which signals a modeling bug.
     """
-    pullback = trace_pullback_matrix(p, model)
-    return restrict_endomorphism(pullback, _class_forest(p, model))
+    return _psi0(p, model, _class_forest(p, model))
 
 
 def first_edge_matrix(p: Presentation) -> IntMatrix:
@@ -170,6 +187,41 @@ def _class_forest(p: Presentation, model: QuotientModel) -> IntMatrix:
     return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose()
 
 
+def _psi0(p: Presentation, model: QuotientModel, k0_basis: IntMatrix) -> IntMatrix:
+    """The trace pullback P written in the K0 basis K, from X = P @ K.
+
+    K is a Z-basis of ker delta0 whose non-tree rows (the first nonzero row
+    of each cycle) form the identity, so X = K psi0 exactly when
+    delta0 @ X == 0, and psi0 is X in those rows: no system is solved.
+    """
+    classes, d = model.classes, k0_basis.cols
+    cols = range(d)
+    rows = map(k0_basis.row, range(len(classes)))
+    K = [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
+    X = _pullback_rows(p, model, K)
+    # delta0 @ X, one arc at a time: +row at in_edge, -row at out_edge.
+    incidence: dict[str, dict[int, int]] = {e: {} for e in p.graph.edge_names()}
+    for c, x in zip(classes, X):
+        _add_row(incidence[c.in_edge], x)
+        _add_row(incidence[c.out_edge], x, -1)
+    if any(any(row.values()) for row in incidence.values()):
+        raise NotInvariant("the trace pullback does not carry ker delta0 into itself")
+    entries, t = [], 0
+    for row, x in zip(K, X):
+        if t < d and row.get(t):  # cycle t starts here, at its non-tree class
+            dense = [0] * d
+            for j, v in x.items():
+                dense[j] = v
+            entries += dense
+            t += 1
+    return IntMatrix(d, d, entries)
+
+
+def _add_row(acc: dict[int, int], row: dict[int, int], sign: int = 1) -> None:
+    for j, v in row.items():
+        acc[j] = acc.get(j, 0) + sign * v
+
+
 def _boundary_k_theory(
     p: Presentation, model: QuotientModel
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -200,7 +252,6 @@ class KTheoryReport:
     model: QuotientModel  # summary.model with its classes in ``order``
     summary: QuotientSummary
     delta0: IntMatrix
-    trace_pullback: IntMatrix
     k0_basis: IntMatrix
     psi0: IntMatrix
     psi1: IntMatrix
@@ -222,8 +273,7 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     model = with_class_order(summary.model, order)
 
     delta0, k0_basis, psi1 = _boundary_k_theory(p, model)
-    pullback = trace_pullback_matrix(p, model)
-    psi0 = restrict_endomorphism(pullback, k0_basis)
+    psi0 = _psi0(p, model, k0_basis)
 
     # Exactness bookkeeping for the six-term sequence.
     r = rank(delta0)
@@ -241,7 +291,6 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
         model=model,
         summary=summary,
         delta0=delta0,
-        trace_pullback=pullback,
         k0_basis=k0_basis,
         psi0=psi0,
         psi1=psi1,

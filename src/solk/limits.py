@@ -107,10 +107,12 @@ class StationaryLimitGroup:
 
         Pushing forward k more steps, k the stabilization index, lands the
         vector in the eventual lattice, where it is re-expressed in the
-        lattice basis.
+        lattice basis.  At k = 0 that basis is the identity.
         """
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
+        if not self.stabilization_index:
+            return self._canonical(stage, tuple(map(int, vector)))
         for _ in range(self.stabilization_index):
             vector = self.endomorphism.mul_vector(vector)
         coords = solve_echelon(self.eventual_basis, IntMatrix.column(vector))

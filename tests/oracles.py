@@ -33,6 +33,9 @@ components.  ``strongly_connected_oracle`` is the forward and backward
 depth-first search from state 0 that ``sft`` had before it squared the
 Boolean pattern of I + A, and ``edge_shift_oracle`` the comparison of every
 pair of edges that ``sft.edge_shift`` made before it built one row per state.
+``psi0_dense_oracle`` forms the dense trace pullback, multiplies it into the
+K0 basis and solves the echelon system, as ``ktheory`` did before it read
+psi0 off the class graph.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ from solk.intlin import (
     saturate_columns,
     smith_normal_form,
     solve_columns,
+    solve_echelon,
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
-from solk.ktheory import edge_trace_row
+from solk.ktheory import _class_forest, edge_trace_row, trace_pullback_matrix
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 from solk.sft import SftPresentation
 
@@ -516,6 +520,12 @@ def trace_pullback_matrix_oracle(p: Presentation, model: QuotientModel) -> IntMa
                 row[j] += x
         rows.append(row)
     return IntMatrix.from_rows(rows, cols=k)
+
+
+def psi0_dense_oracle(p: Presentation, model: QuotientModel) -> IntMatrix | None:
+    """psi0 through the classes x classes trace pullback P: K psi0 = P @ K."""
+    K = _class_forest(p, model)
+    return solve_echelon(K, trace_pullback_matrix(p, model) @ K)
 
 
 def strongly_connected_oracle(A: IntMatrix) -> bool:

@@ -74,7 +74,8 @@ def test_criterion_1_aabab_golden():
         alpha_beta = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
         assert same_column_lattice(r.k0_basis, alpha_beta)
         # The connecting endomorphism in that basis.
-        assert restrict_endomorphism(r.trace_pullback, alpha_beta).to_rows() == [[2, 1], [1, 1]]
+        pullback = trace_pullback_matrix(p, r.model)
+        assert restrict_endomorphism(pullback, alpha_beta).to_rows() == [[2, 1], [1, 1]]
         assert r.psi0.to_rows() == [[2, 1], [1, 1]]
         assert r.psi1 == IntMatrix.identity(1)
         assert str(r.k0_limit.classify()) == "FreeAbelian(2)"

@@ -7,17 +7,17 @@ edge_shift_56.sft.json and edge_shift_56.limit.json hold `solk sft --json`
 and `solk limit --json` with tests/helpers.py `dense_edge_shift()` as the
 matrix, and pivots2.limit.json `solk limit --json` with PIVOTS2_MATRIX, whose
 image span has echelon pivots 2 and drops rank once more.  The wedges with
-24, 32 and 40 loops are too large to keep whole: tests/golden/wedges.sha256
-holds the SHA-256 of their `solk ktheory --json` in both orders.  The
-wedge-24 digests are checked here; CI checks all six with
-
-    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
-    from test_golden import check_wedge_digests; check_wedge_digests()"
-
+24, 32 and 40 loops are too large to keep whole: tests/golden/ktheory.sha256
+holds the SHA-256 of their `solk ktheory --json` in both orders.
 `solk classes --json` on the closure-stress family at n = 15 and the cyclic
 family at n = 14 (tests/helpers.py ``closure_stress_text``, ``cyclic_text``),
 the sizes the benchmark's closure workload reaches, is kept whole in both
-orders.
+orders; their `solk ktheory --json` (2.6 and 2.0 MB, with full-rank psi0 of
+sizes 211 and 183) is kept in the same digest file.  The wedge-24 and the
+full-rank digests are checked here; CI checks all ten with
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
+    from test_golden import check_wedge_digests; check_wedge_digests()"
 
 To rewrite the goldens and the digests after an intended output change:
 
@@ -51,11 +51,16 @@ from helpers import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-WEDGE_DIGESTS = GOLDEN / "wedges.sha256"
+DIGESTS = GOLDEN / "ktheory.sha256"
 MATRIX_COMMANDS = ("sft", "limit")
 # im T has echelon pivots 2, 2, 1, and im T^2 has rank 2: stabilization index 2.
 PIVOTS2_MATRIX = "2,0,0,0;0,2,0,0;1,1,0,0;0,0,1,0"
 WEDGE_CASES = [f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40) for order in ("lex", "paper")]
+FULL_RANK_CASES = [
+    f"{fixture}.ktheory.{order}.json"
+    for fixture in ("closure_stress_15", "cyclic_14")
+    for order in ("lex", "paper")
+]
 
 # name -> (presentation text, expected exit code)
 FIXTURES = {
@@ -140,36 +145,46 @@ def test_pivots2_limit_matches_golden():
     assert out == (GOLDEN / "pivots2.limit.json").read_text(encoding="utf-8")
 
 
-def wedge_digest(tmp: pathlib.Path, case_id: str) -> str:
-    """SHA-256 of the stdout of one wedge case, named like a golden file."""
+def report_digest(tmp: pathlib.Path, case_id: str) -> str:
+    """SHA-256 of the stdout of one wedge or closure-family case, named like a golden file."""
     fixture, command, order, fmt = case_id.split(".")
     path = tmp / f"{fixture}.sol"
-    path.write_text(wedge_text(int(fixture.removeprefix("wedge_"))), encoding="utf-8")
+    text = CLOSURE_FIXTURES.get(fixture) or wedge_text(int(fixture.removeprefix("wedge_")))
+    path.write_text(text, encoding="utf-8")
     code, out = _run(path, command, order, fmt)
     if code != 0:
         raise SystemExit(f"{case_id}: exit {code}")
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
-def wedge_digests() -> dict[str, str]:
-    """Case id -> SHA-256, as recorded in WEDGE_DIGESTS (``sha256sum`` layout)."""
-    lines = WEDGE_DIGESTS.read_text(encoding="utf-8").splitlines()
+def recorded_digests() -> dict[str, str]:
+    """Case id -> SHA-256, as recorded in DIGESTS (``sha256sum`` layout)."""
+    lines = DIGESTS.read_text(encoding="utf-8").splitlines()
     return {case_id: digest for digest, case_id in map(str.split, lines)}
 
 
 def check_wedge_digests() -> None:
-    """Recompute every wedge digest; exit nonzero naming the cases that differ."""
-    recorded = wedge_digests()
+    """Recompute every wedge and full-rank digest; exit nonzero naming the cases that differ."""
+    recorded = recorded_digests()
     with tempfile.TemporaryDirectory() as tmp:
-        differ = [c for c in WEDGE_CASES if wedge_digest(pathlib.Path(tmp), c) != recorded.get(c)]
+        differ = [
+            c
+            for c in WEDGE_CASES + FULL_RANK_CASES
+            if report_digest(pathlib.Path(tmp), c) != recorded.get(c)
+        ]
     if differ:
-        raise SystemExit(f"wedge reports differ from {WEDGE_DIGESTS.name}: {', '.join(differ)}")
+        raise SystemExit(f"ktheory reports differ from {DIGESTS.name}: {', '.join(differ)}")
 
 
 @pytest.mark.parametrize("order", ["lex", "paper"])
 def test_wedge_24_report_matches_digest(tmp_path, order):
     case_id = f"wedge_24.ktheory.{order}.json"
-    assert wedge_digest(tmp_path, case_id) == wedge_digests()[case_id]
+    assert report_digest(tmp_path, case_id) == recorded_digests()[case_id]
+
+
+@pytest.mark.parametrize("case_id", FULL_RANK_CASES)
+def test_full_rank_report_matches_digest(tmp_path, case_id):
+    assert report_digest(tmp_path, case_id) == recorded_digests()[case_id]
 
 
 def record() -> None:
@@ -199,8 +214,9 @@ def record() -> None:
         if code != 0:
             raise SystemExit(f"pivots2.limit: exit {code}")
         (GOLDEN / "pivots2.limit.json").write_text(out, encoding="utf-8")
-        digests = [f"{wedge_digest(pathlib.Path(tmp), c)}  {c}\n" for c in WEDGE_CASES]
-    WEDGE_DIGESTS.write_text("".join(digests), encoding="utf-8")
+        cases = WEDGE_CASES + FULL_RANK_CASES
+        digests = [f"{report_digest(pathlib.Path(tmp), c)}  {c}\n" for c in cases]
+    DIGESTS.write_text("".join(digests), encoding="utf-8")
 
 
 if __name__ == "__main__":

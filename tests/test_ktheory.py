@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import solk.germs
@@ -6,7 +8,7 @@ import solk.ktheory
 import solk.limits
 import solk.model
 from solk.germs import occurring_classes, quotient_summary
-from solk.intlin import IntMatrix, rank, same_column_lattice
+from solk.intlin import IntMatrix, NotInvariant, rank, same_column_lattice
 from solk.ktheory import (
     InvalidPresentation,
     NotWellDefined,
@@ -280,6 +282,23 @@ def test_kernel_invariance_and_psi1_well_defined():
         psi_star_k1(p, m)  # raises NotWellDefined on failure
 
 
+@pytest.mark.parametrize("table", ["gtilde", "interior_preimage_table"])
+def test_psi0_rejects_a_redirected_class_map_entry(table):
+    # aabab (lex): a|b -> b|a with interior preimages (a, 2) and (b, 1).  Sending
+    # a|b to a|a, or its (b, 1) preimage to (a, 1), breaks P @ K0 in ker delta0.
+    p = aabab()
+    m = lex_model(p)
+    ab = next(c for c in m.classes if c.label() == "a|b")
+    if table == "gtilde":
+        entries = dict(m.gtilde) | {ab: m.classes[0]}
+    else:
+        entries = dict(m.interior_preimage_table) | {ab: (("a", 2), ("a", 1))}
+    mutated = dataclasses.replace(m, **{table: entries})
+    psi_star_k0(p, m)
+    with pytest.raises(NotInvariant):
+        psi_star_k0(p, mutated)
+
+
 def test_trace_consistency_on_kernel():
     # Out-dart and in-dart limit rows of each edge agree as functionals on
     # the kernel of the boundary matrix.
@@ -305,7 +324,7 @@ def test_hausdorff_connected_trace_scaling():
         if not (r.summary.hausdorff and r.summary.connected):
             continue
         n = r.summary.degree
-        pullback = r.trace_pullback
+        pullback = trace_pullback_matrix(p, r.model)
         ones = [1] * len(r.model.classes)
         lhs = [sum(ones[i] * pullback[i, j] for i in range(pullback.rows)) for j in range(pullback.cols)]
         diff = [a - n * b for a, b in zip(lhs, ones)]
@@ -316,32 +335,22 @@ def test_hausdorff_connected_trace_scaling():
 
 def test_report_matrices_are_integer_valued():
     # All report data are Python ints by construction; spot-check types.
-    r = ktheory_report(aabab())
-    for mat in (r.delta0, r.trace_pullback, r.k0_basis, r.psi0, r.psi1):
+    p = aabab()
+    r = ktheory_report(p)
+    for mat in (r.delta0, trace_pullback_matrix(p, r.model), r.k0_basis, r.psi0, r.psi1):
         assert all(isinstance(x, int) for row in mat.to_rows() for x in row)
 
 
-def test_report_factors_delta0_once_plus_the_rank_check(monkeypatch):
-    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
-    ktheory_report(aabab())
-    # K0, K1 and psi1 come from the class graph; the exactness check's
-    # rank(delta0) comes from Bareiss elimination.
-    assert factored == []
-
-
-def test_exactness_check_runs_no_second_smith_form(monkeypatch):
-    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
-    ktheory_report(aabab())
-    assert factored == []
-
-
-def test_report_factors_only_delta0(monkeypatch):
+def test_report_takes_no_smith_form(monkeypatch):
     # K0 comes from a spanning forest, K1 and psi1 from the components of the
-    # class graph, and the limits from echelon spans and congruence kernels:
-    # a report factors no matrix, delta0 included.
+    # class graph, the exactness check's rank(delta0) from Bareiss elimination
+    # and the limits from echelon spans and congruence kernels: a report
+    # factors no matrix, delta0 included.
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
     inverted = count_calls(monkeypatch, solk.intlin, "invert_unimodular")
     torsion = count_calls(monkeypatch, solk.limits, "stationary_torsion_limit")
+    ktheory_report(aabab())
+    assert factored == []
     ktheory_report(parse_presentation(wedge_text(8)))
     assert factored == []
     assert inverted == {"invert_unimodular": 0}

@@ -112,6 +112,16 @@ def test_from_ambient():
     assert not element_equal(g.from_ambient(1, (1, 1)), g.from_ambient(0, (1, 1)))
 
 
+def test_full_rank_from_ambient_reads_the_vector(monkeypatch):
+    # At stabilization index 0 the eventual basis is the identity: no solve.
+    g = make_limit(M([[2, 1], [1, 1]]))
+    assert g.stabilization_index == 0
+    solves = count_calls(monkeypatch, solk.intlin, "solve_echelon")
+    e = g.from_ambient(1, [3, 2])
+    assert (e.stage, e.vector) == (0, (1, 1))  # (3, 2) = T (1, 1)
+    assert solves == {"solve_echelon": 0}
+
+
 def test_classify_z_one_over_negative():
     g = make_limit(M([[-3]]))
     assert str(g.classify()) == "ZOneOver(3)"

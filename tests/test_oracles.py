@@ -32,19 +32,23 @@ from solk.ktheory import (
     _class_forest,
     boundary_matrix,
     first_edge_matrix,
+    psi_star_k0,
     psi_star_k1,
     trace_pullback_matrix,
     with_class_order,
 )
 from solk.limits import StationaryLimitGroup
-from solk.model import _is_primitive, parse_presentation, validate
+from solk.model import _is_primitive, parse_presentation, substitution_power, validate
 from solk.sft import SftPresentation, _strongly_connected, edge_shift, validate_sft
 
 from helpers import (
     THREE_COMPONENTS_TEXT,
+    aabab,
     closure_stress_text,
     count_calls,
     cyclic_text,
+    fibonacci,
+    n_solenoid,
     random_int_matrix,
     random_presentation,
     random_unimodular,
@@ -63,6 +67,7 @@ from oracles import (
     kernel_basis_oracle,
     matmul_oracle,
     occurring_classes_oracle,
+    psi0_dense_oracle,
     psi1_oracle,
     saturate_columns_oracle,
     solve_columns_oracle,
@@ -582,6 +587,38 @@ def test_psi1_is_the_smith_oracle_in_last_edge_order():
         perm = sorted(range(len(gens)), key=last.__getitem__)
         assert perm == [1, 0, 2]
         assert psi1 == psi1_oracle(delta0, E).submatrix(perm, perm)
+
+
+def test_psi0_from_the_class_graph_matches_the_dense_solve():
+    # Seeded presentations and wedges 2..18, and the full-rank closure families.
+    families = [closure_stress_text(9), closure_stress_text(15), cyclic_text(8), cyclic_text(14)]
+    models = list(class_models())
+    for p in map(parse_presentation, families):
+        model = occurring_classes(p)
+        models += [(p, with_class_order(model, order)) for order in ("lex", "paper")]
+    for p, m in models:
+        assert psi_star_k0(p, m) == psi0_dense_oracle(p, m)
+    assert max(len(m.classes) for _, m in models) == 225  # stress 15 ran
+
+
+def test_connecting_maps_of_a_substitution_power_are_the_powers():
+    # psi0(g^k) == psi0(g)^k and psi1(g^k) == psi1(g)^k on the same classes.
+    named = [aabab(), fibonacci(), n_solenoid(3)]
+    wedges = [parse_presentation(wedge_text(k)) for k in range(2, 10)]
+    pairs = 0
+    for p in named + wedges + random_valid_presentations(seed=7, count=120):
+        model = occurring_classes(p)
+        psi0, psi1 = psi_star_k0(p, model), psi_star_k1(p, model)
+        power0, power1 = psi0, psi1
+        for k in (2, 3):
+            q = substitution_power(p, k)
+            q_model = occurring_classes(q)
+            assert q_model.classes == model.classes
+            power0, power1 = power0 @ psi0, power1 @ psi1
+            assert psi_star_k0(q, q_model) == power0
+            assert psi_star_k1(q, q_model) == power1
+            pairs += 1
+    assert pairs == 262
 
 
 def test_k1_rank_counts_the_class_graph_components():
