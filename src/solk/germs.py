@@ -179,8 +179,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
         ends = (path.start(graph), path.end(graph))
         if not path.is_continuous(graph) or ends != (vmap.get(e.source), vmap.get(e.target)):
             raise ValueError(f"image path of '{e.name}' fails the endpoint check of validate()")
-    number = {e.name: i for i, e in enumerate(edges)}
-    images = [[number[d.edge] for d in p.edge_map[e.name].darts] for e in edges]
+    images = [[graph.index[d.edge] for d in p.edge_map[e.name].darts] for e in edges]
 
     ins: dict[str, list[int]] = {v: [] for v in sorted(graph.vertices)}
     outs: dict[str, list[int]] = {v: [] for v in ins}
@@ -251,22 +250,14 @@ def interior_preimages(p: Presentation, c: GermClass) -> tuple[tuple[str, int], 
     return model.interior_preimage_table[c]
 
 
-def _arrival_end(d: Dart) -> tuple[str, str]:
-    return (d.edge, "head" if d.forward else "tail")
-
-
-def _departure_end(d: Dart) -> tuple[str, str]:
-    return (d.edge, "tail" if d.forward else "head")
-
-
 def is_quotient_hausdorff(
     p: Presentation,
 ) -> tuple[bool, tuple[GermClass, GermClass] | None]:
     """Whether the quotient is Hausdorff, with a witness pair when it is not.
 
     Two classes at the same vertex cannot be separated exactly when they
-    are approached through the same end of the same edge, i.e. when they
-    share an incoming or an outgoing dart.
+    are approached through the same end of the same edge; as every dart of
+    the model runs forward, when they share an in_edge or an out_edge.
     """
     return _hausdorff(occurring_classes(p))
 
@@ -277,10 +268,8 @@ def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] 
         by_vertex.setdefault(c.vertex, []).append(c)
     for group in by_vertex.values():
         for i, c1 in enumerate(group):
-            ends1 = {_arrival_end(c1.in_dart), _departure_end(c1.out_dart)}
             for c2 in group[i + 1 :]:
-                ends2 = {_arrival_end(c2.in_dart), _departure_end(c2.out_dart)}
-                if ends1 & ends2:
+                if c1.in_edge == c2.in_edge or c1.out_edge == c2.out_edge:
                     return False, (c1, c2)
     return True, None
 

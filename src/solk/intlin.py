@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -42,7 +42,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(int, entries))
+        entries = tuple(map(index, entries))  # TypeError on a float or str, no truncation
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:

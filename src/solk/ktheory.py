@@ -2,26 +2,29 @@
 
 The quotient cell model yields a six-term exact sequence whose boundary
 matrix has one column per occurring germ class; K0 is its kernel, K1 its
-cokernel.  It is the incidence matrix of the class graph (edges as nodes,
-classes as arcs), so K0 is read off a spanning forest.  An incidence matrix
-is totally unimodular, so K1 is free, one generator per component of the
-class graph; the component indicators give the well-definedness check and
-psi1, and no Smith form is taken.  The connecting endomorphism acts on K0
-through trace pullbacks along the induced self-map and on K1 through
-winding numbers; iterating gives the K-groups of the limit algebra as
-stationary inductive limits.
+cokernel.  It is the incidence matrix of the class graph, built once per
+report as integer arcs: the nodes are the edges, by ``Graph.index``, and
+each class is an arc.  K0 is its cycle lattice, kept as sparse rows from a
+spanning forest; psi0, the trace pullback along the induced self-map, is
+read at the cycle starts and checked arc by arc.  K1 is free on the
+components (an incidence matrix is totally unimodular), and psi1 sums the
+first-edge rule over them.  No Smith form is taken.  Iterating gives the
+K-groups of the limit algebra as stationary inductive limits.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import compress
 
 from .germs import GermClass, QuotientModel, QuotientSummary, quotient_summary
 from .intlin import IntMatrix, NotInvariant, rank
 from .limits import StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
+
+Arcs = list[tuple[int, int]]  # class j as (in_edge, out_edge), by edge position
+Rows = list[dict[int, int]]  # a sparse row per class, column -> nonzero entry
+Forest = tuple[Rows, list[int]]  # K0 as rows, and the class where each cycle starts
 
 
 class NotWellDefined(RuntimeError):
@@ -63,11 +66,10 @@ def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     order.  The column of a class with equal incoming and outgoing edge is
     zero.
     """
-    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
-    rows = [[0] * len(model.classes) for _ in idx]
-    for j, c in enumerate(model.classes):
-        rows[idx[c.in_edge]][j] += 1
-        rows[idx[c.out_edge]][j] -= 1
+    rows = [[0] * len(model.classes) for _ in p.graph.edges]
+    for j, (u, v) in enumerate(_class_arcs(p, model)):
+        rows[u][j] += 1
+        rows[v][j] -= 1
     return IntMatrix.from_rows(rows, cols=len(model.classes))
 
 
@@ -75,13 +77,11 @@ def edge_trace_row(p: Presentation, model: QuotientModel, edge: str) -> tuple[in
     """Trace functional of an interior point of an edge, as a row over classes.
 
     A sequence entering the edge from its source vertex accumulates exactly
-    the classes whose outgoing dart runs along the edge, so the interior
-    trace is the sum of those class traces.
+    the classes whose outgoing dart runs along the edge (every dart of the
+    model runs forward), so the interior trace is the sum of those class
+    traces.
     """
-    src = p.graph.edge(edge).source
-    return tuple(
-        1 if (c.vertex == src and c.out_edge == edge) else 0 for c in model.classes
-    )
+    return tuple(int(c.out_edge == edge) for c in model.classes)
 
 
 def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -91,27 +91,22 @@ def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     an edge trace row for each interior preimage.
     """
     k = len(model.classes)
-    rows = _pullback_rows(p, model, [{i: 1} for i in range(k)])
-    return IntMatrix(k, k, [x.get(j, 0) for x in rows for j in range(k)])
+    return _dense(_pullback_rows(p, model, [{i: 1} for i in range(k)]), k)
 
 
-def _pullback_rows(
-    p: Presentation, model: QuotientModel, rows: list[dict[int, int]]
-) -> list[dict[int, int]]:
-    """P @ R for the trace pullback P, without forming P; R and the result
-    are given by their sparse rows, one per class.
+def _pullback_rows(p: Presentation, model: QuotientModel, rows: Rows) -> Rows:
+    """P @ R for the trace pullback P, without forming P.
 
     P = G + A Tr: G is the class map, A counts interior preimages and Tr
     holds the edge traces.  So row gtilde(c) gains R[c] for every class c,
     and row c gains tau_e = Tr_e @ R for each interior preimage (e, _) of c.
     """
-    classes, graph = model.classes, p.graph
+    classes = model.classes
     index = {c: i for i, c in enumerate(classes)}
-    tau: dict[str, dict[int, int]] = {e: {} for e in graph.edge_names()}
-    X: list[dict[int, int]] = [{} for _ in classes]
+    tau: dict[str, dict[int, int]] = {e: {} for e in p.graph.index}
+    X: Rows = [{} for _ in classes]
     for c, row in zip(classes, rows):
-        if c.vertex == graph.edge(c.out_edge).source:  # edge_trace_row's rule
-            _add_row(tau[c.out_edge], row)
+        _add_row(tau[c.out_edge], row)  # edge_trace_row's rule
         _add_row(X[index[model.gtilde[c]]], row)
     for c, x in zip(classes, X):
         for e, _ in model.interior_preimage_table[c]:
@@ -121,8 +116,9 @@ def _pullback_rows(
 
 def k_theory_of_g0(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, int]:
     """K0 (a kernel lattice basis, columns in class coordinates) and the rank of K1."""
-    _, k0_basis, psi1 = _boundary_k_theory(p, model)
-    return k0_basis, psi1.rows
+    arcs = _class_arcs(p, model)
+    k0_rows, starts = _class_forest(arcs, len(p.graph.edges))
+    return _dense(k0_rows, len(starts)), _psi1(p, model, arcs).rows
 
 
 def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -131,18 +127,17 @@ def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
     Raises NotInvariant if the pullback fails to preserve the kernel
     lattice, which signals a modeling bug.
     """
-    return _psi0(p, model, _class_forest(p, model))
+    arcs = _class_arcs(p, model)
+    return _psi0(p, model, arcs, _class_forest(arcs, len(p.graph.edges)))
 
 
 def first_edge_matrix(p: Presentation) -> IntMatrix:
     """Edge-level winding transport: each edge to the first edge of its image."""
-    edges = p.graph.edge_names()
-    idx = {e: i for i, e in enumerate(edges)}
-    n = len(edges)
-    entries = [[0] * n for _ in range(n)]
-    for j, e in enumerate(edges):
-        entries[idx[p.edge_map[e].darts[0].edge]][j] = 1
-    return IntMatrix.from_rows(entries, cols=n)
+    index = p.graph.index
+    entries = [[0] * len(index) for _ in index]
+    for j, e in enumerate(index):
+        entries[index[p.edge_map[e].darts[0].edge]][j] = 1
+    return IntMatrix.from_rows(entries, cols=len(index))
 
 
 def psi_star_k1(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -154,94 +149,104 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> IntMatrix:
     the cokernel is checked: the rule must carry the image of the boundary
     map into itself.
     """
-    return _boundary_k_theory(p, model)[2]
+    return _psi1(p, model, _class_arcs(p, model))
 
 
-def _class_forest(p: Presentation, model: QuotientModel) -> IntMatrix:
-    """K0 from a spanning forest of the class graph.
+def _class_arcs(p: Presentation, model: QuotientModel) -> Arcs:
+    index = p.graph.index
+    return [(index[c.in_edge], index[c.out_edge]) for c in model.classes]
 
-    The nodes are the edges and each class is an arc in_edge -> out_edge, so
+
+def _class_forest(arcs: Arcs, nodes: int) -> Forest:
+    """K0 from a spanning forest of the class graph: its rows, and the cycle starts.
+
     ker delta0 is the cycle lattice.  The forest grows from the last class to
     the first, so each fundamental cycle starts at its own non-tree class, with
     entry 1, and meets no other one: in class order the cycles are the HNF.
     """
-    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
-    arcs = [(idx[c.in_edge], idx[c.out_edge]) for c in model.classes]
-    component = list(range(len(idx)))
+    component = list(range(nodes))
     # chain[w]: the tree path to w from the first node of its component,
     # +1 on a class taken from in_edge to out_edge.
-    chain = [[0] * len(arcs) for _ in idx]
+    chain: Rows = [{} for _ in range(nodes)]
     cycles = []
     for j in reversed(range(len(arcs))):
         u, v = arcs[j]
         # chain[u] + j - chain[v]: j's fundamental cycle, or what re-bases v's side at u's
-        step = [x - y for x, y in zip(chain[u], chain[v])]
+        step = dict(chain[u])
+        _add_row(step, chain[v], -1)
         step[j] = 1
         a, b = component[u], component[v]
         if a == b:
-            cycles.append(step)
+            cycles.append((j, step))
             continue
         for w, c in enumerate(component):
             if c == b:
-                component[w], chain[w] = a, [x + y for x, y in zip(chain[w], step)]
-    return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose()
+                component[w] = a
+                _add_row(chain[w], step)
+    cycles.reverse()
+    rows: Rows = [{} for _ in arcs]
+    for t, (_, cycle) in enumerate(cycles):
+        for j, x in cycle.items():
+            rows[j][t] = x
+    return rows, [j for j, _ in cycles]
 
 
-def _psi0(p: Presentation, model: QuotientModel, k0_basis: IntMatrix) -> IntMatrix:
+def _psi0(p: Presentation, model: QuotientModel, arcs: Arcs, forest: Forest) -> IntMatrix:
     """The trace pullback P written in the K0 basis K, from X = P @ K.
 
-    K is a Z-basis of ker delta0 whose non-tree rows (the first nonzero row
-    of each cycle) form the identity, so X = K psi0 exactly when
-    delta0 @ X == 0, and psi0 is X in those rows: no system is solved.
+    K is a Z-basis of ker delta0 whose rows at the cycle starts form the
+    identity, so X = K psi0 exactly when delta0 @ X == 0, and psi0 is X in
+    those rows: no system is solved.
     """
-    classes, d = model.classes, k0_basis.cols
-    cols = range(d)
-    rows = map(k0_basis.row, range(len(classes)))
-    K = [dict(zip(compress(cols, row), filter(None, row))) for row in rows]
-    X = _pullback_rows(p, model, K)
+    k0_rows, starts = forest
+    X = _pullback_rows(p, model, k0_rows)
     # delta0 @ X, one arc at a time: +row at in_edge, -row at out_edge.
-    incidence: dict[str, dict[int, int]] = {e: {} for e in p.graph.edge_names()}
-    for c, x in zip(classes, X):
-        _add_row(incidence[c.in_edge], x)
-        _add_row(incidence[c.out_edge], x, -1)
-    if any(any(row.values()) for row in incidence.values()):
+    incidence: Rows = [{} for _ in p.graph.edges]
+    for (u, v), x in zip(arcs, X):
+        _add_row(incidence[u], x)
+        _add_row(incidence[v], x, -1)
+    if any(incidence):
         raise NotInvariant("the trace pullback does not carry ker delta0 into itself")
-    entries, t = [], 0
-    for row, x in zip(K, X):
-        if t < d and row.get(t):  # cycle t starts here, at its non-tree class
-            dense = [0] * d
-            for j, v in x.items():
-                dense[j] = v
-            entries += dense
-            t += 1
-    return IntMatrix(d, d, entries)
+    return _dense([X[j] for j in starts], len(starts))
 
 
-def _add_row(acc: dict[int, int], row: dict[int, int], sign: int = 1) -> None:
-    for j, v in row.items():
-        acc[j] = acc.get(j, 0) + sign * v
-
-
-def _boundary_k_theory(
-    p: Presentation, model: QuotientModel
-) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """delta0, K0 from the spanning forest, and psi1 on K1 = coker delta0.
+def _psi1(p: Presentation, model: QuotientModel, arcs: Arcs) -> IntMatrix:
+    """psi1 on K1 = coker delta0, from ``first_edge_matrix``.
 
     The column of a class is e_in - e_out, so the 0/1 indicators of the
     class-graph components vanish on im delta0 and map Z^edges onto K1 with
     kernel im delta0 (an incidence matrix is totally unimodular).  Generator
     k, the k-th component by last edge, lifts to its component's first edge.
     """
-    delta0, E = boundary_matrix(p, model), first_edge_matrix(p)
-    k0_basis = _class_forest(p, model)
-    last = model.edge_components
+    E, last = first_edge_matrix(p), model.edge_components
     roots = sorted(set(last))
-    gens = IntMatrix.from_rows([[int(r == root) for r in last] for root in roots], cols=len(last))
-    projected = gens @ E
-    if not (projected @ delta0).is_zero():
+    generator = {root: k for k, root in enumerate(roots)}
+    # image[j][k]: the weight of component k in the first-edge image of edge j
+    image = [[0] * len(roots) for _ in range(E.cols)]
+    for i, root in enumerate(last):
+        for j, x in enumerate(E.row(i)):
+            image[j][generator[root]] += x
+    if any(image[u] != image[v] for u, v in arcs):
         raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
     lifts = [last.index(root) for root in roots]
-    return delta0, k0_basis, projected.submatrix(range(len(roots)), lifts)
+    return IntMatrix.from_rows([[image[j][k] for j in lifts] for k in range(len(roots))])
+
+
+def _add_row(acc: dict[int, int], row: dict[int, int], sign: int = 1) -> None:
+    """acc += sign * row, keeping acc free of zero entries."""
+    for j, v in row.items():
+        if x := acc.get(j, 0) + sign * v:
+            acc[j] = x
+        else:
+            acc.pop(j, None)
+
+
+def _dense(rows: Rows, cols: int) -> IntMatrix:
+    entries = [0] * (len(rows) * cols)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            entries[i * cols + j] = x
+    return IntMatrix(len(rows), cols, entries)
 
 
 @dataclass(frozen=True)
@@ -272,8 +277,11 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     summary = quotient_summary(p)
     model = with_class_order(summary.model, order)
 
-    delta0, k0_basis, psi1 = _boundary_k_theory(p, model)
-    psi0 = _psi0(p, model, k0_basis)
+    delta0, arcs = boundary_matrix(p, model), _class_arcs(p, model)
+    k0_rows, starts = forest = _class_forest(arcs, len(p.graph.edges))
+    psi1 = _psi1(p, model, arcs)
+    psi0 = _psi0(p, model, arcs, forest)
+    k0_basis = _dense(k0_rows, len(starts))
 
     # Exactness bookkeeping for the six-term sequence.
     r = rank(delta0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 from .intlin import (
     IntMatrix,
@@ -97,7 +98,7 @@ class StationaryLimitGroup:
         """Element given by a vector in eventual-lattice coordinates at a stage."""
         if stage < 0:
             raise ValueError("stage must be nonnegative")
-        vector = tuple(int(x) for x in vector)
+        vector = tuple(map(index, vector))
         if len(vector) != self.eventual_rank:
             raise ValueError("vector length must equal the eventual rank")
         return self._canonical(stage, vector)
@@ -109,10 +110,11 @@ class StationaryLimitGroup:
         vector in the eventual lattice, where it is re-expressed in the
         lattice basis.  At k = 0 that basis is the identity.
         """
+        vector = tuple(map(index, vector))
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")
         if not self.stabilization_index:
-            return self._canonical(stage, tuple(map(int, vector)))
+            return self._canonical(stage, vector)
         for _ in range(self.stabilization_index):
             vector = self.endomorphism.mul_vector(vector)
         coords = solve_echelon(self.eventual_basis, IntMatrix.column(vector))

@@ -45,22 +45,23 @@ class Edge:
 class Graph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    _by_name: dict[str, Edge] = field(init=False, compare=False, repr=False)
+    # Edge name -> position in ``edges``: the one edge numbering, read by every module.
+    index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        by_name = {e.name: e for e in self.edges}
-        if len(by_name) != len(self.edges):
+        index = {e.name: i for i, e in enumerate(self.edges)}
+        if len(index) != len(self.edges):
             raise ValueError("duplicate edge names")
         vset = set(self.vertices)
         for e in self.edges:
             if e.source not in vset or e.target not in vset:
                 raise ValueError(f"edge {e.name} has undeclared endpoint")
-        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     def edge(self, name: str) -> Edge:
-        return self._by_name[name]
+        return self.edges[self.index[name]]
 
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
@@ -289,11 +290,10 @@ def abelianization(p: Presentation) -> IntMatrix:
     Square, indexed by edges in declaration order; entry (f, e) counts the
     traversals of edge f (either direction) in the image of edge e.
     """
-    names = p.graph.edge_names()
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
+    index = p.graph.index
+    n = len(index)
     entries = [[0] * n for _ in range(n)]
-    for j, e in enumerate(names):
+    for j, e in enumerate(index):
         for d in p.edge_map[e].darts:
             entries[index[d.edge]][j] += 1
     return IntMatrix.from_rows(entries, cols=n)
@@ -433,8 +433,7 @@ def validate(p: Presentation) -> ValidationReport:
     # The occurrence matrix M of ``abelianization``, read straight from the
     # image paths: column j counts the edges in the image of edge j, and bit j
     # of row i is set when edge i occurs in that image.
-    names = graph.edge_names()
-    index = {e: i for i, e in enumerate(names)}
+    names, index = graph.edge_names(), graph.index
     columns = [Counter(index[d.edge] for d in p.edge_map[e].darts) for e in names]
     pattern = [0] * len(names)
     for j, col in enumerate(columns):

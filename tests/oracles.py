@@ -35,7 +35,9 @@ Boolean pattern of I + A, and ``edge_shift_oracle`` the comparison of every
 pair of edges that ``sft.edge_shift`` made before it built one row per state.
 ``psi0_dense_oracle`` forms the dense trace pullback, multiplies it into the
 K0 basis and solves the echelon system, as ``ktheory`` did before it read
-psi0 off the class graph.
+psi0 off the class graph.  ``class_forest_oracle`` is the spanning forest
+with a dense chain of length #classes per edge, as ``ktheory`` had it before
+it kept the chains and the K0 basis as sparse rows.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from solk.intlin import (
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
-from solk.ktheory import _class_forest, edge_trace_row, trace_pullback_matrix
+from solk.ktheory import edge_trace_row, trace_pullback_matrix
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 from solk.sft import SftPresentation
 
@@ -522,9 +524,39 @@ def trace_pullback_matrix_oracle(p: Presentation, model: QuotientModel) -> IntMa
     return IntMatrix.from_rows(rows, cols=k)
 
 
+def class_forest_oracle(p: Presentation, model: QuotientModel) -> IntMatrix:
+    """K0 from a spanning forest of the class graph, cycles as columns.
+
+    The nodes are the edges and each class is an arc in_edge -> out_edge, so
+    ker delta0 is the cycle lattice.  The forest grows from the last class to
+    the first, so each fundamental cycle starts at its own non-tree class, with
+    entry 1, and meets no other one: in class order the cycles are the HNF.
+    """
+    idx = {e: i for i, e in enumerate(p.graph.edge_names())}
+    arcs = [(idx[c.in_edge], idx[c.out_edge]) for c in model.classes]
+    component = list(range(len(idx)))
+    # chain[w]: the tree path to w from the first node of its component,
+    # +1 on a class taken from in_edge to out_edge.
+    chain = [[0] * len(arcs) for _ in idx]
+    cycles = []
+    for j in reversed(range(len(arcs))):
+        u, v = arcs[j]
+        # chain[u] + j - chain[v]: j's fundamental cycle, or what re-bases v's side at u's
+        step = [x - y for x, y in zip(chain[u], chain[v])]
+        step[j] = 1
+        a, b = component[u], component[v]
+        if a == b:
+            cycles.append(step)
+            continue
+        for w, c in enumerate(component):
+            if c == b:
+                component[w], chain[w] = a, [x + y for x, y in zip(chain[w], step)]
+    return IntMatrix.from_rows(cycles[::-1], cols=len(arcs)).transpose()
+
+
 def psi0_dense_oracle(p: Presentation, model: QuotientModel) -> IntMatrix | None:
     """psi0 through the classes x classes trace pullback P: K psi0 = P @ K."""
-    K = _class_forest(p, model)
+    K = class_forest_oracle(p, model)
     return solve_echelon(K, trace_pullback_matrix(p, model) @ K)
 
 

@@ -13,8 +13,10 @@ holds the SHA-256 of their `solk ktheory --json` in both orders.
 family at n = 14 (tests/helpers.py ``closure_stress_text``, ``cyclic_text``),
 the sizes the benchmark's closure workload reaches, is kept whole in both
 orders; their `solk ktheory --json` (2.6 and 2.0 MB, with full-rank psi0 of
-sizes 211 and 183) is kept in the same digest file.  The wedge-24 and the
-full-rank digests are checked here; CI checks all ten with
+sizes 211 and 183) is kept in the same digest file, and so is that of the
+closure-stress family at n = 21 and the cyclic family at n = 20 (full-rank
+psi0 of sizes 421 and 381).  The wedge-24 digests and those of stress 15 and
+cyclic 14 are checked here; CI checks all fourteen with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
@@ -61,6 +63,14 @@ FULL_RANK_CASES = [
     for fixture in ("closure_stress_15", "cyclic_14")
     for order in ("lex", "paper")
 ]
+# Full-rank psi0 of sizes 421 and 381, a few seconds a report: checked by
+# check_wedge_digests only.
+LARGE_FULL_RANK_CASES = [
+    f"{fixture}.ktheory.{order}.json"
+    for fixture in ("closure_stress_21", "cyclic_20")
+    for order in ("lex", "paper")
+]
+DIGEST_CASES = WEDGE_CASES + FULL_RANK_CASES + LARGE_FULL_RANK_CASES
 
 # name -> (presentation text, expected exit code)
 FIXTURES = {
@@ -89,6 +99,11 @@ CLOSURE_FIXTURES = {"closure_stress_15": closure_stress_text(15), "cyclic_14": c
 CLOSURE_CASES = [
     (fixture, "classes", order, "json") for fixture in CLOSURE_FIXTURES for order in ("lex", "paper")
 ]
+# name -> presentation text of a closure-family `solk ktheory --json` digest.
+DIGEST_FIXTURES = CLOSURE_FIXTURES | {
+    "closure_stress_21": closure_stress_text(21),
+    "cyclic_20": cyclic_text(20),
+}
 
 
 def _case_id(fixture: str, command: str, order: str, fmt: str) -> str:
@@ -149,7 +164,7 @@ def report_digest(tmp: pathlib.Path, case_id: str) -> str:
     """SHA-256 of the stdout of one wedge or closure-family case, named like a golden file."""
     fixture, command, order, fmt = case_id.split(".")
     path = tmp / f"{fixture}.sol"
-    text = CLOSURE_FIXTURES.get(fixture) or wedge_text(int(fixture.removeprefix("wedge_")))
+    text = DIGEST_FIXTURES.get(fixture) or wedge_text(int(fixture.removeprefix("wedge_")))
     path.write_text(text, encoding="utf-8")
     code, out = _run(path, command, order, fmt)
     if code != 0:
@@ -168,9 +183,7 @@ def check_wedge_digests() -> None:
     recorded = recorded_digests()
     with tempfile.TemporaryDirectory() as tmp:
         differ = [
-            c
-            for c in WEDGE_CASES + FULL_RANK_CASES
-            if report_digest(pathlib.Path(tmp), c) != recorded.get(c)
+            c for c in DIGEST_CASES if report_digest(pathlib.Path(tmp), c) != recorded.get(c)
         ]
     if differ:
         raise SystemExit(f"ktheory reports differ from {DIGESTS.name}: {', '.join(differ)}")
@@ -214,8 +227,7 @@ def record() -> None:
         if code != 0:
             raise SystemExit(f"pivots2.limit: exit {code}")
         (GOLDEN / "pivots2.limit.json").write_text(out, encoding="utf-8")
-        cases = WEDGE_CASES + FULL_RANK_CASES
-        digests = [f"{report_digest(pathlib.Path(tmp), c)}  {c}\n" for c in cases]
+        digests = [f"{report_digest(pathlib.Path(tmp), c)}  {c}\n" for c in DIGEST_CASES]
     DIGESTS.write_text("".join(digests), encoding="utf-8")
 
 

@@ -309,3 +309,14 @@ def test_int_matrix_survives_copy_pickle_and_deepcopy():
             assert hash(twin) == hash(m)
             with pytest.raises(AttributeError, match="immutable"):
                 twin.rows = 5
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, "7"])
+def test_int_matrix_rejects_non_integral_entries(entry):
+    # A float or a string is refused, not truncated; a bool still reads as an int.
+    with pytest.raises(TypeError):
+        IntMatrix(1, 2, [1, entry])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[entry]])
+    m = IntMatrix(1, 2, [True, False])
+    assert m.row(0) == (1, 0) and all(type(x) is int for x in m.row(0))

@@ -122,6 +122,27 @@ def test_full_rank_from_ambient_reads_the_vector(monkeypatch):
     assert solves == {"solve_echelon": 0}
 
 
+@pytest.mark.parametrize(
+    "T",
+    [[[2, 1], [1, 1]], [[1, 1], [1, 1]]],  # full rank (index 0), singular (index 1)
+    ids=["full-rank", "singular"],
+)
+@pytest.mark.parametrize("bad", [2.9, 3.0, "7"])
+def test_element_and_from_ambient_reject_non_integral_vectors(T, bad):
+    g = make_limit(M(T))
+    with pytest.raises(TypeError):
+        g.element(0, [bad] * g.eventual_rank)
+    with pytest.raises(TypeError):
+        g.from_ambient(0, [bad, 1])
+    with pytest.raises(TypeError):
+        g.from_ambient(1, [1, bad])
+    # A bool reads as 1, as it does for int().
+    e = g.element(0, [True] * g.eventual_rank)
+    assert e.vector == (1,) * g.eventual_rank and all(type(x) is int for x in e.vector)
+    a, b = g.from_ambient(0, [True, True]), g.from_ambient(0, [1, 1])
+    assert (a.stage, a.vector) == (b.stage, b.vector)
+
+
 def test_classify_z_one_over_negative():
     g = make_limit(M([[-3]]))
     assert str(g.classify()) == "ZOneOver(3)"

@@ -279,6 +279,17 @@ def test_graph_name_index_is_not_part_of_equality_or_repr():
         g.edge("c")
 
 
+def test_graph_index_numbers_the_edges_in_declaration_order():
+    names = ["z", "a", "m", "b"]
+    text = "solenoid v1\nvertex p\n" + "".join(f"edge {e} p p\n" for e in names)
+    text += "".join(f"map {e} -> {e} {e}\n" for e in names)
+    graph = parse_presentation(text).graph
+    assert list(graph.index.items()) == [("z", 0), ("a", 1), ("m", 2), ("b", 3)]
+    assert [graph.edge(e) for e in names] == list(graph.edges)
+    with pytest.raises(TypeError):
+        graph.index["c"] = 4
+
+
 def test_presentation_maps_are_read_only():
     edge_map = dict(aabab().edge_map)
     p = Presentation(graph=aabab().graph, edge_map=edge_map, vertex_map={"p": "p"})

@@ -29,6 +29,7 @@ from solk.intlin import (
 )
 from solk.ktheory import (
     NotWellDefined,
+    _class_arcs,
     _class_forest,
     boundary_matrix,
     first_edge_matrix,
@@ -59,6 +60,7 @@ from oracles import (
     StationaryLimitGroupOracle,
     StationaryLimitGroupPowerOracle,
     canonical_oracle,
+    class_forest_oracle,
     cokernel_oracle,
     echelon_span_oracle,
     edge_shift_oracle,
@@ -546,13 +548,43 @@ def class_graph_components(p, m) -> set[frozenset[int]]:
     return {frozenset(part) for part in parts}
 
 
+def forest_models():
+    """``class_models()`` and the full-rank closure families, each in both class orders."""
+    families = [closure_stress_text(n) for n in (9, 15, 21)] + [cyclic_text(n) for n in (8, 14, 20)]
+    models = list(class_models())
+    for p in map(parse_presentation, families):
+        model = occurring_classes(p)
+        models += [(p, with_class_order(model, order)) for order in ("lex", "paper")]
+    return models
+
+
+def class_forest(p, m) -> tuple[IntMatrix, list[int]]:
+    """The sparse K0 rows of ``_class_forest`` as a dense matrix, and the cycle starts."""
+    rows, starts = _class_forest(_class_arcs(p, m), len(p.graph.edges))
+    d = len(starts)
+    return IntMatrix(len(rows), d, [row.get(t, 0) for row in rows for t in range(d)]), starts
+
+
 def test_spanning_forest_kernel_matches_smith_kernel():
     disconnected = 0
     for p, m in class_models():
         delta0 = boundary_matrix(p, m)
-        assert _class_forest(p, m) == kernel_basis_oracle(delta0)
+        assert class_forest(p, m)[0] == kernel_basis_oracle(delta0)
         disconnected += len(class_graph_components(p, m)) > 1
     assert disconnected >= 10  # class graphs with several components ran
+
+
+def test_sparse_class_forest_matches_the_dense_chain_reference():
+    models = forest_models()
+    for p, m in models:
+        K, starts = class_forest(p, m)
+        reference = class_forest_oracle(p, m)
+        assert K == reference
+        # Each cycle starts at its first nonzero row, with entry 1.
+        cols = map(reference.col, range(reference.cols))
+        assert starts == [next(i for i, x in enumerate(col) if x) for col in cols]
+        assert all(K[j, t] == 1 for t, j in enumerate(starts))
+    assert max(len(m.classes) for _, m in models) == 441  # stress 21 ran
 
 
 def test_psi1_from_cokernel_rows_matches_conjugation_oracle():
@@ -591,14 +623,10 @@ def test_psi1_is_the_smith_oracle_in_last_edge_order():
 
 def test_psi0_from_the_class_graph_matches_the_dense_solve():
     # Seeded presentations and wedges 2..18, and the full-rank closure families.
-    families = [closure_stress_text(9), closure_stress_text(15), cyclic_text(8), cyclic_text(14)]
-    models = list(class_models())
-    for p in map(parse_presentation, families):
-        model = occurring_classes(p)
-        models += [(p, with_class_order(model, order)) for order in ("lex", "paper")]
+    models = forest_models()
     for p, m in models:
         assert psi_star_k0(p, m) == psi0_dense_oracle(p, m)
-    assert max(len(m.classes) for _, m in models) == 225  # stress 15 ran
+    assert max(len(m.classes) for _, m in models) == 441  # stress 21 ran
 
 
 def test_connecting_maps_of_a_substitution_power_are_the_powers():
