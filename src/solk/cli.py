@@ -42,10 +42,10 @@ def _class_json(c: GermClass) -> dict:
 def _limit_json(g: StationaryLimitGroup) -> dict:
     return {
         "ambient_rank": g.ambient_rank,
-        "endomorphism": g.endomorphism.to_rows(),
+        "endomorphism": g.endomorphism,
         "eventual_rank": g.eventual_rank,
-        "eventual_basis": g.eventual_basis.to_rows(),
-        "reduced_endomorphism": g.reduced_endomorphism.to_rows(),
+        "eventual_basis": g.eventual_basis,
+        "reduced_endomorphism": g.reduced_endomorphism,
         "classification": str(g.classify()),
     }
 
@@ -88,8 +88,9 @@ def _json_text(value, newline: str = "\n") -> str:
     a list of plain ints is one ``str.join`` and strings go through the C
     escaper that ``json.dumps`` uses under ``ensure_ascii``.  ``int`` is tested
     by exact type, so a bool is not written as an int; other scalars go
-    through ``json.dumps`` one at a time.  ``newline`` is a line break plus
-    the indent of the line that holds ``value``.
+    through ``json.dumps`` one at a time.  An ``IntMatrix`` is written as
+    its list of rows, one ``str.join`` per row of its entries.  ``newline`` is
+    a line break plus the indent of the line that holds ``value``.
     """
     t = type(value)
     if t is str:
@@ -117,6 +118,13 @@ def _json_text(value, newline: str = "\n") -> str:
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if t is IntMatrix:
+        e, c, deeper = value._entries, value.cols, inner + "  "
+        rows = [
+            "[" + deeper + ("," + deeper).join(map(int.__repr__, e[i : i + c])) + inner + "]"
+            for i in range(0, len(e), c)
+        ] if c else ["[]"] * value.rows
+        return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"
     return json.dumps(value)
 
 
@@ -208,16 +216,16 @@ def _report_json(r: KTheoryReport) -> dict:
         "delta0": {
             "row_labels": list(r.model.edge_points),
             "col_labels": class_labels,
-            "entries": r.delta0.to_rows(),
+            "entries": r.delta0,
         },
         "k0_basis": {
             "row_labels": class_labels,
-            "entries": r.k0_basis.to_rows(),
+            "entries": r.k0_basis,
         },
-        "psi0": r.psi0.to_rows(),
+        "psi0": r.psi0,
         # K1 is free: no torsion, each generator of infinite order (modulus 0).
         "k1": {"free_rank": r.psi1.rows, "torsion": []},
-        "psi1": {"entries": r.psi1.to_rows(), "moduli": [0] * r.psi1.rows},
+        "psi1": {"entries": r.psi1, "moduli": [0] * r.psi1.rows},
         "k0_limit": _limit_json(r.k0_limit),
         "k1_limit": {"free": _limit_json(r.k1_limit), "torsion_limit": []},
         "diagnostics": {**_diagnostics_json(r.summary), "zn_target": r.zn_target},
@@ -270,7 +278,7 @@ def _cmd_sft(args) -> int:
         _emit_json(
             {
                 "states": list(s.states),
-                "adjacency": s.adjacency.to_rows(),
+                "adjacency": s.adjacency,
                 "k0": _limit_json(dg.k0),
                 "k1": dg.k1,
                 "warnings": [f.message for f in report.warnings()],

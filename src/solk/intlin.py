@@ -18,11 +18,18 @@ no Smith form: ``kernel_basis`` reads the kernel off the Hermite form of
 system, ``solve_echelon`` substitutes forward, and ``rank`` and
 ``determinant`` share one fraction-free (Bareiss) elimination.  Nor does
 the cokernel of a boundary matrix (see ``ktheory``).
+
+The fraction-free eliminations (``_bareiss``, ``adjugate``) take row x to
+(p x - a y) / prev for the pivot row y (Bareiss, Math. Comp. 22, 1968).  A row
+with multiplier a == 0 is only rescaled by p / prev, and left alone when the
+pivot repeats, as most rows of a sparse psi0 are.  Results built here from
+computed ints go through ``IntMatrix._of``, without the ``index`` check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -54,6 +61,15 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", entries)
 
+    @staticmethod
+    def _of(rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """A matrix over a tuple of ints that this module built: no checks."""
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -72,7 +88,8 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        # Each 1 is followed by the n zeros before the next row's 1.
+        return IntMatrix._of(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -100,9 +117,8 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, [x for j in range(self.cols) for x in self._entries[j :: self.cols]]
-        )
+        e, c = self._entries, self.cols
+        return IntMatrix._of(c, self.rows, tuple([x for j in range(c) for x in e[j::c]]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -120,8 +136,8 @@ class IntMatrix:
                     acc = [x + a * y for x, y in zip(acc, other.row(k))]
                 out.extend(acc)
             else:
-                out.extend(sum(map(mul, row, col)) for col in cols)
-        return IntMatrix(self.rows, n, out)
+                out.extend([sum(map(mul, row, col)) for col in cols])
+        return IntMatrix._of(self.rows, n, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -175,8 +191,11 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols + other.cols, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        out = [self[i, j] for i in row_idx for j in col_idx]
-        return IntMatrix(len(row_idx), len(col_idx), out)
+        e, c = self._entries, self.cols
+        if any(not 0 <= i < self.rows for i in row_idx) or any(not 0 <= j < c for j in col_idx):
+            raise IndexError("submatrix index out of range")
+        out = tuple([e[i * c + j] for i in row_idx for j in col_idx])
+        return IntMatrix._of(len(row_idx), len(col_idx), out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -352,21 +371,27 @@ def _bareiss(A: IntMatrix) -> tuple[int, int]:
     previous pivot is exact and coefficients grow no faster than A's minors.
     For a nonsingular square A the signed last pivot is det(A).
     """
-    M = A.to_rows()
+    M, n = A.to_rows(), A.cols
     r, prev, sign = 0, 1, 1
-    for col in range(A.cols):
+    for col in range(n):
         if r == A.rows:
             break
-        if not M[r][col]:
-            pivot_row = next((i for i in range(r + 1, A.rows) if M[i][col]), None)
+        j = col - n  # from the right: a row rebuilt at a pivot keeps the columns after it
+        if not M[r][j]:
+            pivot_row = next((i for i in range(r + 1, A.rows) if M[i][j]), None)
             if pivot_row is None:
                 continue
             _swap_rows(M, r, pivot_row)
             sign = -sign
-        p, top = M[r][col], M[r][col + 1 :]
+        p, width = M[r][j], -j - 1
+        top = M[r][len(M[r]) - width :]
         for i in range(r + 1, A.rows):
-            a = M[i][col]
-            M[i][col + 1 :] = [(x * p - a * y) // prev for x, y in zip(M[i][col + 1 :], top)]
+            row = M[i]
+            if a := row[j]:
+                tail = zip(islice(row, len(row) - width, None), top)
+                M[i] = [(x * p - a * y) // prev for x, y in tail]
+            elif p != prev:
+                M[i] = [x * p // prev for x in islice(row, len(row) - width, None)]
         prev = p
         r += 1
     return r, sign * prev
@@ -406,9 +431,10 @@ def adjugate(A: IntMatrix) -> tuple[IntMatrix, int]:
             sign = -sign
         top, p = M[k], M[k][k]
         for i in range(n):
-            if i != k:
-                a = M[i][k]
+            if i != k and (a := M[i][k]):
                 M[i] = [(x * p - a * y) // prev for x, y in zip(M[i], top)]
+            elif i != k and p != prev:
+                M[i] = [x * p // prev for x in M[i]]
         prev = p
     return IntMatrix(n, n, [sign * x for row in M for x in row[n:]]), sign * prev
 
@@ -547,7 +573,7 @@ def solve_echelon(B: IntMatrix, C: IntMatrix) -> IntMatrix | None:
             return None
         if j is not None:
             coords.append([a // row[j] for a in acc])
-    return IntMatrix.from_rows(coords, cols=C.cols)
+    return IntMatrix._of(len(coords), C.cols, tuple([x for r in coords for x in r]))
 
 
 def in_column_lattice(B: IntMatrix, v: Sequence[int]) -> bool:
@@ -629,15 +655,18 @@ def echelon_span(A: IntMatrix) -> IntMatrix:
         for c, b in basis.items():
             if v[c]:
                 v = _primitive([b[c] * x - v[c] * y for x, y in zip(v, b)])
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        for pivot, x in enumerate(v):
+            if x:
+                break
+        else:
             continue
         v = _primitive(v if v[pivot] > 0 else [-x for x in v])
         for c, b in basis.items():
             if b[pivot]:
                 basis[c] = _primitive([v[pivot] * x - b[pivot] * y for x, y in zip(b, v)])
         basis[pivot] = v
-    return IntMatrix.from_rows([basis[c] for c in sorted(basis)], cols=A.rows).transpose()
+    columns = [basis[c] for c in sorted(basis)]
+    return IntMatrix._of(A.rows, len(columns), tuple([x for row in zip(*columns) for x in row]))
 
 
 def _primitive(v: list[int]) -> list[int]:

@@ -115,10 +115,10 @@ def _pullback_rows(p: Presentation, model: QuotientModel, rows: Rows) -> Rows:
 
 
 def k_theory_of_g0(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, int]:
-    """K0 (a kernel lattice basis, columns in class coordinates) and the rank of K1."""
-    arcs = _class_arcs(p, model)
-    k0_rows, starts = _class_forest(arcs, len(p.graph.edges))
-    return _dense(k0_rows, len(starts)), _psi1(p, model, arcs).rows
+    """K0 (a kernel lattice basis, columns in class coordinates) and the rank of K1,
+    the number of class-graph components."""
+    k0_rows, starts = _class_forest(_class_arcs(p, model), len(p.graph.edges))
+    return _dense(k0_rows, len(starts)), len(set(model.edge_components))
 
 
 def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:

@@ -110,6 +110,8 @@ class StationaryLimitGroup:
         vector in the eventual lattice, where it is re-expressed in the
         lattice basis.  At k = 0 that basis is the identity.
         """
+        if stage < 0:
+            raise ValueError("stage must be nonnegative")
         vector = tuple(map(index, vector))
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length must equal the ambient rank")

@@ -37,7 +37,10 @@ pair of edges that ``sft.edge_shift`` made before it built one row per state.
 K0 basis and solves the echelon system, as ``ktheory`` did before it read
 psi0 off the class graph.  ``class_forest_oracle`` is the spanning forest
 with a dense chain of length #classes per edge, as ``ktheory`` had it before
-it kept the chains and the K0 basis as sparse rows.
+it kept the chains and the K0 basis as sparse rows.  ``exact_elimination_oracle``
+takes rank, determinant and adjugate from sympy, or without it from
+Gauss-Jordan elimination over ``fractions.Fraction``, to check the
+fraction-free eliminations of ``intlin``.
 """
 
 from __future__ import annotations
@@ -595,3 +598,49 @@ def edge_shift_oracle(s: SftPresentation) -> SftPresentation:
                 entries[a][b] = 1
     states = tuple(f"{s.states[i]}>{s.states[j]}#{k}" for i, j, k in edges)
     return SftPresentation(states=states, adjacency=IntMatrix.from_rows(entries, cols=n))
+
+
+def _rational_gauss_jordan(A: IntMatrix) -> tuple[int, Fraction, list[list[Fraction]]]:
+    """Rank, the product of the pivots with the sign of the row exchanges,
+    and the right half of the reduced [A | I], over the rationals."""
+    n = A.rows
+    M = [[Fraction(x) for x in A.row(i)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    r, det = 0, Fraction(1)
+    for col in range(A.cols):
+        pick = next((i for i in range(r, n) if M[i][col]), None)
+        if pick is None:
+            det = Fraction(0)
+            continue
+        if pick != r:
+            M[r], M[pick] = M[pick], M[r]
+            det = -det
+        p = M[r][col]
+        det *= p
+        M[r] = [x / p for x in M[r]]
+        for i in range(n):
+            if i != r and M[i][col]:
+                a = M[i][col]
+                M[i] = [x - a * y for x, y in zip(M[i], M[r])]
+        r += 1
+    return r, det, [row[A.cols :] for row in M]
+
+
+def exact_elimination_oracle(A: IntMatrix) -> tuple[int, int | None, IntMatrix | None]:
+    """Rank over Q, and for a square A its determinant and, when it is
+    nonsingular, its adjugate: from sympy when it is installed, otherwise
+    by Gauss-Jordan elimination over ``fractions.Fraction``."""
+    square = A.rows == A.cols
+    try:
+        import sympy
+    except ImportError:
+        r, det, inverse = _rational_gauss_jordan(A)
+        if not square:
+            return r, None, None
+        adj = [int(det * x) for row in inverse for x in row] if det else None
+        return r, int(det), None if adj is None else IntMatrix(A.rows, A.cols, adj)
+    m = sympy.Matrix(A.rows, A.cols, list(A._entries))
+    if not square:
+        return m.rank(), None, None
+    det = int(m.det())
+    adj = IntMatrix(A.rows, A.cols, [int(x) for x in (det * m.inv())]) if det else None
+    return m.rank(), det, adj

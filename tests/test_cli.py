@@ -315,6 +315,22 @@ def test_json_writer_matches_indented_json_dumps():
         assert _json_text(value) == json.dumps(value, indent=2), value
 
 
+def test_json_writer_writes_a_matrix_as_its_list_of_rows():
+    big = 2**70 + 3
+    matrices = [
+        IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0),
+        IntMatrix.from_rows([[-7]]), IntMatrix.from_rows([[1, -big, 0], [big, 2, -3]]),
+    ]
+    for m in matrices:
+        rows = m.to_rows()
+        # The matrix at depths 0 to 3, inside lists and dicts.
+        for wrap in (
+            lambda x: x, lambda x: [x], lambda x: {"m": x}, lambda x: [1, {"a": x, "b": "s"}],
+            lambda x: {"k": [x, []], "n": None}, lambda x: [[[x]]], lambda x: {"a": {"b": {"c": x}}},
+        ):
+            assert _json_text(wrap(m)) == json.dumps(wrap(rows), indent=2), (m, wrap(rows))
+
+
 def test_json_writer_rejects_what_json_dumps_rejects():
     for value in ({(1, 2): 0}, {1}, [object()]):
         with pytest.raises(TypeError):

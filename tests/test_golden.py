@@ -15,8 +15,9 @@ the sizes the benchmark's closure workload reaches, is kept whole in both
 orders; their `solk ktheory --json` (2.6 and 2.0 MB, with full-rank psi0 of
 sizes 211 and 183) is kept in the same digest file, and so is that of the
 closure-stress family at n = 21 and the cyclic family at n = 20 (full-rank
-psi0 of sizes 421 and 381).  The wedge-24 digests and those of stress 15 and
-cyclic 14 are checked here; CI checks all fourteen with
+psi0 of sizes 421 and 381), and of stress 31 in lex order (a 931 x 931 psi0
+and a 49 MB report).  The wedge-24 digests and those of stress 15 and
+cyclic 14 are checked here; CI checks all fifteen with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
@@ -63,13 +64,13 @@ FULL_RANK_CASES = [
     for fixture in ("closure_stress_15", "cyclic_14")
     for order in ("lex", "paper")
 ]
-# Full-rank psi0 of sizes 421 and 381, a few seconds a report: checked by
-# check_wedge_digests only.
+# Full-rank psi0 of sizes 421 and 381, a few seconds a report, and of size
+# 931 (stress 31, lex order only; about 15 s): checked by check_wedge_digests only.
 LARGE_FULL_RANK_CASES = [
     f"{fixture}.ktheory.{order}.json"
     for fixture in ("closure_stress_21", "cyclic_20")
     for order in ("lex", "paper")
-]
+] + ["closure_stress_31.ktheory.lex.json"]
 DIGEST_CASES = WEDGE_CASES + FULL_RANK_CASES + LARGE_FULL_RANK_CASES
 
 # name -> (presentation text, expected exit code)
@@ -103,6 +104,7 @@ CLOSURE_CASES = [
 DIGEST_FIXTURES = CLOSURE_FIXTURES | {
     "closure_stress_21": closure_stress_text(21),
     "cyclic_20": cyclic_text(20),
+    "closure_stress_31": closure_stress_text(31),
 }
 
 

@@ -25,6 +25,7 @@ from solk.intlin import (
 )
 
 from helpers import random_int_matrix, random_unimodular
+from oracles import exact_elimination_oracle
 
 DELTA0 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
 
@@ -320,3 +321,59 @@ def test_int_matrix_rejects_non_integral_entries(entry):
         IntMatrix.from_rows([[entry]])
     m = IntMatrix(1, 2, [True, False])
     assert m.row(0) == (1, 0) and all(type(x) is int for x in m.row(0))
+
+
+def M(rows):
+    return IntMatrix.from_rows(rows)
+
+
+# Shapes with no entries, then matrices that take each branch of the
+# fraction-free elimination: a row left alone, a row rescaled, a row exchange.
+ELIMINATION_CASES = [
+    IntMatrix.zeros(0, 0), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 3), IntMatrix.zeros(2, 2),
+    M([[1, 0, 0], [0, 1, 0], [1, 1, 1]]),  # multiplier 0 under a repeated pivot 1
+    M([[2, 1, 0], [0, 1, 1], [1, 0, 1]]),  # multiplier 0 under pivot 2 after 1: a rescaled row
+    M([[3, 1, 0, 2], [0, 2, 1, 0], [0, 0, 5, 1], [1, 0, 0, 4]]),  # three rescaled rows
+    M([[0, 1], [1, 0]]),  # a row exchange flips the sign
+    M([[0, 0, 1], [0, 2, 0], [3, 0, 0]]),  # exchanges and changing pivots
+    M([[1, 2, 3], [2, 4, 6]]), M([[0, 0], [0, 0], [1, 1]]), M([[2, 0], [0, 0]]),  # rank-deficient
+]
+
+
+def elimination_stream(seed: int):
+    """ELIMINATION_CASES, then seeded matrices of every shape up to 9 x 9:
+    sparse ones (mostly zero multipliers), unit-entry ones (mostly repeated
+    pivots) and rank-deficient products."""
+    rng = random.Random(seed)
+    yield from ELIMINATION_CASES
+    for _ in range(300):
+        r, c = rng.randint(0, 9), rng.randint(0, 9)
+        if rng.random() < 0.5:
+            r = c  # square ones have a determinant and maybe an adjugate
+        kind = rng.randrange(3)
+        if kind == 2 and r and c:
+            k = rng.randint(0, min(r, c) - 1)
+            B = IntMatrix(r, k, [rng.randint(-3, 3) for _ in range(r * k)])
+            yield B @ IntMatrix(k, c, [rng.randint(-3, 3) for _ in range(k * c)])
+            continue
+        values = (0, 0, 0, 1, -1, 2, -3) if kind == 0 else (0, 1, -1)
+        yield IntMatrix(r, c, [rng.choice(values) for _ in range(r * c)])
+
+
+def test_rank_determinant_and_adjugate_match_exact_oracle():
+    adjugates = 0
+    for A in elimination_stream(seed=2024):
+        want_rank, want_det, want_adj = exact_elimination_oracle(A)
+        assert rank(A) == want_rank, A
+        if A.rows != A.cols:
+            with pytest.raises(ValueError, match="non-square"):
+                determinant(A)
+            continue
+        assert determinant(A) == want_det, A
+        if want_adj is None:
+            with pytest.raises(ValueError, match="nonsingular"):
+                adjugate(A)
+        else:
+            assert adjugate(A) == (want_adj, want_det), A
+            adjugates += 1
+    assert adjugates >= 60

@@ -122,6 +122,17 @@ def test_full_rank_from_ambient_reads_the_vector(monkeypatch):
     assert solves == {"solve_echelon": 0}
 
 
+@pytest.mark.parametrize("T", [[[2]], [[2, 0], [0, 0]]], ids=["full-rank", "singular"])
+def test_from_ambient_rejects_a_negative_stage(T):
+    # The push by the stabilization index must not make a negative stage pass.
+    g = make_limit(M(T))
+    for stage in (-1, -2):
+        with pytest.raises(ValueError, match="stage must be nonnegative"):
+            g.element(stage, [3] * g.eventual_rank)
+        with pytest.raises(ValueError, match="stage must be nonnegative"):
+            g.from_ambient(stage, [3, 1][: g.ambient_rank])
+
+
 @pytest.mark.parametrize(
     "T",
     [[[2, 1], [1, 1]], [[1, 1], [1, 1]]],  # full rank (index 0), singular (index 1)

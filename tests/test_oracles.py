@@ -13,6 +13,7 @@ import solk.intlin
 import solk.ktheory
 from solk.germs import occurring_classes, quotient_summary
 from solk.intlin import (
+    adjugate,
     IntMatrix,
     cokernel,
     column_hnf,
@@ -39,7 +40,9 @@ from solk.ktheory import (
     with_class_order,
 )
 from solk.limits import StationaryLimitGroup
-from solk.model import _is_primitive, parse_presentation, substitution_power, validate
+from solk.model import (
+    _is_primitive, abelianization, parse_presentation, substitution_power, validate,
+)
 from solk.sft import SftPresentation, _strongly_connected, edge_shift, validate_sft
 
 from helpers import (
@@ -694,6 +697,34 @@ def test_adjugate_retraction_matches_smith_solve():
             assert (a.stage, a.vector) == (b.stage, b.vector)
             retracted += a.stage < stage
     assert 0 in ranks and retracted >= 50
+
+
+def test_det_psi0_is_det_of_the_abelianization_where_gtilde_is_a_bijection():
+    # On these families gtilde permutes the classes, so psi0 restricted to the
+    # cycles of the class graph has finite order and det(psi0) is det of the
+    # substitution matrix, sign included.
+    for text in (closure_stress_text(9), closure_stress_text(15), cyclic_text(8), cyclic_text(14)):
+        p = parse_presentation(text)
+        model = occurring_classes(p)
+        assert {model.gtilde[c] for c in model.classes} == set(model.classes)
+        assert determinant(psi_star_k0(p, model)) == determinant(abelianization(p)) != 0
+
+
+def test_conjugate_endomorphisms_have_isomorphic_limits():
+    # lim(Z^r, T) and lim(Z^r, V T V^-1) are isomorphic for unimodular V:
+    # equal eventual rank, stabilization index and |det T'|.
+    rng, indices = random.Random(89), set()
+    for T in endomorphism_stream(seed=97):
+        V = random_unimodular(rng, T.rows) if T.rows else T
+        adj, det = adjugate(V)  # V^-1 = det(V) adj(V), since det(V) = +-1
+        inverse = adj.scale(det)
+        assert inverse @ V == IntMatrix.identity(T.rows)
+        g, h = StationaryLimitGroup(T), StationaryLimitGroup(V @ T @ inverse)
+        assert h.eventual_rank == g.eventual_rank
+        assert h.stabilization_index == g.stabilization_index
+        assert abs(determinant(h.reduced_endomorphism)) == abs(determinant(g.reduced_endomorphism))
+        indices.add(g.stabilization_index)
+    assert {0, 1, 2, 3} <= indices
 
 
 def test_edge_shift_rows_per_state_match_pairwise_oracle():
