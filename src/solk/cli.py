@@ -31,12 +31,13 @@ from .model import ParseError, parse_presentation, validate
 from .sft import SftPresentation, sft_dimension_group, validate_sft
 
 
+# Every dart of a quotient model runs forward, so a dart prints as its edge.
 def _class_label(c: GermClass) -> str:
-    return f"{c.in_dart}|{c.out_dart}@{c.vertex}"
+    return f"{c.in_dart.edge}|{c.out_dart.edge}@{c.vertex}"
 
 
 def _class_json(c: GermClass) -> dict:
-    return {"vertex": c.vertex, "in": str(c.in_dart), "out": str(c.out_dart)}
+    return {"vertex": c.vertex, "in": c.in_dart.edge, "out": c.out_dart.edge}
 
 
 def _limit_json(g: StationaryLimitGroup) -> dict:
@@ -158,29 +159,27 @@ def _cmd_classes(args) -> int:
         return 1
     summary = quotient_summary(p)
     model = with_class_order(summary.model, args.order)
-    label = {c: _class_label(c) for c in model.classes}
+    labels = list(map(_class_label, model.classes))
     if args.json:
         obj = {
-            "classes": [_class_json(c) for c in model.classes],
-            "gtilde": {label[c]: label[model.gtilde[c]] for c in model.classes},
-            "interior_preimages": {
-                label[c]: [[e, i] for e, i in model.interior_preimage_table[c]]
-                for c in model.classes
-            },
+            "classes": list(map(_class_json, model.classes)),
+            "gtilde": dict(zip(labels, map(labels.__getitem__, model.gtilde))),
+            # A tuple is written as a JSON list, so each (edge, index) pair is one.
+            "interior_preimages": dict(zip(labels, model.interior_preimage_table)),
             "diagnostics": _diagnostics_json(summary),
         }
         _emit_json(obj)
         return 0
     print(f"classes ({args.order} order):")
-    for c in model.classes:
-        print(f"  {label[c]}")
+    for label in labels:
+        print(f"  {label}")
     print("induced map:")
-    for c in model.classes:
-        print(f"  {label[c]} -> {label[model.gtilde[c]]}")
+    for label, j in zip(labels, model.gtilde):
+        print(f"  {label} -> {labels[j]}")
     print("interior preimages:")
-    for c in model.classes:
-        pairs = ", ".join(f"({e},{i})" for e, i in model.interior_preimage_table[c]) or "-"
-        print(f"  {label[c]} <- {pairs}")
+    for label, preimages in zip(labels, model.interior_preimage_table):
+        pairs = ", ".join(f"({e},{i})" for e, i in preimages) or "-"
+        print(f"  {label} <- {pairs}")
     _print_diagnostics(summary)
     return 0
 
@@ -210,7 +209,7 @@ def _print_diagnostics(d: QuotientSummary) -> None:
 
 
 def _report_json(r: KTheoryReport) -> dict:
-    class_labels = [_class_label(c) for c in r.model.classes]
+    class_labels = list(map(_class_label, r.model.classes))
     return {
         "classes": [_class_json(c) for c in r.model.classes],
         "delta0": {
@@ -243,7 +242,7 @@ def _cmd_ktheory(args) -> int:
         _emit_json(_report_json(r))
         return 0
     _print_findings(r.validation)
-    class_labels = [_class_label(c) for c in r.model.classes]
+    class_labels = list(map(_class_label, r.model.classes))
     print(f"classes ({r.order} order): " + ", ".join(class_labels))
     print("boundary matrix (rows = edges, cols = classes):")
     _print_matrix(r.delta0, row_labels=list(r.model.edge_points))

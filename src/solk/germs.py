@@ -4,8 +4,8 @@ A vertex point of the line presented by (Y, g) is remembered by the pair
 (incoming dart, outgoing dart) at that vertex; interior points of an edge
 form a single Hausdorff cell per edge.  This module computes which germ
 classes occur, the induced self-map on them, and the preimage data needed
-downstream.  The closure runs on integer germ numbers and builds a
-``GermClass`` only for a class that occurs.
+downstream, as tables indexed by class position.  The closure runs on
+integer germ numbers and builds a ``GermClass`` only for a class that occurs.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class GermClass:
     in_dart: Dart
     out_dart: Dart
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.vertex, self.in_dart, self.out_dart)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return GermClass, (self.vertex, self.in_dart, self.out_dart)
-
     @property
     def in_edge(self) -> str:
         return self.in_dart.edge
@@ -60,39 +51,49 @@ class GermClass:
 
 @dataclass(frozen=True)
 class QuotientModel:
-    """Cells of the quotient: germ classes plus one interior cell per edge."""
+    """Cells of the quotient: germ classes plus one interior cell per edge.
+
+    Every table is a tuple indexed by class position: entry i is about
+    ``classes[i]``.
+    """
 
     classes: tuple[GermClass, ...]
     edge_points: tuple[str, ...]
-    gtilde: Mapping[GermClass, GermClass]
-    interior_preimage_table: Mapping[GermClass, tuple[tuple[str, int], ...]]
+    # Entry i is the position of the image of class i under the induced map.
+    gtilde: tuple[int, ...]
+    # Entry i lists the edge-interior preimages of class i: (edge, junction index).
+    interior_preimage_table: tuple[tuple[tuple[str, int], ...], ...]
     # Per class: its vertex preimages under gtilde plus its edge-interior preimages.
-    preimage_counts: Mapping[GermClass, int] = field(init=False, repr=False, compare=False)
-    # Components of the class graph: the nodes are the edges and each class is
-    # an arc in edge -- out edge.  Entry i is the index (in ``edge_points``)
-    # of the last edge of edge i's component.
+    preimage_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The class graph: the nodes are the edges, by position in ``edge_points``
+    # (as ``Graph.index`` numbers them), and class i is the arc (in edge, out edge).
+    arcs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # Entry i is the index of the last edge of edge i's class-graph component.
     edge_components: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gtilde", MappingProxyType(dict(self.gtilde)))
-        table = MappingProxyType(dict(self.interior_preimage_table))
+        object.__setattr__(self, "gtilde", tuple(self.gtilde))
+        table = tuple(self.interior_preimage_table)
         object.__setattr__(self, "interior_preimage_table", table)
-        vertex = Counter(self.gtilde.values())
-        counts = {c: vertex[c] + len(table[c]) for c in self.classes}
-        object.__setattr__(self, "preimage_counts", MappingProxyType(counts))
+        counts = list(map(len, table))
+        for j in self.gtilde:
+            counts[j] += 1
+        object.__setattr__(self, "preimage_counts", tuple(counts))
+        index = {e: i for i, e in enumerate(self.edge_points)}
+        arcs = tuple((index[c.in_dart.edge], index[c.out_dart.edge]) for c in self.classes)
+        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "edge_components", self._components())
 
     def _components(self) -> tuple[int, ...]:
-        idx = {e: i for i, e in enumerate(self.edge_points)}
-        root = list(range(len(idx)))
+        root = list(range(len(self.edge_points)))
 
         def find(i: int) -> int:
             while root[i] != i:
                 root[i] = i = root[root[i]]
             return i
 
-        for c in self.classes:
-            a, b = find(idx[c.in_dart.edge]), find(idx[c.out_dart.edge])
+        for u, v in self.arcs:
+            a, b = find(u), find(v)
             # The larger index becomes the root, so each root is its component's last edge.
             root[min(a, b)] = max(a, b)
         return tuple(find(i) for i in range(len(root)))
@@ -218,23 +219,25 @@ def occurring_classes(p: Presentation) -> QuotientModel:
 
     # Germ numbers follow sort_key order, so the classes come out sorted.
     darts = [Dart(e.name) for e in edges]
-    made: dict[int, GermClass] = {}
+    classes: list[GermClass] = []
+    position: dict[int, int] = {}  # germ number -> class position
     for v in ins:
         for a in ins[v]:
             for k, b in enumerate(outs[v], start=row[a]):
                 if occurring[k]:
-                    made[k] = GermClass(v, darts[a], darts[b])
+                    position[k] = len(classes)
+                    classes.append(GermClass(v, darts[a], darts[b]))
 
-    covered = {c.vertex for c in made.values()}
+    covered = {c.vertex for c in classes}
     for v in p.graph.vertices:
         if v not in covered:
             raise UnreachableVertex(f"vertex '{v}' carries no occurring germ class")
 
     return QuotientModel(
-        classes=tuple(made.values()),
+        classes=tuple(classes),
         edge_points=graph.edge_names(),
-        gtilde={c: made[step[j]] for j, c in made.items()},
-        interior_preimage_table={c: tuple(preimages.get(j, ())) for j, c in made.items()},
+        gtilde=tuple(position[step[k]] for k in position),
+        interior_preimage_table=tuple(tuple(preimages.get(k, ())) for k in position),
     )
 
 
@@ -245,9 +248,9 @@ def interior_preimages(p: Presentation, c: GermClass) -> tuple[tuple[str, int], 
     the image path, 1-based.
     """
     model = occurring_classes(p)
-    if c not in model.interior_preimage_table:
+    if c not in model.classes:
         raise ValueError(f"class {c.label()} does not occur")
-    return model.interior_preimage_table[c]
+    return model.interior_preimage_table[model.classes.index(c)]
 
 
 def is_quotient_hausdorff(
@@ -263,14 +266,14 @@ def is_quotient_hausdorff(
 
 
 def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] | None]:
-    by_vertex: dict[str, list[GermClass]] = {}
-    for c in model.classes:
-        by_vertex.setdefault(c.vertex, []).append(c)
-    for group in by_vertex.values():
-        for i, c1 in enumerate(group):
-            for c2 in group[i + 1 :]:
-                if c1.in_edge == c2.in_edge or c1.out_edge == c2.out_edge:
-                    return False, (c1, c2)
+    # An edge ends at one vertex, so classes that share an in edge or an out
+    # edge share their vertex; the witness is the first such pair in class order.
+    arcs = model.arcs
+    ins, outs = Counter(u for u, _ in arcs), Counter(v for _, v in arcs)
+    for i, (u, v) in enumerate(arcs):
+        if ins[u] > 1 or outs[v] > 1:
+            j = next(j for j in range(i + 1, len(arcs)) if arcs[j][0] == u or arcs[j][1] == v)
+            return False, (model.classes[i], model.classes[j])
     return True, None
 
 
@@ -306,14 +309,15 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     degree = None
     if hausdorff and connected and model.classes:
-        counts = {f"class {c.label()}@{c.vertex}": n for c, n in model.preimage_counts.items()}
         occurrences = Counter(d.edge for path in p.edge_map.values() for d in path.darts)
-        for e in p.graph.edge_names():
-            counts[f"edge {e}"] = occurrences[e]
-        values = set(counts.values())
+        edges = p.graph.edge_names()
+        values = {*model.preimage_counts, *map(occurrences.__getitem__, edges)}
         if len(values) != 1 or min(values) < 2:
+            counts = zip(model.classes, model.preimage_counts)
+            labelled = {f"class {c.label()}@{c.vertex}": n for c, n in counts}
+            labelled.update((f"edge {e}", occurrences[e]) for e in edges)
             raise DegreeNotConstant(
-                f"expected one constant preimage count n >= 2, got {sorted(counts.items())}"
+                f"expected one constant preimage count n >= 2, got {sorted(labelled.items())}"
             )
         degree = values.pop()
 

@@ -2,9 +2,9 @@
 
 The quotient cell model yields a six-term exact sequence whose boundary
 matrix has one column per occurring germ class; K0 is its kernel, K1 its
-cokernel.  It is the incidence matrix of the class graph, built once per
-report as integer arcs: the nodes are the edges, by ``Graph.index``, and
-each class is an arc.  K0 is its cycle lattice, kept as sparse rows from a
+cokernel.  It is the incidence matrix of the class graph, which each
+model holds as integer arcs: the nodes are the edges, by ``Graph.index``,
+and each class is an arc.  K0 is its cycle lattice, kept as sparse rows from a
 spanning forest; psi0, the trace pullback along the induced self-map, is
 read at the cycle starts and checked arc by arc.  K1 is free on the
 components (an incidence matrix is totally unimodular), and psi1 sums the
@@ -17,12 +17,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .germs import GermClass, QuotientModel, QuotientSummary, quotient_summary
+from .germs import QuotientModel, QuotientSummary, quotient_summary
 from .intlin import IntMatrix, NotInvariant, rank
 from .limits import StationaryLimitGroup, make_limit
 from .model import Presentation, ValidationReport, validate
 
-Arcs = list[tuple[int, int]]  # class j as (in_edge, out_edge), by edge position
 Rows = list[dict[int, int]]  # a sparse row per class, column -> nonzero entry
 Forest = tuple[Rows, list[int]]  # K0 as rows, and the class where each cycle starts
 
@@ -42,20 +41,27 @@ class InvalidPresentation(ValueError):
 
 
 def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
-    """Reorder the class tuple: 'lex' ascending or 'paper' descending.
+    """Reorder the classes by ``sort_key``: 'lex' ascending or 'paper' descending.
 
     Descending lexicographic order reproduces the conventional (ba, ab, aa)
     ordering for the one-vertex two-edge examples used in regression tests.
-    The copy shares the model's read-only tables.
+    The copy's per-class tables are the model's, permuted once with the
+    classes, and ``gtilde`` is renumbered to the new positions; the per-edge
+    ``edge_components`` is shared.  A model already in that order is returned.
     """
-    if order == "lex":
-        classes = tuple(sorted(model.classes, key=GermClass.sort_key))
-    elif order == "paper":
-        classes = tuple(sorted(model.classes, key=GermClass.sort_key, reverse=True))
-    else:
+    if order not in ("lex", "paper"):
         raise ValueError(f"unknown order '{order}'")
+    keys = [c.sort_key() for c in model.classes]
+    perm = sorted(range(len(keys)), key=keys.__getitem__, reverse=order == "paper")
+    if perm == list(range(len(perm))):
+        return model
+    position = [0] * len(perm)
+    for k, i in enumerate(perm):
+        position[i] = k
     reordered = copy.copy(model)
-    object.__setattr__(reordered, "classes", classes)
+    for name in ("classes", "interior_preimage_table", "preimage_counts", "arcs"):
+        object.__setattr__(reordered, name, tuple(map(getattr(model, name).__getitem__, perm)))
+    object.__setattr__(reordered, "gtilde", tuple(position[model.gtilde[i]] for i in perm))
     return reordered
 
 
@@ -67,7 +73,7 @@ def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
     zero.
     """
     rows = [[0] * len(model.classes) for _ in p.graph.edges]
-    for j, (u, v) in enumerate(_class_arcs(p, model)):
+    for j, (u, v) in enumerate(model.arcs):
         rows[u][j] += 1
         rows[v][j] -= 1
     return IntMatrix.from_rows(rows, cols=len(model.classes))
@@ -101,23 +107,22 @@ def _pullback_rows(p: Presentation, model: QuotientModel, rows: Rows) -> Rows:
     holds the edge traces.  So row gtilde(c) gains R[c] for every class c,
     and row c gains tau_e = Tr_e @ R for each interior preimage (e, _) of c.
     """
-    classes = model.classes
-    index = {c: i for i, c in enumerate(classes)}
-    tau: dict[str, dict[int, int]] = {e: {} for e in p.graph.index}
-    X: Rows = [{} for _ in classes]
-    for c, row in zip(classes, rows):
-        _add_row(tau[c.out_edge], row)  # edge_trace_row's rule
-        _add_row(X[index[model.gtilde[c]]], row)
-    for c, x in zip(classes, X):
-        for e, _ in model.interior_preimage_table[c]:
-            _add_row(x, tau[e])
+    index = p.graph.index
+    tau: Rows = [{} for _ in index]
+    X: Rows = [{} for _ in model.classes]
+    for (_, v), g, row in zip(model.arcs, model.gtilde, rows):
+        _add_row(tau[v], row)  # edge_trace_row's rule
+        _add_row(X[g], row)
+    for x, preimages in zip(X, model.interior_preimage_table):
+        for e, _ in preimages:
+            _add_row(x, tau[index[e]])
     return X
 
 
 def k_theory_of_g0(p: Presentation, model: QuotientModel) -> tuple[IntMatrix, int]:
     """K0 (a kernel lattice basis, columns in class coordinates) and the rank of K1,
     the number of class-graph components."""
-    k0_rows, starts = _class_forest(_class_arcs(p, model), len(p.graph.edges))
+    k0_rows, starts = _class_forest(model.arcs, len(p.graph.edges))
     return _dense(k0_rows, len(starts)), len(set(model.edge_components))
 
 
@@ -127,8 +132,7 @@ def psi_star_k0(p: Presentation, model: QuotientModel) -> IntMatrix:
     Raises NotInvariant if the pullback fails to preserve the kernel
     lattice, which signals a modeling bug.
     """
-    arcs = _class_arcs(p, model)
-    return _psi0(p, model, arcs, _class_forest(arcs, len(p.graph.edges)))
+    return _psi0(p, model, _class_forest(model.arcs, len(p.graph.edges)))
 
 
 def first_edge_matrix(p: Presentation) -> IntMatrix:
@@ -148,16 +152,27 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> IntMatrix:
     along the image path, homotoped into its first edge.  Well-definedness on
     the cokernel is checked: the rule must carry the image of the boundary
     map into itself.
+
+    The column of a class is e_in - e_out, so the 0/1 indicators of the
+    class-graph components vanish on im delta0 and map Z^edges onto K1 with
+    kernel im delta0 (an incidence matrix is totally unimodular).  Generator
+    k, the k-th component by last edge, lifts to its component's first edge.
     """
-    return _psi1(p, model, _class_arcs(p, model))
+    E, last = first_edge_matrix(p), model.edge_components
+    roots = sorted(set(last))
+    generator = {root: k for k, root in enumerate(roots)}
+    # image[j][k]: the weight of component k in the first-edge image of edge j
+    image = [[0] * len(roots) for _ in range(E.cols)]
+    for i, root in enumerate(last):
+        for j, x in enumerate(E.row(i)):
+            image[j][generator[root]] += x
+    if any(image[u] != image[v] for u, v in model.arcs):
+        raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
+    lifts = [last.index(root) for root in roots]
+    return IntMatrix.from_rows([[image[j][k] for j in lifts] for k in range(len(roots))])
 
 
-def _class_arcs(p: Presentation, model: QuotientModel) -> Arcs:
-    index = p.graph.index
-    return [(index[c.in_edge], index[c.out_edge]) for c in model.classes]
-
-
-def _class_forest(arcs: Arcs, nodes: int) -> Forest:
+def _class_forest(arcs: tuple[tuple[int, int], ...], nodes: int) -> Forest:
     """K0 from a spanning forest of the class graph: its rows, and the cycle starts.
 
     ker delta0 is the cycle lattice.  The forest grows from the last class to
@@ -191,7 +206,7 @@ def _class_forest(arcs: Arcs, nodes: int) -> Forest:
     return rows, [j for j, _ in cycles]
 
 
-def _psi0(p: Presentation, model: QuotientModel, arcs: Arcs, forest: Forest) -> IntMatrix:
+def _psi0(p: Presentation, model: QuotientModel, forest: Forest) -> IntMatrix:
     """The trace pullback P written in the K0 basis K, from X = P @ K.
 
     K is a Z-basis of ker delta0 whose rows at the cycle starts form the
@@ -202,34 +217,12 @@ def _psi0(p: Presentation, model: QuotientModel, arcs: Arcs, forest: Forest) -> 
     X = _pullback_rows(p, model, k0_rows)
     # delta0 @ X, one arc at a time: +row at in_edge, -row at out_edge.
     incidence: Rows = [{} for _ in p.graph.edges]
-    for (u, v), x in zip(arcs, X):
+    for (u, v), x in zip(model.arcs, X):
         _add_row(incidence[u], x)
         _add_row(incidence[v], x, -1)
     if any(incidence):
         raise NotInvariant("the trace pullback does not carry ker delta0 into itself")
     return _dense([X[j] for j in starts], len(starts))
-
-
-def _psi1(p: Presentation, model: QuotientModel, arcs: Arcs) -> IntMatrix:
-    """psi1 on K1 = coker delta0, from ``first_edge_matrix``.
-
-    The column of a class is e_in - e_out, so the 0/1 indicators of the
-    class-graph components vanish on im delta0 and map Z^edges onto K1 with
-    kernel im delta0 (an incidence matrix is totally unimodular).  Generator
-    k, the k-th component by last edge, lifts to its component's first edge.
-    """
-    E, last = first_edge_matrix(p), model.edge_components
-    roots = sorted(set(last))
-    generator = {root: k for k, root in enumerate(roots)}
-    # image[j][k]: the weight of component k in the first-edge image of edge j
-    image = [[0] * len(roots) for _ in range(E.cols)]
-    for i, root in enumerate(last):
-        for j, x in enumerate(E.row(i)):
-            image[j][generator[root]] += x
-    if any(image[u] != image[v] for u, v in arcs):
-        raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
-    lifts = [last.index(root) for root in roots]
-    return IntMatrix.from_rows([[image[j][k] for j in lifts] for k in range(len(roots))])
 
 
 def _add_row(acc: dict[int, int], row: dict[int, int], sign: int = 1) -> None:
@@ -277,10 +270,10 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
     summary = quotient_summary(p)
     model = with_class_order(summary.model, order)
 
-    delta0, arcs = boundary_matrix(p, model), _class_arcs(p, model)
-    k0_rows, starts = forest = _class_forest(arcs, len(p.graph.edges))
-    psi1 = _psi1(p, model, arcs)
-    psi0 = _psi0(p, model, arcs, forest)
+    delta0 = boundary_matrix(p, model)
+    k0_rows, starts = forest = _class_forest(model.arcs, len(p.graph.edges))
+    psi1 = psi_star_k1(p, model)
+    psi0 = _psi0(p, model, forest)
     k0_basis = _dense(k0_rows, len(starts))
 
     # Exactness bookkeeping for the six-term sequence.

@@ -130,17 +130,18 @@ def occurring_classes_oracle(p: Presentation) -> QuotientModel:
         if v not in covered:
             raise UnreachableVertex(f"vertex '{v}' carries no occurring germ class")
 
-    table: dict[GermClass, list[tuple[str, int]]] = {c: [] for c in classes}
+    position = {c: i for i, c in enumerate(classes)}
+    table: list[list[tuple[str, int]]] = [[] for _ in classes]
     for e in p.graph.edge_names():
         darts = p.edge_map[e].darts
         for i in range(len(darts) - 1):
-            table[_germ(p, darts[i], darts[i + 1])].append((e, i + 1))
+            table[position[_germ(p, darts[i], darts[i + 1])]].append((e, i + 1))
 
     return QuotientModel(
         classes=classes,
         edge_points=p.graph.edge_names(),
-        gtilde={c: step[c] for c in classes},
-        interior_preimage_table={c: tuple(v) for c, v in table.items()},
+        gtilde=tuple(position[step[c]] for c in classes),
+        interior_preimage_table=tuple(map(tuple, table)),
     )
 
 
@@ -513,14 +514,13 @@ def trace_pullback_matrix_oracle(p: Presentation, model: QuotientModel) -> IntMa
     an edge trace row for each interior preimage.
     """
     k = len(model.classes)
-    index = {c: i for i, c in enumerate(model.classes)}
     rows = []
-    for c in model.classes:
+    for i in range(k):
         row = [0] * k
-        for pre in model.classes:
-            if model.gtilde[pre] == c:
-                row[index[pre]] += 1
-        for e, _ in model.interior_preimage_table[c]:
+        for pre in range(k):
+            if model.gtilde[pre] == i:
+                row[pre] += 1
+        for e, _ in model.interior_preimage_table[i]:
             for j, x in enumerate(edge_trace_row(p, model, e)):
                 row[j] += x
         rows.append(row)

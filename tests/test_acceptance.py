@@ -93,7 +93,7 @@ def test_criterion_2_induced_map_table():
     def body():
         p = aabab()
         model = occurring_classes(p)
-        by_pair = {germ_pair(c): c for c in model.classes}
+        by_pair = {germ_pair(c): i for i, c in enumerate(model.classes)}
         ba, ab, aa = by_pair[("b", "a")], by_pair[("a", "b")], by_pair[("a", "a")]
         assert model.gtilde[ab] == ba
         assert model.gtilde[ba] == ba

@@ -11,6 +11,7 @@ import solk
 import solk.germs
 import solk.model
 from solk.germs import (
+    DegreeNotConstant,
     GermClass,
     QuotientModel,
     UnreachableVertex,
@@ -178,25 +179,23 @@ def corpus():
 
 def test_model_tables_are_read_only():
     m = occurring_classes(aabab())
-    c = m.classes[0]
+    names = ("gtilde", "interior_preimage_table", "preimage_counts", "arcs", "edge_components")
     for model in (m, with_class_order(m, "paper")):
-        with pytest.raises(TypeError):
-            model.gtilde[c] = c
-        with pytest.raises(TypeError):
-            model.interior_preimage_table[c] = ()
-        with pytest.raises(TypeError):
-            model.preimage_counts[c] = 0
-    # Reordering shares the tables instead of copying them.
-    assert with_class_order(m, "paper").gtilde is m.gtilde
+        for name in names:
+            table = getattr(model, name)
+            assert isinstance(table, tuple)
+            with pytest.raises(TypeError):
+                table[0] = table[0]
+    # Reordering permutes the per-class tables and shares the per-edge one.
     assert with_class_order(m, "paper").edge_components is m.edge_components
-    assert isinstance(m.edge_components, tuple)
     # The model keeps its own copy of the tables it is given.
-    gtilde, table = dict(m.gtilde), dict(m.interior_preimage_table)
+    gtilde, table = list(m.gtilde), list(m.interior_preimage_table)
     own = QuotientModel(m.classes, m.edge_points, gtilde, table)
     gtilde.clear()
-    table[c] = (("x", 9),)
+    table[0] = (("x", 9),)
     assert own == m
-    assert dict(own.preimage_counts) == dict(m.preimage_counts)
+    assert own.preimage_counts == m.preimage_counts
+    assert own.arcs == m.arcs
     assert own.edge_components == m.edge_components
 
 
@@ -226,9 +225,8 @@ def test_germ_class_and_dart_hash_contract():
 
 
 def test_germ_class_pickled_under_another_hash_seed_is_the_same_key():
-    # The hash is taken at construction; unpickling must construct again,
-    # or a class written by a process with another string-hash seed would
-    # miss its equal in every dict here.
+    # A class written by a process with another string-hash seed must hash
+    # like its equal here, or it would miss it in every dict.
     code = (
         "import pickle, sys; from solk.germs import GermClass; from solk.model import Dart; "
         "sys.stdout.buffer.write(pickle.dumps(GermClass('p', Dart('a'), Dart('b'))))"
@@ -268,8 +266,8 @@ def test_closure_is_fixed_point():
     for p in corpus():
         model = occurring_classes(p)
         class_set = set(model.classes)
-        for c in model.classes:
-            assert model.gtilde[c] in class_set
+        for c, j in zip(model.classes, model.gtilde):
+            assert 0 <= j < len(model.classes) and model.classes[j] == gtilde_on_class(p, c)
         for g in junction_germs(p):
             assert g in class_set
 
@@ -282,14 +280,15 @@ def test_closure_idempotent():
 def test_gtilde_surjective_on_classes():
     for p in corpus():
         model = occurring_classes(p)
-        for c in model.classes:
-            assert model.preimage_counts[c] >= 1
+        assert len(model.preimage_counts) == len(model.classes)
+        for n in model.preimage_counts:
+            assert n >= 1
 
 
 def test_junction_count_identity():
     for p in corpus():
         model = occurring_classes(p)
-        total = sum(len(v) for v in model.interior_preimage_table.values())
+        total = sum(len(v) for v in model.interior_preimage_table)
         assert total == sum(len(p.edge_map[e]) - 1 for e in p.graph.edge_names())
 
 
@@ -308,6 +307,21 @@ def test_hausdorff_connected_implies_constant_degree():
         s = quotient_summary(p)  # raises DegreeNotConstant on violation
         if s.hausdorff and s.connected:
             assert s.degree is not None and s.degree >= 2
+
+
+def test_degree_not_constant_lists_every_count_and_labels_only_then(monkeypatch):
+    # Two vertices, the identity map: each class and each edge has one preimage.
+    text = "solenoid v1\nvertex p\nvertex q\nedge b q p\nedge a p q\nmap b -> b\nmap a -> a\n"
+    message = (
+        "expected one constant preimage count n >= 2, got [('class a|b@q', 1), "
+        "('class b|a@p', 1), ('edge a', 1), ('edge b', 1)]"
+    )
+    with pytest.raises(DegreeNotConstant) as info:
+        quotient_summary(parse_presentation(text))
+    assert str(info.value) == message
+    # A constant degree is read off the counts without labelling a class.
+    monkeypatch.setattr(GermClass, "label", lambda c: pytest.fail("labelled a class"))
+    assert quotient_summary(n_solenoid(3)).degree == 3
 
 
 def test_occurring_classes_invariant_under_substitution_powers():

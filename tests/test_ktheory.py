@@ -288,11 +288,9 @@ def test_psi0_rejects_a_redirected_class_map_entry(table):
     # a|b to a|a, or its (b, 1) preimage to (a, 1), breaks P @ K0 in ker delta0.
     p = aabab()
     m = lex_model(p)
-    ab = next(c for c in m.classes if c.label() == "a|b")
-    if table == "gtilde":
-        entries = dict(m.gtilde) | {ab: m.classes[0]}
-    else:
-        entries = dict(m.interior_preimage_table) | {ab: (("a", 2), ("a", 1))}
+    ab = next(i for i, c in enumerate(m.classes) if c.label() == "a|b")
+    entries = list(getattr(m, table))
+    entries[ab] = 0 if table == "gtilde" else (("a", 2), ("a", 1))
     mutated = dataclasses.replace(m, **{table: entries})
     psi_star_k0(p, m)
     with pytest.raises(NotInvariant):

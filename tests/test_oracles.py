@@ -4,8 +4,11 @@ echelon-span limits, one-path saturation, echelon solve, spanning-forest K0,
 component-sum well-definedness, adjugate retraction and K1 and psi1 from the
 class-graph components against their straightforward oracles."""
 
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -30,7 +33,6 @@ from solk.intlin import (
 )
 from solk.ktheory import (
     NotWellDefined,
-    _class_arcs,
     _class_forest,
     boundary_matrix,
     first_edge_matrix,
@@ -43,7 +45,9 @@ from solk.limits import StationaryLimitGroup
 from solk.model import (
     _is_primitive, abelianization, parse_presentation, substitution_power, validate,
 )
-from solk.sft import SftPresentation, _strongly_connected, edge_shift, validate_sft
+from solk.sft import (
+    SftPresentation, _strongly_connected, edge_shift, sft_dimension_group, validate_sft,
+)
 
 from helpers import (
     THREE_COMPONENTS_TEXT,
@@ -117,11 +121,10 @@ def test_closure_matches_quadratic_oracle():
             got, want = with_class_order(closure, order), with_class_order(oracle, order)
             assert got.classes == want.classes
             assert got.edge_points == want.edge_points
-            assert list(got.gtilde.items()) == list(want.gtilde.items())
-            assert list(got.interior_preimage_table.items()) == list(
-                want.interior_preimage_table.items()
-            )
-            assert list(got.preimage_counts.items()) == list(want.preimage_counts.items())
+            assert got.gtilde == want.gtilde
+            assert got.interior_preimage_table == want.interior_preimage_table
+            assert got.preimage_counts == want.preimage_counts
+            assert got.arcs == want.arcs
 
 
 def test_validate_matches_integer_power_oracle():
@@ -133,7 +136,7 @@ def test_summary_degree_is_the_preimage_count():
     for p in presentations():
         s = quotient_summary(p)
         if s.degree is not None:
-            assert all(s.model.preimage_counts[c] == s.degree for c in s.model.classes)
+            assert all(n == s.degree for n in s.model.preimage_counts)
 
 
 def M(rows):
@@ -538,6 +541,30 @@ def class_models():
             yield p, with_class_order(model, order)
 
 
+def test_paper_order_is_the_lex_model_under_the_class_permutation():
+    # with_class_order permutes every per-class table with the classes and
+    # renumbers gtilde's entries, so the trace pullback is conjugated by the
+    # permutation matrix: P_paper = Pi P_lex Pi^T.
+    reversed_orders = 0
+    for p, m in class_models():
+        lex, paper = with_class_order(m, "lex"), with_class_order(m, "paper")
+        where = {c: i for i, c in enumerate(lex.classes)}
+        pi = [where[c] for c in paper.classes]  # paper position k holds lex class pi[k]
+        assert sorted(pi) == list(range(len(pi)))
+        for name in ("interior_preimage_table", "preimage_counts", "arcs"):
+            assert getattr(paper, name) == tuple(getattr(lex, name)[i] for i in pi)
+        assert [paper.classes[j] for j in paper.gtilde] == [
+            lex.classes[lex.gtilde[i]] for i in pi
+        ]
+        assert paper.edge_components == lex.edge_components
+        n = len(pi)
+        Pi = IntMatrix(n, n, [int(j == pi[k]) for k in range(n) for j in range(n)])
+        P = trace_pullback_matrix(p, lex)
+        assert trace_pullback_matrix(p, paper) == Pi @ P @ Pi.transpose()
+        reversed_orders += n > 1 and pi == list(reversed(range(n)))
+    assert reversed_orders >= 100
+
+
 def class_graph_components(p, m) -> set[frozenset[int]]:
     """The components of the class graph (edges as nodes, classes as arcs), as edge indices."""
     idx = {e: i for i, e in enumerate(p.graph.edge_names())}
@@ -563,7 +590,7 @@ def forest_models():
 
 def class_forest(p, m) -> tuple[IntMatrix, list[int]]:
     """The sparse K0 rows of ``_class_forest`` as a dense matrix, and the cycle starts."""
-    rows, starts = _class_forest(_class_arcs(p, m), len(p.graph.edges))
+    rows, starts = _class_forest(m.arcs, len(p.graph.edges))
     d = len(starts)
     return IntMatrix(len(rows), d, [row.get(t, 0) for row in rows for t in range(d)]), starts
 
@@ -706,7 +733,7 @@ def test_det_psi0_is_det_of_the_abelianization_where_gtilde_is_a_bijection():
     for text in (closure_stress_text(9), closure_stress_text(15), cyclic_text(8), cyclic_text(14)):
         p = parse_presentation(text)
         model = occurring_classes(p)
-        assert {model.gtilde[c] for c in model.classes} == set(model.classes)
+        assert sorted(model.gtilde) == list(range(len(model.classes)))
         assert determinant(psi_star_k0(p, model)) == determinant(abelianization(p)) != 0
 
 
@@ -725,6 +752,33 @@ def test_conjugate_endomorphisms_have_isomorphic_limits():
         assert abs(determinant(h.reduced_endomorphism)) == abs(determinant(g.reduced_endomorphism))
         indices.add(g.stabilization_index)
     assert {0, 1, 2, 3} <= indices
+
+
+def _irreducible_matrix(monkeypatch):
+    """``perfbench/corpus.py``'s generator of the sft-limits matrices, loaded read-only."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module.irreducible_matrix
+
+
+def test_an_sft_and_its_edge_shift_have_isomorphic_limits(monkeypatch):
+    # The edge shift is conjugate to the SFT, so the two transfer maps have
+    # isomorphic stationary limits: equal eventual rank and det T', sign included.
+    irreducible_matrix, dets = _irreducible_matrix(monkeypatch), set()
+    for n in range(2, 7):
+        for seed in range(12):
+            s = SftPresentation.from_matrix(irreducible_matrix(n, random.Random(f"edge{n}:{seed}")))
+            e = edge_shift(s)
+            assert len(e.states) > n
+            g, h = sft_dimension_group(s).k0, sft_dimension_group(e).k0
+            assert h.eventual_rank == g.eventual_rank
+            det = determinant(g.reduced_endomorphism)
+            assert determinant(h.reduced_endomorphism) == det
+            dets.add(det)
+    assert len(dets) > 10 and min(dets) < 0 < max(dets)
 
 
 def test_edge_shift_rows_per_state_match_pairwise_oracle():
