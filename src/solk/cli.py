@@ -7,9 +7,10 @@ Subcommands:
     sft --matrix "1,1;1,1" invariant of a subshift of finite type
     limit --matrix "3"     classify a stationary limit lim(Z^r, T)
 
-Exit codes: 0 success, 1 validation errors, 2 parse or usage errors,
-3 internal-consistency errors (a failed exactness or well-definedness check),
-141 stdout closed by its reader (as after SIGPIPE; nothing is printed).
+Exit codes: 0 success, 1 validation errors, 2 parse or usage errors or an
+unreadable input path, 3 internal-consistency errors (a failed exactness or
+well-definedness check), 141 stdout closed by its reader (as after SIGPIPE;
+nothing is printed).
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ def _json_text(value, newline: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)``, byte for byte.
 
     The stdlib takes its pure-Python encoder whenever ``indent`` is set; here
-    a list of plain ints is one ``str.join`` and strings go through the C
-    escaper that ``json.dumps`` uses under ``ensure_ascii``.  ``int`` is tested
-    by exact type, so a bool is not written as an int; other scalars go
-    through ``json.dumps`` one at a time.  An ``IntMatrix`` is written as
-    its list of rows, one ``str.join`` per row of its entries.  ``newline`` is
-    a line break plus the indent of the line that holds ``value``.
+    a list writes its int and str items inline, without a recursive call, and
+    strings go through the C escaper that ``json.dumps`` uses under
+    ``ensure_ascii``.  ``int`` is tested by exact type, so a bool is not
+    written as an int; other scalars go through ``json.dumps`` one at a time.
+    An ``IntMatrix`` is written as its list of rows, one ``str.join`` per row
+    of its entries.  ``newline`` is a line break plus the indent of the line
+    that holds ``value``.
     """
     t = type(value)
     if t is str:
@@ -102,13 +104,12 @@ def _json_text(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        types = set(map(type, value))
-        if types == {int}:
-            items = map(int.__repr__, value)
-        elif types == {str}:
-            items = map(_escape, value)
-        else:
-            items = [_json_text(v, inner) for v in value]
+        items = [
+            int.__repr__(v) if type(v) is int
+            else _escape(v) if type(v) is str
+            else _json_text(v, inner)
+            for v in value
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
@@ -352,11 +353,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the flush at exit goes to the null device, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # a missing, unreadable or directory path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnreachableVertex, DegreeNotConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)

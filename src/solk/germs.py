@@ -4,16 +4,17 @@ A vertex point of the line presented by (Y, g) is remembered by the pair
 (incoming dart, outgoing dart) at that vertex; interior points of an edge
 form a single Hausdorff cell per edge.  This module computes which germ
 classes occur, the induced self-map on them, and the preimage data needed
-downstream, as tables indexed by class position.  The closure runs on
-integer germ numbers and builds a ``GermClass`` only for a class that occurs.
+downstream, as tables indexed by class position.  A class occurs when it is
+realised at a junction of an image path, lies in the eventual image of the
+induced map on all germs (its cycles), or is reached from either.  The
+closure runs on integer germ numbers and builds a ``GermClass`` only for a
+class that occurs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .model import Dart, Presentation
 
@@ -128,34 +129,6 @@ def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
     return _germ(p, p.dart_image(c.in_dart)[-1], p.dart_image(c.out_dart)[0])
 
 
-_NEW, _ON_PATH, _DONE = 0, 1, 2
-
-
-def _cycle_nodes(step: list[int]) -> bytearray:
-    """Nodes on a cycle of the functional graph ``i -> step[i]``.
-
-    Each node is walked once: a walk stops at the first node it has seen
-    before, and has closed a cycle when that node is on its own path.
-    """
-    state = bytearray(len(step))
-    on_cycle = bytearray(len(step))
-    for start in range(len(step)):
-        path = []
-        x = start
-        while state[x] == _NEW:
-            state[x] = _ON_PATH
-            path.append(x)
-            x = step[x]
-        if state[x] == _ON_PATH:
-            y = x
-            while not on_cycle[y]:
-                on_cycle[y] = 1
-                y = step[y]
-        for y in path:
-            state[y] = _DONE
-    return on_cycle
-
-
 def occurring_classes(p: Presentation) -> QuotientModel:
     """The occurring germ classes and the model tables built over them.
 
@@ -167,8 +140,9 @@ def occurring_classes(p: Presentation) -> QuotientModel:
 
     Germ (a, b) of edge numbers is ``row[a] + col[b]``, numbered in
     ``sort_key`` order, so the induced map is one integer table read from
-    each edge's last and first image edge, and the computation is linear
-    in the number of germs.  Image paths must run forward, and pass the
+    each edge's last and first image edge.  The germs on its cycles are
+    its eventual image: the image of the germ set is taken again until it
+    stops shrinking.  Image paths must run forward, and pass the
     endpoint check of ``validate``; ``ValueError`` names an edge that does not.
     """
     graph, vmap, edges = p.graph, p.vertex_map, p.graph.edges
@@ -199,23 +173,26 @@ def occurring_classes(p: Presentation) -> QuotientModel:
         for a in ins[v]:
             last = row[images[a][-1]]
             step += [last + f for f in firsts]
-    occurring = _cycle_nodes(step)
+    # The germs on a cycle of the induced map are its eventual image.  Germ
+    # (a, b) follows a under the last-image-edge map and b under the
+    # first-image-edge map, so its tail is at most an edge's tail under one of
+    # them: this stops within #edges rounds.
+    occurring = set(range(len(step)))
+    while (image := {step[k] for k in occurring}) != occurring:
+        occurring = image
 
-    # One pass over the junctions seeds the closure and fills the
-    # interior-preimage table.
+    # One pass over the junctions fills the interior-preimage table; their
+    # forward closure joins the cycle germs, which are closed already.
     preimages: dict[int, list[tuple[str, int]]] = {}
     for e, path in zip(edges, images):
         for i, (a, b) in enumerate(zip(path, path[1:]), start=1):
-            j = row[a] + col[b]
-            preimages.setdefault(j, []).append((e.name, i))
-            occurring[j] = 1
-
-    frontier = [i for i, on in enumerate(occurring) if on]
+            preimages.setdefault(row[a] + col[b], []).append((e.name, i))
+    frontier = list(preimages)
     while frontier:
-        nxt = step[frontier.pop()]
-        if not occurring[nxt]:
-            occurring[nxt] = 1
-            frontier.append(nxt)
+        k = frontier.pop()
+        if k not in occurring:
+            occurring.add(k)
+            frontier.append(step[k])
 
     # Germ numbers follow sort_key order, so the classes come out sorted.
     darts = [Dart(e.name) for e in edges]
@@ -224,7 +201,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     for v in ins:
         for a in ins[v]:
             for k, b in enumerate(outs[v], start=row[a]):
-                if occurring[k]:
+                if k in occurring:
                     position[k] = len(classes)
                     classes.append(GermClass(v, darts[a], darts[b]))
 
@@ -282,7 +259,6 @@ class QuotientSummary:
     """Diagnostics of the quotient, with the model they were computed on."""
 
     model: QuotientModel
-    class_count_per_vertex: Mapping[str, int]
     hausdorff: bool
     hausdorff_witness: tuple[GermClass, GermClass] | None
     connected: bool
@@ -303,10 +279,6 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
     hausdorff, witness = _hausdorff(model)
     connected = len(set(model.edge_components)) <= 1
 
-    per_vertex: dict[str, int] = {v: 0 for v in p.graph.vertices}
-    for c in model.classes:
-        per_vertex[c.vertex] += 1
-
     degree = None
     if hausdorff and connected and model.classes:
         occurrences = Counter(d.edge for path in p.edge_map.values() for d in path.darts)
@@ -323,7 +295,6 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     return QuotientSummary(
         model=model,
-        class_count_per_vertex=MappingProxyType(per_vertex),
         hausdorff=hausdorff,
         hausdorff_witness=witness,
         connected=connected,

@@ -19,7 +19,6 @@ it but validation rejects orientation-reversing substitutions.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -430,17 +429,14 @@ def validate(p: Presentation) -> ValidationReport:
                 )
             )
 
-    # The occurrence matrix M of ``abelianization``, read straight from the
-    # image paths: column j counts the edges in the image of edge j, and bit j
-    # of row i is set when edge i occurs in that image.
+    # (d) primitivity is the combinatorial stand-in for mixing.  Bit j of row
+    # i of the occurrence pattern is set when edge i occurs in the image of
+    # edge j, as in ``abelianization``.
     names, index = graph.edge_names(), graph.index
-    columns = [Counter(index[d.edge] for d in p.edge_map[e].darts) for e in names]
     pattern = [0] * len(names)
-    for j, col in enumerate(columns):
-        for i in col:
-            pattern[i] |= 1 << j
-
-    # (d) primitivity is the combinatorial stand-in for mixing.
+    for j, e in enumerate(names):
+        for d in p.edge_map[e].darts:
+            pattern[index[d.edge]] |= 1 << j
     if not _is_primitive_pattern(pattern):
         findings.append(
             Finding(
@@ -450,29 +446,18 @@ def validate(p: Presentation) -> ValidationReport:
             )
         )
 
-    # (e) every edge must eventually have an image of length >= 2, i.e. some
-    # column sum of M^k, k = 1..n, is >= 2.  The column sums are the row
-    # vector 1·M^k; the entries are non-negative, so clamping them at 2
-    # after each step keeps the test exact.
-    n = len(names)
-    if n > 0:
-        lengths_ok = [False] * n
-        sums = [1] * n
-        for _ in range(n):
-            sums = [min(sum(sums[i] * x for i, x in col.items()), 2) for col in columns]
-            for j, s in enumerate(sums):
-                if s >= 2:
-                    lengths_ok[j] = True
-            if all(lengths_ok):
+    # (e) every edge must eventually have an image of length >= 2.  While an
+    # edge's image is one edge f, every later image of it is an image of f:
+    # follow one-edge images until one is longer, or an edge repeats and the
+    # edge never expands.
+    for name in names:
+        e, seen = name, set()
+        while len(p.edge_map[e]) == 1:
+            if e in seen:
+                message = f"edge '{name}' never expands under iteration"
+                findings.append(Finding("error", "not-expanding", message))
                 break
-        for j, ok in enumerate(lengths_ok):
-            if not ok:
-                findings.append(
-                    Finding(
-                        "error",
-                        "not-expanding",
-                        f"edge '{names[j]}' never expands under iteration",
-                    )
-                )
+            seen.add(e)
+            e = p.edge_map[e].darts[0].edge
 
     return ValidationReport(tuple(findings))

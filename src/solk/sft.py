@@ -4,7 +4,8 @@ For a shift with nonnegative transition matrix A, the level-1 cylinder
 lattice Z^states carries the preimage-summing transfer map, whose matrix
 on indicator vectors is the transpose of A.  K0 of the limit algebra is
 the stationary limit of that system; K1 vanishes because the shift space
-is totally disconnected.
+is totally disconnected.  Validation warns when A is reducible, which is
+when I + A is not primitive.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .intlin import IntMatrix
 from .limits import Classification, StationaryLimitGroup, make_limit
-from .model import Finding, ValidationReport, _bool_product
+from .model import Finding, ValidationReport, _is_primitive
 
 
 @dataclass(frozen=True)
@@ -29,15 +30,6 @@ class SftPresentation:
     def from_matrix(rows: list[list[int]]) -> "SftPresentation":
         states = tuple(str(i) for i in range(len(rows)))
         return SftPresentation(states=states, adjacency=IntMatrix.from_rows(rows, cols=len(rows)))
-
-
-def _strongly_connected(A: IntMatrix) -> bool:
-    """Whether (I + A)^(2^k) is all ones, k = n.bit_length(): every state reaches every other."""
-    n = A.rows
-    reach = [(1 << i) | sum(1 << j for j, x in enumerate(A.row(i)) if x > 0) for i in range(n)]
-    for _ in range(n.bit_length()):
-        reach = _bool_product(reach, reach)
-    return all(row == (1 << n) - 1 for row in reach)
 
 
 def validate_sft(s: SftPresentation) -> ValidationReport:
@@ -60,7 +52,8 @@ def validate_sft(s: SftPresentation) -> ValidationReport:
             findings.append(
                 Finding("error", "dead-state", f"state '{s.states[i]}' has no incoming transition")
             )
-    if not any(f.severity == "error" for f in findings) and not _strongly_connected(A):
+    # Every finding so far is an error; irreducibility is checked only without one.
+    if not findings and not _is_primitive(A + IntMatrix.identity(n)):
         findings.append(
             Finding("warning", "reducible", "transition graph is not strongly connected")
         )

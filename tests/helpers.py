@@ -251,3 +251,21 @@ def closure_stress_text(n: int, rng: random.Random | None = None) -> str:
 def cyclic_text(n: int, rng: random.Random | None = None) -> str:
     """The imprimitive cyclic family ``e_i -> e_{i+1} e_{i+1}``."""
     return family_text(n, (1, 1), rng)
+
+
+def _one_vertex_text(images: list[list[int]]) -> str:
+    lines = ["solenoid v1", "vertex p"] + [f"edge e{i} p p" for i in range(len(images))]
+    lines += [f"map e{i} -> " + " ".join(f"e{j}" for j in w) for i, w in enumerate(images)]
+    return "\n".join(lines) + "\n"
+
+
+def long_tail_text(n: int) -> str:
+    """The long-tail family ``e_i -> e_0 e_{min(i+1, n-1)}``: the last-edge map
+    is a chain of n - 1 steps into the fixed edge e_{n-1}."""
+    return _one_vertex_text([[0, min(i + 1, n - 1)] for i in range(n)])
+
+
+def one_edge_chain_text(n: int) -> str:
+    """The one-edge-chain family ``e_i -> e_{i+1}``, ``e_{n-1} -> e_0 e_0``: edge
+    e_i first has an image of length 2 at iterate n - i."""
+    return _one_vertex_text([[i + 1] for i in range(n - 1)] + [[0, 0]])

@@ -58,6 +58,14 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_directory_path_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["ktheory", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

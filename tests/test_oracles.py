@@ -46,7 +46,7 @@ from solk.model import (
     _is_primitive, abelianization, parse_presentation, substitution_power, validate,
 )
 from solk.sft import (
-    SftPresentation, _strongly_connected, edge_shift, sft_dimension_group, validate_sft,
+    SftPresentation, edge_shift, sft_dimension_group, validate_sft,
 )
 
 from helpers import (
@@ -56,7 +56,9 @@ from helpers import (
     count_calls,
     cyclic_text,
     fibonacci,
+    long_tail_text,
     n_solenoid,
+    one_edge_chain_text,
     random_int_matrix,
     random_presentation,
     random_unimodular,
@@ -98,6 +100,12 @@ def family_corpus():
     return out
 
 
+def chain_families():
+    """Long chains of the induced germ map and of one-edge images, n = 2, 5, 12, 30."""
+    texts = (long_tail_text, one_edge_chain_text)
+    return [parse_presentation(text(n)) for text in texts for n in (2, 5, 12, 30)]
+
+
 def presentations():
     return corpus() + [parse_presentation(IMPRIMITIVE_TEXT)] + family_corpus()
 
@@ -115,7 +123,7 @@ def random_presentations(seed: int, count: int):
 
 def test_closure_matches_quadratic_oracle():
     wedges = [parse_presentation(wedge_text(k)) for k in range(2, 19)]
-    for p in presentations() + random_valid_presentations(7, 300) + wedges:
+    for p in presentations() + random_valid_presentations(7, 300) + wedges + chain_families():
         closure, oracle = occurring_classes(p), occurring_classes_oracle(p)
         for order in ("lex", "paper"):
             got, want = with_class_order(closure, order), with_class_order(oracle, order)
@@ -128,7 +136,7 @@ def test_closure_matches_quadratic_oracle():
 
 
 def test_validate_matches_integer_power_oracle():
-    for p in presentations() + random_presentations(seed=7, count=300):
+    for p in presentations() + random_presentations(seed=7, count=300) + chain_families():
         assert validate(p).findings == validate_oracle(p).findings
 
 
@@ -811,7 +819,6 @@ def test_strongly_connected_by_boolean_squaring_matches_search():
     for rows in fixed + seeded:
         A = IntMatrix.from_rows(rows, cols=len(rows))
         want = strongly_connected_oracle(A)
-        assert _strongly_connected(A) == want
         report = validate_sft(SftPresentation.from_matrix(rows))
         reducible = any(f.code == "reducible" for f in report.warnings())
         assert reducible == (report.ok and not want)
