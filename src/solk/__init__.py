@@ -6,7 +6,6 @@ from .germs import (
     QuotientModel,
     QuotientSummary,
     UnreachableVertex,
-    gtilde_on_class,
     interior_preimages,
     is_quotient_hausdorff,
     junction_germs,
@@ -34,7 +33,6 @@ from .ktheory import (
     KTheoryReport,
     NotWellDefined,
     boundary_matrix,
-    edge_trace_row,
     k_theory_of_g0,
     ktheory_report,
     psi_star_k0,

@@ -8,9 +8,9 @@ Subcommands:
     limit --matrix "3"     classify a stationary limit lim(Z^r, T)
 
 Exit codes: 0 success, 1 validation errors, 2 parse or usage errors or an
-unreadable input path, 3 internal-consistency errors (a failed exactness or
-well-definedness check), 141 stdout closed by its reader (as after SIGPIPE;
-nothing is printed).
+unreadable input path, 3 internal-consistency errors (a failed exactness,
+invariance or well-definedness check), 141 stdout closed by its reader (as
+after SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
@@ -25,20 +25,15 @@ from json.encoder import encode_basestring_ascii as _escape
 from .germs import (
     DegreeNotConstant, GermClass, QuotientSummary, UnreachableVertex, quotient_summary,
 )
-from .intlin import IntMatrix
+from .intlin import IntMatrix, NotInvariant
 from .ktheory import InvalidPresentation, KTheoryReport, ktheory_report, with_class_order
 from .limits import StationaryLimitGroup, make_limit
 from .model import ParseError, parse_presentation, validate
 from .sft import SftPresentation, sft_dimension_group, validate_sft
 
 
-# Every dart of a quotient model runs forward, so a dart prints as its edge.
-def _class_label(c: GermClass) -> str:
-    return f"{c.in_dart.edge}|{c.out_dart.edge}@{c.vertex}"
-
-
 def _class_json(c: GermClass) -> dict:
-    return {"vertex": c.vertex, "in": c.in_dart.edge, "out": c.out_dart.edge}
+    return {"vertex": c.vertex, "in": c.in_edge, "out": c.out_edge}
 
 
 def _limit_json(g: StationaryLimitGroup) -> dict:
@@ -160,7 +155,7 @@ def _cmd_classes(args) -> int:
         return 1
     summary = quotient_summary(p)
     model = with_class_order(summary.model, args.order)
-    labels = list(map(_class_label, model.classes))
+    labels = list(map(GermClass.label, model.classes))
     if args.json:
         obj = {
             "classes": list(map(_class_json, model.classes)),
@@ -189,7 +184,7 @@ def _diagnostics_json(d: QuotientSummary) -> dict:
     return {
         "hausdorff": d.hausdorff,
         "hausdorff_witness": (
-            [_class_label(c) for c in d.hausdorff_witness] if d.hausdorff_witness else None
+            [c.label() for c in d.hausdorff_witness] if d.hausdorff_witness else None
         ),
         "connected": d.connected,
         "degree": d.degree,
@@ -202,7 +197,7 @@ def _print_diagnostics(d: QuotientSummary) -> None:
     print(f"  hausdorff: {'yes' if d.hausdorff else 'no'}")
     if d.hausdorff_witness:
         a, b = d.hausdorff_witness
-        print(f"  witness: {_class_label(a)} / {_class_label(b)}")
+        print(f"  witness: {a.label()} / {b.label()}")
     print(f"  connected: {'yes' if d.connected else 'no'}")
     if d.degree is not None:
         print(f"  degree: {d.degree}")
@@ -210,7 +205,7 @@ def _print_diagnostics(d: QuotientSummary) -> None:
 
 
 def _report_json(r: KTheoryReport) -> dict:
-    class_labels = list(map(_class_label, r.model.classes))
+    class_labels = list(map(GermClass.label, r.model.classes))
     return {
         "classes": [_class_json(c) for c in r.model.classes],
         "delta0": {
@@ -243,7 +238,7 @@ def _cmd_ktheory(args) -> int:
         _emit_json(_report_json(r))
         return 0
     _print_findings(r.validation)
-    class_labels = list(map(_class_label, r.model.classes))
+    class_labels = list(map(GermClass.label, r.model.classes))
     print(f"classes ({r.order} order): " + ", ".join(class_labels))
     print("boundary matrix (rows = edges, cols = classes):")
     _print_matrix(r.delta0, row_labels=list(r.model.edge_points))
@@ -362,12 +357,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UnreachableVertex, DegreeNotConstant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (NotInvariant, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Finite model of the quotient of the unstable set by the germ relation.
 
 A vertex point of the line presented by (Y, g) is remembered by the pair
-(incoming dart, outgoing dart) at that vertex; interior points of an edge
+(incoming edge, outgoing edge) at that vertex; interior points of an edge
 form a single Hausdorff cell per edge.  This module computes which germ
 classes occur, the induced self-map on them, and the preimage data needed
 downstream, as tables indexed by class position.  A class occurs when it is
 realised at a junction of an image path, lies in the eventual image of the
 induced map on all germs (its cycles), or is reached from either.  The
-closure runs on integer germ numbers and builds a ``GermClass`` only for a
-class that occurs.
+closure runs on integer germ numbers, which follow the class order, and
+builds a ``GermClass`` only for a class that occurs.
 """
 
 from __future__ import annotations
@@ -27,27 +27,20 @@ class DegreeNotConstant(RuntimeError):
     """Hausdorff + connected quotient with a non-constant preimage count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GermClass:
-    """A vertex point of the quotient: (vertex, arriving dart, departing dart)."""
+    """A vertex point of the quotient: (vertex, arriving edge, departing edge).
+
+    Every dart of a model runs forward, so a class is the edge pair at its
+    vertex, and the field order is the class order.
+    """
 
     vertex: str
-    in_dart: Dart
-    out_dart: Dart
-
-    @property
-    def in_edge(self) -> str:
-        return self.in_dart.edge
-
-    @property
-    def out_edge(self) -> str:
-        return self.out_dart.edge
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.vertex, self.in_dart.edge, self.out_dart.edge)
+    in_edge: str
+    out_edge: str
 
     def label(self) -> str:
-        return f"{self.in_dart}|{self.out_dart}"
+        return f"{self.in_edge}|{self.out_edge}@{self.vertex}"
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ class QuotientModel:
             counts[j] += 1
         object.__setattr__(self, "preimage_counts", tuple(counts))
         index = {e: i for i, e in enumerate(self.edge_points)}
-        arcs = tuple((index[c.in_dart.edge], index[c.out_dart.edge]) for c in self.classes)
+        arcs = tuple((index[c.in_edge], index[c.out_edge]) for c in self.classes)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "edge_components", self._components())
 
@@ -101,13 +94,13 @@ class QuotientModel:
 
 
 def _germ(p: Presentation, in_dart: Dart, out_dart: Dart) -> GermClass:
-    graph = p.graph
-    vertex = graph.dart_end(in_dart)
-    if graph.dart_start(out_dart) != vertex:
+    vertex = p.graph.dart_end(in_dart)
+    if p.graph.dart_start(out_dart) != vertex:
         raise ValueError(f"darts {in_dart}, {out_dart} do not meet at a common vertex")
-    if out_dart == in_dart.reversed():
-        raise ValueError("outgoing dart reverses the incoming dart")
-    return GermClass(vertex=vertex, in_dart=in_dart, out_dart=out_dart)
+    for d in (in_dart, out_dart):
+        if not d.forward:
+            raise ValueError(f"unsupported: reversed dart {d}")
+    return GermClass(vertex, in_dart.edge, out_dart.edge)
 
 
 def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
@@ -120,15 +113,6 @@ def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     return tuple(dict.fromkeys(_germ(p, a, b) for d in darts for a, b in zip(d, d[1:])))
 
 
-def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
-    """Image of a germ class under the induced map on the quotient.
-
-    The class maps to (last dart of the image of the incoming dart, first
-    dart of the image of the outgoing dart) at the image vertex.
-    """
-    return _germ(p, p.dart_image(c.in_dart)[-1], p.dart_image(c.out_dart)[0])
-
-
 def occurring_classes(p: Presentation) -> QuotientModel:
     """The occurring germ classes and the model tables built over them.
 
@@ -138,12 +122,13 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     edge occurs densely in the line; cycle germs account for backward
     orbits of vertex points such as fixed points.
 
-    Germ (a, b) of edge numbers is ``row[a] + col[b]``, numbered in
-    ``sort_key`` order, so the induced map is one integer table read from
-    each edge's last and first image edge.  The germs on its cycles are
-    its eventual image: the image of the germ set is taken again until it
-    stops shrinking.  Image paths must run forward, and pass the
-    endpoint check of ``validate``; ``ValueError`` names an edge that does not.
+    Germ (a, b) of edge numbers is ``row[a] + col[b]``, numbered in class
+    order (vertex, in edge, out edge), so the induced map is one integer
+    table read from each edge's last and first image edge.  The germs on
+    its cycles are its eventual image: the image of the germ set is taken
+    again until it stops shrinking.  Image paths must run forward, and pass
+    the endpoint check of ``validate``; ``ValueError`` names an edge that
+    does not.
     """
     graph, vmap, edges = p.graph, p.vertex_map, p.graph.edges
     for e in edges:
@@ -194,8 +179,8 @@ def occurring_classes(p: Presentation) -> QuotientModel:
             occurring.add(k)
             frontier.append(step[k])
 
-    # Germ numbers follow sort_key order, so the classes come out sorted.
-    darts = [Dart(e.name) for e in edges]
+    # Germ numbers follow the class order, so the classes come out sorted.
+    names = graph.edge_names()
     classes: list[GermClass] = []
     position: dict[int, int] = {}  # germ number -> class position
     for v in ins:
@@ -203,7 +188,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
             for k, b in enumerate(outs[v], start=row[a]):
                 if k in occurring:
                     position[k] = len(classes)
-                    classes.append(GermClass(v, darts[a], darts[b]))
+                    classes.append(GermClass(v, names[a], names[b]))
 
     covered = {c.vertex for c in classes}
     for v in p.graph.vertices:
@@ -212,7 +197,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
 
     return QuotientModel(
         classes=tuple(classes),
-        edge_points=graph.edge_names(),
+        edge_points=names,
         gtilde=tuple(position[step[k]] for k in position),
         interior_preimage_table=tuple(tuple(preimages.get(k, ())) for k in position),
     )
@@ -236,8 +221,8 @@ def is_quotient_hausdorff(
     """Whether the quotient is Hausdorff, with a witness pair when it is not.
 
     Two classes at the same vertex cannot be separated exactly when they
-    are approached through the same end of the same edge; as every dart of
-    the model runs forward, when they share an in_edge or an out_edge.
+    are approached through the same end of the same edge: when they share
+    an in edge or an out edge.
     """
     return _hausdorff(occurring_classes(p))
 
@@ -286,7 +271,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
         values = {*model.preimage_counts, *map(occurrences.__getitem__, edges)}
         if len(values) != 1 or min(values) < 2:
             counts = zip(model.classes, model.preimage_counts)
-            labelled = {f"class {c.label()}@{c.vertex}": n for c, n in counts}
+            labelled = {f"class {c.label()}": n for c, n in counts}
             labelled.update((f"edge {e}", occurrences[e]) for e in edges)
             raise DegreeNotConstant(
                 f"expected one constant preimage count n >= 2, got {sorted(labelled.items())}"

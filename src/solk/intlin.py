@@ -152,9 +152,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-a for a in self._entries])
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [c * a for a in self._entries])
-
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")

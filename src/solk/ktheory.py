@@ -41,27 +41,25 @@ class InvalidPresentation(ValueError):
 
 
 def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
-    """Reorder the classes by ``sort_key``: 'lex' ascending or 'paper' descending.
+    """The model with its classes in 'lex' (ascending) or 'paper' (descending) order.
 
-    Descending lexicographic order reproduces the conventional (ba, ab, aa)
-    ordering for the one-vertex two-edge examples used in regression tests.
-    The copy's per-class tables are the model's, permuted once with the
-    classes, and ``gtilde`` is renumbered to the new positions; the per-edge
-    ``edge_components`` is shared.  A model already in that order is returned.
+    The model is taken as ``occurring_classes`` emits it: its classes strictly
+    ascending, because the germ numbers follow (vertex, in edge, out edge).
+    So 'lex' returns the model as it is, and 'paper' a copy with the classes
+    and per-class tables reversed and ``gtilde`` renumbered to the reversed
+    positions; the per-edge ``edge_components`` is shared.  Descending order
+    reproduces the conventional (ba, ab, aa) ordering for the one-vertex
+    two-edge examples used in regression tests.
     """
-    if order not in ("lex", "paper"):
-        raise ValueError(f"unknown order '{order}'")
-    keys = [c.sort_key() for c in model.classes]
-    perm = sorted(range(len(keys)), key=keys.__getitem__, reverse=order == "paper")
-    if perm == list(range(len(perm))):
+    if order == "lex":
         return model
-    position = [0] * len(perm)
-    for k, i in enumerate(perm):
-        position[i] = k
+    if order != "paper":
+        raise ValueError(f"unknown order '{order}'")
     reordered = copy.copy(model)
     for name in ("classes", "interior_preimage_table", "preimage_counts", "arcs"):
-        object.__setattr__(reordered, name, tuple(map(getattr(model, name).__getitem__, perm)))
-    object.__setattr__(reordered, "gtilde", tuple(position[model.gtilde[i]] for i in perm))
+        object.__setattr__(reordered, name, getattr(model, name)[::-1])
+    last = len(model.classes) - 1
+    object.__setattr__(reordered, "gtilde", tuple(last - j for j in reversed(model.gtilde)))
     return reordered
 
 
@@ -77,17 +75,6 @@ def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
         rows[u][j] += 1
         rows[v][j] -= 1
     return IntMatrix.from_rows(rows, cols=len(model.classes))
-
-
-def edge_trace_row(p: Presentation, model: QuotientModel, edge: str) -> tuple[int, ...]:
-    """Trace functional of an interior point of an edge, as a row over classes.
-
-    A sequence entering the edge from its source vertex accumulates exactly
-    the classes whose outgoing dart runs along the edge (every dart of the
-    model runs forward), so the interior trace is the sum of those class
-    traces.
-    """
-    return tuple(int(c.out_edge == edge) for c in model.classes)
 
 
 def trace_pullback_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -111,7 +98,7 @@ def _pullback_rows(p: Presentation, model: QuotientModel, rows: Rows) -> Rows:
     tau: Rows = [{} for _ in index]
     X: Rows = [{} for _ in model.classes]
     for (_, v), g, row in zip(model.arcs, model.gtilde, rows):
-        _add_row(tau[v], row)  # edge_trace_row's rule
+        _add_row(tau[v], row)  # edge v's trace sums the classes leaving along it
         _add_row(X[g], row)
     for x, preimages in zip(X, model.interior_preimage_table):
         for e, _ in preimages:

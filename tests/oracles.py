@@ -26,10 +26,12 @@ is Gauss-Jordan elimination over the rationals, and
 here: ``saturate_columns_oracle`` takes its two kernels with
 ``kernel_basis_oracle``, and ``canonical_oracle`` retracts a limit element by
 solving against the Smith form of ``T'``, as ``limits`` did before it used
-the adjugate.  ``psi1_oracle`` conjugates the first-edge matrix by the Smith
-transform ``U`` of the boundary matrix and reduces modulo the invariant
-factors, as ``ktheory`` did before it read psi1 off the class-graph
-components.  ``strongly_connected_oracle`` is the forward and backward
+the adjugate.  ``gtilde_on_class`` and ``edge_trace_row`` are the induced
+map on one class and the trace row of one edge by their definitions; the
+closure and the pullback read both off integer tables.  ``psi1_oracle``
+conjugates the first-edge matrix by the Smith transform ``U`` of the
+boundary matrix and reduces modulo the invariant factors, as ``ktheory`` did
+before it read psi1 off the class-graph components.  ``strongly_connected_oracle`` is the forward and backward
 depth-first search from state 0 that ``sft`` had before it squared the
 Boolean pattern of I + A, and ``edge_shift_oracle`` the comparison of every
 pair of edges that ``sft.edge_shift`` made before it built one row per state.
@@ -54,7 +56,6 @@ from solk.germs import (
     QuotientModel,
     UnreachableVertex,
     _germ,
-    gtilde_on_class,
     junction_germs,
 )
 from solk.intlin import (
@@ -72,7 +73,7 @@ from solk.intlin import (
     xgcd,
 )
 from solk.limits import LimitElement, StationaryLimitGroup
-from solk.ktheory import edge_trace_row, trace_pullback_matrix
+from solk.ktheory import trace_pullback_matrix
 from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
 from solk.sft import SftPresentation
 
@@ -81,12 +82,31 @@ def all_germs_oracle(p: Presentation) -> list[GermClass]:
     graph = p.graph
     out: list[GermClass] = []
     for v in graph.vertices:
-        in_darts = [Dart(e.name) for e in graph.edges if e.target == v]
-        out_darts = [Dart(e.name) for e in graph.edges if e.source == v]
-        for din in in_darts:
-            for dout in out_darts:
-                out.append(GermClass(vertex=v, in_dart=din, out_dart=dout))
+        in_edges = [e.name for e in graph.edges if e.target == v]
+        out_edges = [e.name for e in graph.edges if e.source == v]
+        for a in in_edges:
+            for b in out_edges:
+                out.append(GermClass(vertex=v, in_edge=a, out_edge=b))
     return out
+
+
+def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
+    """Image of a germ class under the induced map on the quotient.
+
+    The class maps to (last dart of the image of the incoming edge, first
+    dart of the image of the outgoing edge) at the image vertex.
+    """
+    return _germ(p, p.dart_image(Dart(c.in_edge))[-1], p.dart_image(Dart(c.out_edge))[0])
+
+
+def edge_trace_row(p: Presentation, model: QuotientModel, edge: str) -> tuple[int, ...]:
+    """Trace functional of an interior point of an edge, as a row over classes.
+
+    A sequence entering the edge from its source vertex accumulates exactly
+    the classes that leave along the edge, so the interior trace is the sum
+    of those class traces.
+    """
+    return tuple(int(c.out_edge == edge) for c in model.classes)
 
 
 def occurring_classes_oracle(p: Presentation) -> QuotientModel:
@@ -123,7 +143,7 @@ def occurring_classes_oracle(p: Presentation) -> QuotientModel:
             occurring.add(nxt)
             frontier.append(nxt)
 
-    classes = tuple(sorted(occurring, key=GermClass.sort_key))
+    classes = tuple(sorted(occurring))
 
     covered = {c.vertex for c in classes}
     for v in p.graph.vertices:

@@ -18,7 +18,6 @@ from solk.intlin import (
 )
 from solk.ktheory import (
     boundary_matrix,
-    edge_trace_row,
     k_theory_of_g0,
     ktheory_report,
     psi_star_k0,
@@ -38,6 +37,7 @@ from helpers import (
     random_int_matrix,
     random_valid_presentations,
 )
+from oracles import edge_trace_row
 
 
 def _checked(criterion: str, fn):

@@ -15,6 +15,7 @@ import solk.model
 from solk.cli import _json_text, main
 from solk.intlin import IntMatrix
 
+import helpers
 from helpers import AABAB_TEXT, count_calls, n_solenoid_text
 
 
@@ -258,6 +259,78 @@ def test_torsion_limit_failure_exit_3(capsys, monkeypatch, aabab_file):
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ")
+
+
+def test_internal_invariance_failure_exit_3(capsys, monkeypatch, aabab_file):
+    # NotInvariant is a ValueError, yet a failed internal check is no bad input.
+    pullback = solk.ktheory._pullback_rows
+
+    def broken_pullback(p, model, rows):
+        X = pullback(p, model, rows)
+        X[1][0] = X[1].get(0, 0) + 1  # the lex class a|b: an arc from a to b
+        return X
+
+    monkeypatch.setattr("solk.ktheory._pullback_rows", broken_pullback)
+    for argv in (["ktheory", aabab_file, "--json"], ["ktheory", aabab_file]):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: the trace pullback")
+        assert "Traceback" not in err
+
+
+def _mutated(rng, text):
+    """The text with one or two mutations below its header line.
+
+    A mutation drops, duplicates or swaps lines, or replaces, inserts or
+    deletes one edge of an image path, where the new edge is mostly one the
+    text declares; so many inputs parse and reach validation and the closure.
+    """
+    header, *lines = text.splitlines()
+    edges = [line.split()[1] for line in lines if line.startswith("edge ")]
+    for _ in range(rng.randint(1, 2)):
+        maps = [i for i, line in enumerate(lines) if line.startswith("map ")]
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        kind = rng.randrange(6) if maps else rng.randrange(3)
+        if kind == 0 and len(lines) > 1:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(j, lines[i])
+        elif kind == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind >= 3:
+            i = rng.choice(maps)
+            words = lines[i].split()  # map <edge> -> <image ...>
+            k = rng.randrange(3, len(words))
+            edge = rng.choice(edges)
+            token = rng.choice([edge, edge, edge, "~" + edge, "x"])
+            if kind == 3:
+                words[k] = token
+            elif kind == 4:
+                words.insert(k, token)
+            elif len(words) > 4:
+                del words[k]
+            lines[i] = " ".join(words)
+    return "\n".join([header, *lines]) + "\n"
+
+
+def test_mutated_fixtures_exit_with_a_documented_code_and_no_traceback(capsys, tmp_path):
+    fixtures = [
+        AABAB_TEXT, helpers.FIBONACCI_TEXT, helpers.DOUBLING_TEXT, helpers.THUE_MORSE_TEXT,
+        helpers.TWO_VERTEX_TEXT, helpers.THREE_COMPONENTS_TEXT, n_solenoid_text(3),
+    ]
+    rng = random.Random(2018)
+    f = tmp_path / "mutated.sol"
+    codes = set()
+    for _ in range(300):
+        f.write_text(_mutated(rng, rng.choice(fixtures)), encoding="utf-8")
+        for argv in (["validate"], ["classes"], ["ktheory"], ["ktheory", "--json"]):
+            code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
+            assert code in (0, 1, 2), (f.read_text(), argv, err)
+            assert "Traceback" not in out + err
+            assert not err or err.startswith(("error:", "parse error:", "internal error:"))
+            codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 # Characters the JSON escaper treats differently: quotes, backslashes, control

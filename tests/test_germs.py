@@ -16,7 +16,6 @@ from solk.germs import (
     GermClass,
     QuotientModel,
     UnreachableVertex,
-    gtilde_on_class,
     interior_preimages,
     is_quotient_hausdorff,
     junction_germs,
@@ -38,6 +37,7 @@ from helpers import (
     random_valid_presentations,
     wedge_text,
 )
+from oracles import gtilde_on_class
 
 
 def pairs(classes):
@@ -45,7 +45,7 @@ def pairs(classes):
 
 
 def germ(vertex, i, o):
-    return GermClass(vertex=vertex, in_dart=Dart(i), out_dart=Dart(o))
+    return GermClass(vertex=vertex, in_edge=i, out_edge=o)
 
 
 def test_junction_germs_aabab():
@@ -99,7 +99,7 @@ def test_interior_preimages_aabab():
     assert interior_preimages(p, germ("p", "a", "a")) == (("a", 1),)
     assert interior_preimages(p, germ("p", "a", "b")) == (("a", 2), ("b", 1))
     assert interior_preimages(p, germ("p", "b", "a")) == ()
-    with pytest.raises(ValueError, match="does not occur"):
+    with pytest.raises(ValueError, match=r"class b\|b@p does not occur"):
         interior_preimages(p, germ("p", "b", "b"))
 
 
@@ -201,35 +201,37 @@ def test_model_tables_are_read_only():
 
 
 def test_germ_class_and_dart_hash_contract():
-    a = GermClass("p", Dart("a"), Dart("b"))
-    b = GermClass(vertex="p", in_dart=Dart("a", True), out_dart=Dart(edge="b"))
+    a = GermClass("p", "a", "b")
+    b = GermClass(vertex="p", in_edge="a", out_edge="b")
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1 and len({a, b}) == 1
-    assert a != GermClass("p", Dart("b"), Dart("a"))
+    assert a != GermClass("p", "b", "a")
     assert Dart("a") == Dart("a", True) and hash(Dart("a")) == hash(Dart("a", True))
     assert {Dart("a"): 1}[Dart("a")] == 1 and Dart("a") != Dart("a", False)
-    assert repr(a) == (
-        "GermClass(vertex='p', in_dart=Dart(edge='a', forward=True), "
-        "out_dart=Dart(edge='b', forward=True))"
-    )
-    assert [f.name for f in dataclasses.fields(GermClass)] == ["vertex", "in_dart", "out_dart"]
-    for obj, name in ((a, "vertex"), (a, "in_dart"), (Dart("a"), "edge")):
+    assert repr(a) == "GermClass(vertex='p', in_edge='a', out_edge='b')"
+    assert a.label() == "a|b@p"
+    assert [f.name for f in dataclasses.fields(GermClass)] == ["vertex", "in_edge", "out_edge"]
+    for obj, name in ((a, "vertex"), (a, "in_edge"), (a, "out_edge"), (Dart("a"), "edge")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, "x")
+    # The field order is the class order: vertex, then in edge, then out edge.
+    assert GermClass("p", "b", "a") < GermClass("q", "a", "a")
+    assert GermClass("p", "a", "b") < GermClass("p", "b", "a") < GermClass("p", "b", "b")
+    assert not a < b and a <= b
 
 
 def test_germ_class_pickled_under_another_hash_seed_is_the_same_key():
     # A class written by a process with another string-hash seed must hash
     # like its equal here, or it would miss it in every dict.
     code = (
-        "import pickle, sys; from solk.germs import GermClass; from solk.model import Dart; "
-        "sys.stdout.buffer.write(pickle.dumps(GermClass('p', Dart('a'), Dart('b'))))"
+        "import pickle, sys; from solk.germs import GermClass; "
+        "sys.stdout.buffer.write(pickle.dumps(GermClass('p', 'a', 'b')))"
     )
     src = str(pathlib.Path(solk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
     blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
     g = pickle.loads(blob.stdout)
-    assert {GermClass("p", Dart("a"), Dart("b")): 1}[g] == 1
+    assert {GermClass("p", "a", "b"): 1}[g] == 1
 
 
 @pytest.mark.parametrize(
@@ -254,6 +256,8 @@ def test_orientation_reversing_image_is_named(images, edge, dart):
     for f in (occurring_classes, quotient_summary):
         with pytest.raises(ValueError, match=message):
             f(p)
+    with pytest.raises(ValueError, match=f"reversed dart {dart}"):
+        junction_germs(p)
 
 
 def test_closure_is_fixed_point():

@@ -13,7 +13,6 @@ from solk.ktheory import (
     InvalidPresentation,
     NotWellDefined,
     boundary_matrix,
-    edge_trace_row,
     first_edge_matrix,
     k_theory_of_g0,
     ktheory_report,
@@ -36,6 +35,7 @@ from helpers import (
     record_calls,
     wedge_text,
 )
+from oracles import edge_trace_row
 
 ALPHA_BETA = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])  # the (1,1,0), (0,0,1) lattice basis
 
@@ -288,7 +288,7 @@ def test_psi0_rejects_a_redirected_class_map_entry(table):
     # a|b to a|a, or its (b, 1) preimage to (a, 1), breaks P @ K0 in ker delta0.
     p = aabab()
     m = lex_model(p)
-    ab = next(i for i, c in enumerate(m.classes) if c.label() == "a|b")
+    ab = next(i for i, c in enumerate(m.classes) if c.label() == "a|b@p")
     entries = list(getattr(m, table))
     entries[ab] = 0 if table == "gtilde" else (("a", 2), ("a", 1))
     mutated = dataclasses.replace(m, **{table: entries})
