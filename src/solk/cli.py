@@ -308,6 +308,7 @@ def _cmd_limit(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="solk", description=__doc__)
+    matrix_help = 'rows separated by ";", entries by ","; a leading "-" needs --matrix="-1,0;0,2"'
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("validate", help="validate a presentation file")
@@ -327,12 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(fn=_cmd_ktheory)
 
     ps = sub.add_parser("sft", help="dimension group of a subshift of finite type")
-    ps.add_argument("--matrix", required=True, help='rows separated by ";", entries by ","')
+    ps.add_argument("--matrix", required=True, help=matrix_help)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=_cmd_sft)
 
     pl = sub.add_parser("limit", help="classify a stationary limit lim(Z^r, T)")
-    pl.add_argument("--matrix", required=True, help='rows separated by ";", entries by ","')
+    pl.add_argument("--matrix", required=True, help=matrix_help)
     pl.add_argument("--json", action="store_true")
     pl.set_defaults(fn=_cmd_limit)
 

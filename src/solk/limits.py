@@ -10,14 +10,16 @@ echelon basis of M Y until its rank stops dropping.  Saturating and
 restricting take no Smith form, and no product with T unless a pivot of E1
 is not 1.  Every element is represented at some stage s by a vector in the
 coordinates of L, with (s, v) identified with (s+1, T'v); adj(T') and
-det(T') retract it to its least stage.
+det(T') retract it to its least stage, and a retraction stops at the first
+row of adj(T') v that det(T') does not divide.  T' is injective, so that
+least-stage representative is unique and elements compare by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
+from operator import index, mul
 
 from .intlin import (
     IntMatrix,
@@ -125,25 +127,32 @@ class StationaryLimitGroup:
         return self._canonical(stage + self.stabilization_index, coords.col(0))
 
     @cached_property
-    def _adjugate(self) -> tuple[IntMatrix, int]:
-        return adjugate(self.reduced_endomorphism)
+    def _adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        adj, det = adjugate(self.reduced_endomorphism)
+        return tuple(map(adj.row, range(adj.rows))), det
 
-    def _canonical(self, stage: int, vector: tuple[int, ...]) -> "LimitElement":
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.reduced_endomorphism.row, range(self.eventual_rank)))
+
+    def _canonical(self, stage: int, vector: tuple[int, ...] | list[int]) -> "LimitElement":
         # Minimal stage: retract through T' while the vector stays integral;
-        # v is in im T' exactly when adj(T') v == 0 mod det(T').
+        # v is in im T' exactly when adj(T') v == 0 mod det(T'), read a row at a time.
         adj, det = self._adjugate
         while stage > 0:
-            pre = adj.mul_vector(vector)
-            if any(x % det for x in pre):
-                break
-            vector = tuple(x // det for x in pre)
-            stage -= 1
+            pre = []
+            for row in adj:
+                x = sum(map(mul, row, vector))
+                if x % det:
+                    return LimitElement(self, stage, tuple(vector))
+                pre.append(x // det)
+            vector, stage = pre, stage - 1
         return LimitElement(self, stage, tuple(vector))
 
-    def _promote(self, el: "LimitElement", stage: int) -> tuple[int, ...]:
+    def _promote(self, el: "LimitElement", stage: int) -> tuple[int, ...] | list[int]:
         v = el.vector
         for _ in range(stage - el.stage):
-            v = self.reduced_endomorphism.mul_vector(v)
+            v = [sum(map(mul, row, v)) for row in self._rows]
         return v
 
     def classify(self) -> Classification:
@@ -172,7 +181,11 @@ class StationaryLimitGroup:
 
 @dataclass(frozen=True)
 class LimitElement:
-    """Canonical representative (stage, vector): stage 0 or vector not in im T'."""
+    """Canonical representative (stage, vector): stage 0 or vector not in im T'.
+
+    T' is injective, so this least-stage representative is unique and two
+    elements are equal exactly when their stages and vectors are.
+    """
 
     group: StationaryLimitGroup
     stage: int
@@ -186,21 +199,19 @@ def make_limit(T: IntMatrix) -> StationaryLimitGroup:
 def element_equal(a: LimitElement, b: LimitElement) -> bool:
     if a.group is not b.group:
         raise ValueError("elements of different groups")
-    m = max(a.stage, b.stage)
-    return a.group._promote(a, m) == b.group._promote(b, m)
+    return a.stage == b.stage and a.vector == b.vector
 
 
 def element_add(a: LimitElement, b: LimitElement) -> LimitElement:
     if a.group is not b.group:
         raise ValueError("elements of different groups")
-    m = max(a.stage, b.stage)
-    va = a.group._promote(a, m)
-    vb = b.group._promote(b, m)
-    return a.group.element(m, tuple(x + y for x, y in zip(va, vb)))
+    g, m = a.group, max(a.stage, b.stage)
+    return g._canonical(m, [x + y for x, y in zip(g._promote(a, m), g._promote(b, m))])
 
 
 def element_negate(a: LimitElement) -> LimitElement:
-    return a.group.element(a.stage, tuple(-x for x in a.vector))
+    # adj(T')(-v) is divisible by det(T') exactly when adj(T') v is: -v stays canonical.
+    return LimitElement(a.group, a.stage, tuple([-x for x in a.vector]))
 
 
 def element_positive(a: LimitElement) -> bool:

@@ -26,7 +26,9 @@ is Gauss-Jordan elimination over the rationals, and
 here: ``saturate_columns_oracle`` takes its two kernels with
 ``kernel_basis_oracle``, and ``canonical_oracle`` retracts a limit element by
 solving against the Smith form of ``T'``, as ``limits`` did before it used
-the adjugate.  ``gtilde_on_class`` and ``edge_trace_row`` are the induced
+the adjugate, and ``element_equal_oracle`` compares two elements at a common
+stage, as ``limits`` did before it compared canonical representatives.
+``gtilde_on_class`` and ``edge_trace_row`` are the induced
 map on one class and the trace row of one edge by their definitions; the
 closure and the pullback read both off integer tables.  ``psi1_oracle``
 conjugates the first-edge matrix by the Smith transform ``U`` of the
@@ -452,6 +454,20 @@ def canonical_oracle(
         vector = pre.col(0)
         stage -= 1
     return LimitElement(self, stage, tuple(vector))
+
+
+def element_equal_oracle(a: LimitElement, b: LimitElement) -> bool:
+    """``element_equal`` by pushing both representatives to a common stage
+    through T'; it takes any representative, canonical or not."""
+    if a.group is not b.group:
+        raise ValueError("elements of different groups")
+    t, m = a.group.reduced_endomorphism, max(a.stage, b.stage)
+    va, vb = a.vector, b.vector
+    for _ in range(m - a.stage):
+        va = t.mul_vector(va)
+    for _ in range(m - b.stage):
+        vb = t.mul_vector(vb)
+    return va == vb
 
 
 def hermite_normal_form_rows_oracle(A: IntMatrix) -> IntMatrix:

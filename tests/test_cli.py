@@ -148,6 +148,19 @@ def test_limit_command(capsys):
     assert "ZOneOver(3)" in out
 
 
+def test_matrix_with_a_leading_minus_joined_by_equals(capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse reads "-1,0;0,2" as an option
+        main(["limit", "--matrix", "-1,0;0,2"])
+    assert exc.value.code == 2
+    assert "argument --matrix: expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["limit", "--matrix=-1,0;0,2"])
+    assert code == 0
+    assert out.startswith("classification: Generic(rank=2, matrix=[[-1, 0], [0, 2]])\n")
+    code, out, _ = run(capsys, ["sft", "--matrix=-1,1;1,1"])
+    assert code == 1
+    assert "error: [negative-entry] entry (0,0) is negative\n" in out
+
+
 def test_limit_command_json(capsys):
     code, out, _ = run(capsys, ["limit", "--matrix", "1,1;1,1", "--json"])
     assert code == 0

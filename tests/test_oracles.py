@@ -41,7 +41,13 @@ from solk.ktheory import (
     trace_pullback_matrix,
     with_class_order,
 )
-from solk.limits import StationaryLimitGroup
+from solk.limits import (
+    LimitElement,
+    StationaryLimitGroup,
+    element_add,
+    element_equal,
+    element_negate,
+)
 from solk.model import (
     _is_primitive, abelianization, parse_presentation, substitution_power, validate,
 )
@@ -69,6 +75,7 @@ from oracles import (
     StationaryLimitGroupOracle,
     StationaryLimitGroupPowerOracle,
     canonical_oracle,
+    element_equal_oracle,
     class_forest_oracle,
     cokernel_oracle,
     echelon_span_oracle,
@@ -737,6 +744,47 @@ def test_adjugate_retraction_matches_smith_solve():
             assert (a.stage, a.vector) == (b.stage, b.vector)
             retracted += a.stage < stage
     assert 0 in ranks and retracted >= 50
+
+
+def test_element_equal_by_representative_matches_promotion():
+    # element_equal compares (stage, vector); that is sound only while every
+    # element that element, from_ambient, element_add and element_negate
+    # return is the least-stage representative of what it was given.
+    rng = random.Random(101)
+    kinds, equal_pairs = set(), 0
+    for T in endomorphism_stream(seed=103):
+        g = StationaryLimitGroup(T)
+        t, (adj, det) = g.reduced_endomorphism, adjugate(g.reduced_endomorphism)
+        if not g.eventual_rank:  # every element is zero
+            continue
+        kinds.add((g.eventual_rank == T.rows, abs(det) == 1))
+        given = []  # (element, raw representative of the same value)
+        for stage in range(3):
+            v = [rng.randint(-3, 3) for _ in range(g.eventual_rank)]
+            for lift in range(3):  # (s, v), (s+1, T'v), (s+2, T'^2 v): one element
+                given.append((g.element(stage + lift, v), LimitElement(g, stage + lift, tuple(v))))
+                v = t.mul_vector(v)
+            x = y = [rng.randint(-3, 3) for _ in range(T.rows)]
+            for _ in range(g.stabilization_index):  # into the eventual lattice
+                y = T.mul_vector(y)
+            coords = solve_columns(g.eventual_basis, IntMatrix.column(y)).col(0)
+            raw = LimitElement(g, stage + g.stabilization_index, coords)
+            given.append((g.from_ambient(stage, x), raw))
+        els = [e for e, _ in given]
+        pairs = list(zip(els[::2], els[5::2]))
+        els += [element_add(a, b) for a, b in pairs] + [element_add(b, a) for a, b in pairs]
+        els += [element_negate(a) for a in els[::3]] + [g.zero()]
+        els += [element_add(a, element_negate(a)) for a in els[::4]]
+        for e, raw in given:
+            assert element_equal_oracle(e, raw)
+        for e in els:
+            assert e.stage == 0 or any(x % det for x in adj.mul_vector(e.vector))
+        for a in els:
+            for b in els:
+                assert element_equal(a, b) == element_equal_oracle(a, b)
+                equal_pairs += a is not b and a.stage > 0 and element_equal(a, b)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert equal_pairs > 1000  # equal at a positive stage, built apart
 
 
 def test_det_psi0_is_det_of_the_abelianization_where_gtilde_is_a_bijection():
