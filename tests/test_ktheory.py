@@ -339,19 +339,31 @@ def test_report_matrices_are_integer_valued():
         assert all(isinstance(x, int) for row in mat.to_rows() for x in row)
 
 
+def test_report_factors_delta0_once_plus_the_rank_check(monkeypatch):
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    ktheory_report(aabab())
+    # K0, K1 and psi1 come from the class graph; the exactness check's
+    # rank(delta0) comes from Bareiss elimination.
+    assert factored == []
+
+
+def test_exactness_check_runs_no_second_smith_form(monkeypatch):
+    factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
+    ktheory_report(aabab())
+    assert factored == []
+
+
 def test_report_factors_only_delta0(monkeypatch):
     # K0 comes from a spanning forest, K1 and psi1 from the components of the
-    # class graph, the exactness check's rank(delta0) from Bareiss elimination,
-    # and the limits from echelon spans and congruence kernels: a report
-    # factors no matrix, delta0 included.
+    # class graph, and the limits from echelon spans and congruence kernels:
+    # a report factors no matrix, delta0 included.
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
     inverted = count_calls(monkeypatch, solk.intlin, "invert_unimodular")
     torsion = count_calls(monkeypatch, solk.limits, "stationary_torsion_limit")
-    for p in (aabab(), parse_presentation(wedge_text(8))):
-        ktheory_report(p)
-        assert factored == []
-        assert inverted == {"invert_unimodular": 0}
-        assert torsion == {"stationary_torsion_limit": 0}
+    ktheory_report(parse_presentation(wedge_text(8)))
+    assert factored == []
+    assert inverted == {"invert_unimodular": 0}
+    assert torsion == {"stationary_torsion_limit": 0}
 
 
 def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):
