@@ -8,15 +8,17 @@ downstream, as tables indexed by class position.  A class occurs when it is
 realised at a junction of an image path, lies in the eventual image of the
 induced map on all germs (its cycles), or is reached from either.  The
 closure runs on integer germ numbers, which follow the class order, and
-builds a ``GermClass`` only for a class that occurs.
+builds a ``GermClass`` only for a class that occurs.  The records here are
+``typing.NamedTuple``s; a ``GermClass`` orders as its tuple.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
-from .model import Dart, Presentation
+from .model import Dart, Presentation, _Checked
 
 
 class UnreachableVertex(ValueError):
@@ -27,8 +29,7 @@ class DegreeNotConstant(RuntimeError):
     """Hausdorff + connected quotient with a non-constant preimage count."""
 
 
-@dataclass(frozen=True, order=True)
-class GermClass:
+class GermClass(NamedTuple):
     """A vertex point of the quotient: (vertex, arriving edge, departing edge).
 
     Every dart of a model runs forward, so a class is the edge pair at its
@@ -43,40 +44,44 @@ class GermClass:
         return f"{self.in_edge}|{self.out_edge}@{self.vertex}"
 
 
-@dataclass(frozen=True)
-class QuotientModel:
-    """Cells of the quotient: germ classes plus one interior cell per edge.
-
-    Every table is a tuple indexed by class position: entry i is about
-    ``classes[i]``.
-    """
-
+class _QuotientModelFields(NamedTuple):
     classes: tuple[GermClass, ...]
     edge_points: tuple[str, ...]
     # Entry i is the position of the image of class i under the induced map.
     gtilde: tuple[int, ...]
     # Entry i lists the edge-interior preimages of class i: (edge, junction index).
     interior_preimage_table: tuple[tuple[tuple[str, int], ...], ...]
-    # Per class: its vertex preimages under gtilde plus its edge-interior preimages.
-    preimage_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # The class graph: the nodes are the edges, by position in ``edge_points``
-    # (as ``Graph.index`` numbers them), and class i is the arc (in edge, out edge).
-    arcs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    # Entry i is the index of the last edge of edge i's class-graph component.
-    edge_components: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gtilde", tuple(self.gtilde))
-        table = tuple(self.interior_preimage_table)
-        object.__setattr__(self, "interior_preimage_table", table)
-        counts = list(map(len, table))
+
+class QuotientModel(_Checked, _QuotientModelFields):
+    """Cells of the quotient: germ classes plus one interior cell per edge.
+
+    Every table is a tuple indexed by class position: entry i is about
+    ``classes[i]``.  The derived tables are computed on first use.
+    """
+
+    def __new__(cls, classes, edge_points, gtilde, interior_preimage_table):
+        table = tuple(interior_preimage_table)
+        return super().__new__(cls, classes, edge_points, tuple(gtilde), table)
+
+    @cached_property
+    def preimage_counts(self) -> tuple[int, ...]:
+        """Per class: its vertex preimages under gtilde plus its edge-interior preimages."""
+        counts = list(map(len, self.interior_preimage_table))
         for j in self.gtilde:
             counts[j] += 1
-        object.__setattr__(self, "preimage_counts", tuple(counts))
+        return tuple(counts)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Class i as the arc (in edge, out edge) between edges numbered as in ``edge_points``."""
         index = {e: i for i, e in enumerate(self.edge_points)}
-        arcs = tuple((index[c.in_edge], index[c.out_edge]) for c in self.classes)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "edge_components", self._components())
+        return tuple((index[c.in_edge], index[c.out_edge]) for c in self.classes)
+
+    @cached_property
+    def edge_components(self) -> tuple[int, ...]:
+        """Entry i is the index of the last edge of edge i's class-graph component."""
+        return self._components()
 
     def _components(self) -> tuple[int, ...]:
         root = list(range(len(self.edge_points)))
@@ -239,8 +244,7 @@ def _hausdorff(model: QuotientModel) -> tuple[bool, tuple[GermClass, GermClass] 
     return True, None
 
 
-@dataclass(frozen=True)
-class QuotientSummary:
+class QuotientSummary(NamedTuple):
     """Diagnostics of the quotient, with the model they were computed on."""
 
     model: QuotientModel

@@ -10,14 +10,15 @@ elimination did not finish in two minutes.  The product reads each column
 of the right factor once as a strided slice, and forms a sparse row of the
 left factor as a combination of the rows of the right factor it selects.
 
-A ``SmithDecomposition`` answers rank, cokernel and solve for the matrix it
-factors; callers asking several of these of one matrix keep it.  No report
-path takes one.  Kernels, saturations, solves, ranks and determinants need
-no Smith form: ``kernel_basis`` reads the kernel off the Hermite form of
-[A^T | I], ``saturate_columns`` takes one such kernel of a congruence
-system, ``solve_echelon`` substitutes forward, and ``rank`` and
-``determinant`` share one fraction-free (Bareiss) elimination.  Nor does
-the cokernel of a boundary matrix (see ``ktheory``).
+A ``SmithDecomposition`` (a ``typing.NamedTuple``, as ``CokernelStructure``)
+answers rank, cokernel and solve for the matrix it factors; callers asking
+several of these of one matrix keep it.  No report path takes one.
+Kernels, saturations, solves, ranks and determinants need no Smith form:
+``kernel_basis`` reads the kernel off the Hermite form of [A^T | I],
+``saturate_columns`` takes one such kernel of a congruence system,
+``solve_echelon`` substitutes forward, and ``rank`` and ``determinant``
+share one fraction-free (Bareiss) elimination.  Nor does the cokernel of a
+boundary matrix (see ``ktheory``).
 
 The fraction-free eliminations (``_bareiss``, ``adjugate``) take row x to
 (p x - a y) / prev for the pivot row y (Bareiss, Math. Comp. 22, 1968).  A row
@@ -28,11 +29,10 @@ computed ints go through ``IntMatrix._of``, without the ``index`` check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd, lcm
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class NotInvariant(ValueError):
@@ -208,8 +208,7 @@ class IntMatrix:
         return f"IntMatrix({self.to_rows()!r})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
     A: IntMatrix
@@ -250,8 +249,7 @@ class SmithDecomposition:
         return X if self.A @ X == C else None
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
+class CokernelStructure(NamedTuple):
     """Z^rows / (column lattice of A) up to isomorphism.
 
     torsion holds the invariant factors > 1, each dividing the next.

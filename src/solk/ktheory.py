@@ -9,13 +9,13 @@ spanning forest; psi0, the trace pullback along the induced self-map, is
 read at the cycle starts and checked arc by arc.  K1 is free on the
 components (an incidence matrix is totally unimodular), and psi1 sums the
 first-edge rule over them.  No Smith form is taken.  Iterating gives the
-K-groups of the limit algebra as stationary inductive limits.
+K-groups of the limit algebra as stationary inductive limits.  The report
+is a ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .germs import QuotientModel, QuotientSummary, quotient_summary
 from .intlin import IntMatrix, NotInvariant, rank
@@ -45,9 +45,10 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
 
     The model is taken as ``occurring_classes`` emits it: its classes strictly
     ascending, because the germ numbers follow (vertex, in edge, out edge).
-    So 'lex' returns the model as it is, and 'paper' a copy with the classes
-    and per-class tables reversed and ``gtilde`` renumbered to the reversed
-    positions; the per-edge ``edge_components`` is shared.  Descending order
+    So 'lex' returns the model as it is, and 'paper' the model built from the
+    classes and interior preimages reversed and ``gtilde`` renumbered to the
+    reversed positions; it shares the per-edge ``edge_components``, which
+    reversal leaves as it is.  Descending order
     reproduces the conventional (ba, ab, aa) ordering for the one-vertex
     two-edge examples used in regression tests.
     """
@@ -55,11 +56,11 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
         return model
     if order != "paper":
         raise ValueError(f"unknown order '{order}'")
-    reordered = copy.copy(model)
-    for name in ("classes", "interior_preimage_table", "preimage_counts", "arcs"):
-        object.__setattr__(reordered, name, getattr(model, name)[::-1])
     last = len(model.classes) - 1
-    object.__setattr__(reordered, "gtilde", tuple(last - j for j in reversed(model.gtilde)))
+    gtilde = tuple(last - j for j in reversed(model.gtilde))
+    table = model.interior_preimage_table[::-1]
+    reordered = QuotientModel(model.classes[::-1], model.edge_points, gtilde, table)
+    reordered.__dict__["edge_components"] = model.edge_components  # the cached per-edge table
     return reordered
 
 
@@ -229,8 +230,7 @@ def _dense(rows: Rows, cols: int) -> IntMatrix:
     return IntMatrix(len(rows), cols, entries)
 
 
-@dataclass(frozen=True)
-class KTheoryReport:
+class KTheoryReport(NamedTuple):
     """Everything the pipeline computes for one presentation."""
 
     order: str

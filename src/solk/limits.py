@@ -12,14 +12,15 @@ is not 1.  Every element is represented at some stage s by a vector in the
 coordinates of L, with (s, v) identified with (s+1, T'v); adj(T') and
 det(T') retract it to its least stage, and a retraction stops at the first
 row of adj(T') v that det(T') does not divide.  T' is injective, so that
-least-stage representative is unique and elements compare by it.
+least-stage representative is unique and elements compare by it.  An
+element (``LimitElement``) and a ``Classification`` are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul
+from typing import NamedTuple
 
 from .intlin import (
     IntMatrix,
@@ -35,8 +36,7 @@ from .intlin import (
 )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Stable descriptor of a stationary limit group."""
 
     kind: str  # "free_abelian" | "z_one_over" | "generic"
@@ -179,8 +179,7 @@ class StationaryLimitGroup:
         )
 
 
-@dataclass(frozen=True)
-class LimitElement:
+class LimitElement(NamedTuple):
     """Canonical representative (stage, vector): stage 0 or vector not in im T'.
 
     T' is injective, so this least-stage representative is unique and two

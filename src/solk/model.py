@@ -15,13 +15,18 @@ with matching endpoints.  The file format is line oriented:
 ``#`` starts a comment and blank lines are ignored.  A token ``~e`` in an
 image path denotes a reversed traversal of edge ``e``; the parser accepts
 it but validation rejects orientation-reversing substitutions.
+
+Every record of solk is a ``typing.NamedTuple``: it unpacks and indexes,
+equals a plain tuple of equal values, and offers ``_fields`` and ``_replace``.
+``Graph``, ``EdgePath`` and ``Presentation`` check their fields in ``__new__``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .intlin import IntMatrix
 
@@ -33,31 +38,52 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Checked:
+    """Mixin for a record that subclasses a ``NamedTuple`` of its fields to check them.
+
+    The subclass checks in ``__new__``, which ``_make`` (so ``_replace``),
+    pickling and copying run too.  No attribute can be set, so its derived
+    tables, cached on first use, are read-only.
+    """
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # A read-only mapping goes as a dict, which the constructor wraps again.
+        return type(self), tuple(dict(x) if type(x) is MappingProxyType else x for x in self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Edge(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    # Edge name -> position in ``edges``: the one edge numbering, read by every module.
-    index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class Graph(_Checked, _GraphFields):
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        if len(vset := set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        index = {e.name: i for i, e in enumerate(self.edges)}
-        if len(index) != len(self.edges):
+        if len({e.name for e in edges}) != len(edges):
             raise ValueError("duplicate edge names")
-        vset = set(self.vertices)
-        for e in self.edges:
+        for e in edges:
             if e.source not in vset or e.target not in vset:
                 raise ValueError(f"edge {e.name} has undeclared endpoint")
-        object.__setattr__(self, "index", MappingProxyType(index))
+        return super().__new__(cls, vertices, edges)
+
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """Edge name -> position in ``edges``: the one edge numbering, read by every module."""
+        return MappingProxyType({e.name: i for i, e in enumerate(self.edges)})
 
     def edge(self, name: str) -> Edge:
         return self.edges[self.index[name]]
@@ -74,8 +100,7 @@ class Graph:
         return e.target if d.forward else e.source
 
 
-@dataclass(frozen=True)
-class Dart:
+class Dart(NamedTuple):
     """One-sided traversal of an edge; forward runs source to target."""
 
     edge: str
@@ -88,13 +113,15 @@ class Dart:
         return self.edge if self.forward else "~" + self.edge
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class _EdgePathFields(NamedTuple):
     darts: tuple[Dart, ...]
 
-    def __post_init__(self):
-        if not self.darts:
+
+class EdgePath(_Checked, _EdgePathFields):
+    def __new__(cls, darts: tuple[Dart, ...]):
+        if not darts:
             raise ValueError("edge path must be nonempty")
+        return super().__new__(cls, darts)
 
     def start(self, graph: Graph) -> str:
         return graph.dart_start(self.darts[0])
@@ -115,15 +142,18 @@ class EdgePath:
         return " ".join(str(d) for d in self.darts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     graph: Graph
     edge_map: Mapping[str, EdgePath]
     vertex_map: Mapping[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_map", MappingProxyType(dict(self.edge_map)))
-        object.__setattr__(self, "vertex_map", MappingProxyType(dict(self.vertex_map)))
+
+class Presentation(_Checked, _PresentationFields):
+    def __new__(
+        cls, graph: Graph, edge_map: Mapping[str, EdgePath], vertex_map: Mapping[str, str]
+    ):
+        proxies = MappingProxyType(dict(edge_map)), MappingProxyType(dict(vertex_map))
+        return super().__new__(cls, graph, *proxies)
 
     def dart_image(self, d: Dart) -> tuple[Dart, ...]:
         """The image path of a dart; a reversed dart runs its edge's image backwards."""
@@ -131,16 +161,14 @@ class Presentation:
         return img if d.forward else tuple(x.reversed() for x in reversed(img))
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+class ValidationReport(NamedTuple):
+    findings: tuple[Finding, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -377,30 +405,16 @@ def validate(p: Presentation) -> ValidationReport:
             findings.append(Finding("error", "endpoints", f"edge '{e.name}' has no image path"))
             continue
         if not path.is_continuous(graph):
-            findings.append(
-                Finding("error", "endpoints", f"image path of '{e.name}' is discontinuous")
-            )
+            message = f"image path of '{e.name}' is discontinuous"
+            findings.append(Finding("error", "endpoints", message))
             continue
-        want_start = p.vertex_map.get(e.source)
-        want_end = p.vertex_map.get(e.target)
-        if want_start is not None and path.start(graph) != want_start:
-            findings.append(
-                Finding(
-                    "error",
-                    "endpoints",
-                    f"image of '{e.name}' starts at {path.start(graph)}, "
-                    f"but source vertex maps to {want_start}",
-                )
-            )
-        if want_end is not None and path.end(graph) != want_end:
-            findings.append(
-                Finding(
-                    "error",
-                    "endpoints",
-                    f"image of '{e.name}' ends at {path.end(graph)}, "
-                    f"but target vertex maps to {want_end}",
-                )
-            )
+        for verb, end, at, want in (
+            ("starts", "source", path.start(graph), p.vertex_map.get(e.source)),
+            ("ends", "target", path.end(graph), p.vertex_map.get(e.target)),
+        ):
+            if want is not None and at != want:
+                message = f"image of '{e.name}' {verb} at {at}, but {end} vertex maps to {want}"
+                findings.append(Finding("error", "endpoints", message))
     if any(f.code == "endpoints" for f in findings):
         return ValidationReport(tuple(findings))
 
@@ -408,26 +422,16 @@ def validate(p: Presentation) -> ValidationReport:
     for e in graph.edge_names():
         for d in p.edge_map[e].darts:
             if not d.forward:
-                findings.append(
-                    Finding(
-                        "error",
-                        "orientation",
-                        f"unsupported: orientation-reversing image of '{e}' (dart {d})",
-                    )
-                )
+                message = f"unsupported: orientation-reversing image of '{e}' (dart {d})"
+                findings.append(Finding("error", "orientation", message))
                 break
 
     # (b) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
         images = [p.edge_map[e].darts[0].edge for e in graph.edge_names()]
         if len(set(images)) == len(images):
-            findings.append(
-                Finding(
-                    "error",
-                    "homeomorphism",
-                    "substitution permutes the edges, so the map is invertible",
-                )
-            )
+            message = "substitution permutes the edges, so the map is invertible"
+            findings.append(Finding("error", "homeomorphism", message))
 
     # (d) primitivity is the combinatorial stand-in for mixing.  Bit j of row
     # i of the occurrence pattern is set when edge i occurs in the image of
@@ -438,13 +442,8 @@ def validate(p: Presentation) -> ValidationReport:
         for d in p.edge_map[e].darts:
             pattern[index[d.edge]] |= 1 << j
     if not _is_primitive_pattern(pattern):
-        findings.append(
-            Finding(
-                "warning",
-                "not-primitive",
-                "occurrence matrix has no strictly positive power; mixing is unverified",
-            )
-        )
+        message = "occurrence matrix has no strictly positive power; mixing is unverified"
+        findings.append(Finding("warning", "not-primitive", message))
 
     # (e) every edge must eventually have an image of length >= 2.  While an
     # edge's image is one edge f, every later image of it is an image of f:

@@ -5,26 +5,28 @@ lattice Z^states carries the preimage-summing transfer map, whose matrix
 on indicator vectors is the transpose of A.  K0 of the limit algebra is
 the stationary limit of that system; K1 vanishes because the shift space
 is totally disconnected.  Validation warns when A is reducible, which is
-when I + A is not primitive.
+when I + A is not primitive.  Both records are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intlin import IntMatrix
 from .limits import Classification, StationaryLimitGroup, make_limit
-from .model import Finding, ValidationReport, _is_primitive
+from .model import Finding, ValidationReport, _Checked, _is_primitive
 
 
-@dataclass(frozen=True)
-class SftPresentation:
+class _SftFields(NamedTuple):
     states: tuple[str, ...]
     adjacency: IntMatrix
 
-    def __post_init__(self):
-        if self.adjacency.shape != (len(self.states), len(self.states)):
+
+class SftPresentation(_Checked, _SftFields):
+    def __new__(cls, states: tuple[str, ...], adjacency: IntMatrix):
+        if adjacency.shape != (len(states), len(states)):
             raise ValueError("adjacency must be square over the states")
+        return super().__new__(cls, states, adjacency)
 
     @staticmethod
     def from_matrix(rows: list[list[int]]) -> "SftPresentation":
@@ -34,24 +36,20 @@ class SftPresentation:
 
 def validate_sft(s: SftPresentation) -> ValidationReport:
     """Nonnegativity, no dead states, and an irreducibility warning."""
-    findings: list[Finding] = []
-    A = s.adjacency
-    n = A.rows
-    for i in range(n):
-        for j in range(n):
-            if A[i, j] < 0:
-                findings.append(
-                    Finding("error", "negative-entry", f"entry ({i},{j}) is negative")
-                )
-    for i in range(n):
-        if all(A[i, j] == 0 for j in range(n)):
-            findings.append(
-                Finding("error", "dead-state", f"state '{s.states[i]}' has no outgoing transition")
-            )
-        if all(A[j, i] == 0 for j in range(n)):
-            findings.append(
-                Finding("error", "dead-state", f"state '{s.states[i]}' has no incoming transition")
-            )
+    A, n = s.adjacency, s.adjacency.rows
+    findings: list[Finding] = []  # the negative entries, row by row, then the dead states
+    dead: list[Finding] = []
+    # Row i of A holds the transitions leaving state i, row i of its transpose those entering.
+    for i, (out, into) in enumerate(zip(map(A.row, range(n)), map(A.transpose().row, range(n)))):
+        findings += [
+            Finding("error", "negative-entry", f"entry ({i},{j}) is negative")
+            for j, x in enumerate(out) if x < 0
+        ]
+        for word, row in (("outgoing", out), ("incoming", into)):
+            if not any(row):
+                message = f"state '{s.states[i]}' has no {word} transition"
+                dead.append(Finding("error", "dead-state", message))
+    findings += dead
     # Every finding so far is an error; irreducibility is checked only without one.
     if not findings and not _is_primitive(A + IntMatrix.identity(n)):
         findings.append(
@@ -60,8 +58,7 @@ def validate_sft(s: SftPresentation) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-@dataclass(frozen=True)
-class SftDimensionGroup:
+class SftDimensionGroup(NamedTuple):
     k0: StationaryLimitGroup
     k0_classification: Classification
     k1: str  # always "trivial"
@@ -82,11 +79,7 @@ def edge_shift(s: SftPresentation) -> SftPresentation:
     transfer-map convention.
     """
     A = s.adjacency
-    edges: list[tuple[int, int, int]] = []
-    for i in range(A.rows):
-        for j in range(A.cols):
-            for k in range(A[i, j]):
-                edges.append((i, j, k))
+    edges = [(i, j, k) for i in range(A.rows) for j, m in enumerate(A.row(i)) for k in range(m)]
     n = len(edges)
     leaving = [[0] * n for _ in range(A.rows)]  # the row of a state: the edges leaving it
     for b, (i, _, _) in enumerate(edges):

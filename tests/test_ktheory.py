@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import solk.germs
@@ -291,7 +289,7 @@ def test_psi0_rejects_a_redirected_class_map_entry(table):
     ab = next(i for i, c in enumerate(m.classes) if c.label() == "a|b@p")
     entries = list(getattr(m, table))
     entries[ab] = 0 if table == "gtilde" else (("a", 2), ("a", 1))
-    mutated = dataclasses.replace(m, **{table: entries})
+    mutated = m._replace(**{table: entries})
     psi_star_k0(p, m)
     with pytest.raises(NotInvariant):
         psi_star_k0(p, mutated)
