@@ -27,7 +27,7 @@ from .germs import (
 )
 from .intlin import IntMatrix, NotInvariant
 from .ktheory import InvalidPresentation, KTheoryReport, ktheory_report, with_class_order
-from .limits import StationaryLimitGroup, make_limit
+from .limits import StationaryLimitGroup
 from .model import ParseError, parse_presentation, validate
 from .sft import SftPresentation, sft_dimension_group, validate_sft
 
@@ -60,12 +60,9 @@ def _print_matrix(m: IntMatrix, row_labels: list[str] | None = None, indent: str
 
 def _parse_matrix_flag(text: str) -> IntMatrix:
     try:
-        rows = [[int(x) for x in row.split(",")] for row in text.split(";")]
+        return IntMatrix.from_rows([[int(x) for x in row.split(",")] for row in text.split(";")])
     except ValueError as exc:
         raise ValueError(f"bad --matrix value: {exc}") from exc
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("bad --matrix value: ragged rows")
-    return IntMatrix.from_rows(rows, cols=len(rows[0]))
 
 
 def _load_presentation(path: str):
@@ -87,8 +84,9 @@ def _json_text(value, newline: str = "\n") -> str:
     ``ensure_ascii``.  ``int`` is tested by exact type, so a bool is not
     written as an int; other scalars go through ``json.dumps`` one at a time.
     An ``IntMatrix`` is written as its list of rows, one ``str.join`` per row
-    of its entries.  ``newline`` is a line break plus the indent of the line
-    that holds ``value``.
+    of its entries.  Dict keys are ``str``, as in every report solk writes;
+    the escaper raises ``TypeError`` on any other key.  ``newline`` is a line
+    break plus the indent of the line that holds ``value``.
     """
     t = type(value)
     if t is str:
@@ -110,8 +108,7 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "{}"
         items = [
-            (_escape(k) if type(k) is str else _json_key(k)) + ": "
-            + (_escape(v) if type(v) is str else _json_text(v, inner))
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner))
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -123,18 +120,6 @@ def _json_text(value, newline: str = "\n") -> str:
         ] if c else ["[]"] * value.rows
         return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"
     return json.dumps(value)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _escape(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return _escape(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _emit_json(obj: dict) -> None:
-    print(_json_text(obj))
 
 
 def _cmd_validate(args) -> int:
@@ -164,7 +149,7 @@ def _cmd_classes(args) -> int:
             "interior_preimages": dict(zip(labels, model.interior_preimage_table)),
             "diagnostics": _diagnostics_json(summary),
         }
-        _emit_json(obj)
+        print(_json_text(obj))
         return 0
     print(f"classes ({args.order} order):")
     for label in labels:
@@ -235,7 +220,7 @@ def _cmd_ktheory(args) -> int:
         _print_findings(exc.report)
         return 1
     if args.json:
-        _emit_json(_report_json(r))
+        print(_json_text(_report_json(r)))
         return 0
     _print_findings(r.validation)
     class_labels = list(map(GermClass.label, r.model.classes))
@@ -259,26 +244,21 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_sft(args) -> int:
-    A = _parse_matrix_flag(args.matrix)
-    if A.rows != A.cols:
-        print("error: adjacency matrix must be square", file=sys.stderr)
-        return 2
-    s = SftPresentation.from_matrix(A.to_rows())
+    s = SftPresentation.from_matrix(_parse_matrix_flag(args.matrix).to_rows())
     report = validate_sft(s)
     if not report.ok:
         _print_findings(report)
         return 1
     dg = sft_dimension_group(s)
     if args.json:
-        _emit_json(
-            {
-                "states": list(s.states),
-                "adjacency": s.adjacency,
-                "k0": _limit_json(dg.k0),
-                "k1": dg.k1,
-                "warnings": [f.message for f in report.warnings()],
-            }
-        )
+        obj = {
+            "states": list(s.states),
+            "adjacency": s.adjacency,
+            "k0": _limit_json(dg.k0),
+            "k1": dg.k1,
+            "warnings": [f.message for f in report.warnings()],
+        }
+        print(_json_text(obj))
         return 0
     _print_findings(report)
     print(f"K0: {dg.k0_classification}")
@@ -287,13 +267,9 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    T = _parse_matrix_flag(args.matrix)
-    if T.rows != T.cols:
-        print("error: matrix must be square", file=sys.stderr)
-        return 2
-    g = make_limit(T)
+    g = StationaryLimitGroup(_parse_matrix_flag(args.matrix))
     if args.json:
-        _emit_json(_limit_json(g))
+        print(_json_text(_limit_json(g)))
         return 0
     print(f"classification: {g.classify()}")
     print(f"eventual rank: {g.eventual_rank}")

@@ -81,9 +81,6 @@ class QuotientModel(_Checked, _QuotientModelFields):
     @cached_property
     def edge_components(self) -> tuple[int, ...]:
         """Entry i is the index of the last edge of edge i's class-graph component."""
-        return self._components()
-
-    def _components(self) -> tuple[int, ...]:
         root = list(range(len(self.edge_points)))
 
         def find(i: int) -> int:

@@ -149,9 +149,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self._entries])
-
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
@@ -274,10 +271,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
 def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
     for row in m:
         row[i], row[j] = row[j], row[i]
@@ -311,8 +304,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 break
             pi, pj = pivot
             if pi != t:
-                _swap_rows(D, t, pi)
-                _swap_rows(U, t, pi)
+                D[t], D[pi] = D[pi], D[t]
+                U[t], U[pi] = U[pi], U[t]
             if pj != t:
                 _swap_cols(D, t, pj)
                 _swap_cols(V, t, pj)
@@ -376,7 +369,7 @@ def _bareiss(A: IntMatrix) -> tuple[int, int]:
             pivot_row = next((i for i in range(r + 1, A.rows) if M[i][j]), None)
             if pivot_row is None:
                 continue
-            _swap_rows(M, r, pivot_row)
+            M[r], M[pivot_row] = M[pivot_row], M[r]
             sign = -sign
         p, width = M[r][j], -j - 1
         top = M[r][len(M[r]) - width :]
@@ -422,7 +415,7 @@ def adjugate(A: IntMatrix) -> tuple[IntMatrix, int]:
         if pivot_row is None:
             raise ValueError("adjugate by elimination needs a nonsingular matrix")
         if pivot_row != k:
-            _swap_rows(M, k, pivot_row)
+            M[k], M[pivot_row] = M[pivot_row], M[k]
             sign = -sign
         top, p = M[k], M[k][k]
         for i in range(n):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .germs import QuotientModel, QuotientSummary, quotient_summary
 from .intlin import IntMatrix, NotInvariant, rank
-from .limits import StationaryLimitGroup, make_limit
+from .limits import StationaryLimitGroup
 from .model import Presentation, ValidationReport, validate
 
 Rows = list[dict[int, int]]  # a sparse row per class, column -> nonzero entry
@@ -47,10 +47,9 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
     ascending, because the germ numbers follow (vertex, in edge, out edge).
     So 'lex' returns the model as it is, and 'paper' the model built from the
     classes and interior preimages reversed and ``gtilde`` renumbered to the
-    reversed positions; it shares the per-edge ``edge_components``, which
-    reversal leaves as it is.  Descending order
-    reproduces the conventional (ba, ab, aa) ordering for the one-vertex
-    two-edge examples used in regression tests.
+    reversed positions; like any model, it computes its own derived tables.
+    Descending order reproduces the conventional (ba, ab, aa) ordering for the
+    one-vertex two-edge examples used in regression tests.
     """
     if order == "lex":
         return model
@@ -59,9 +58,7 @@ def with_class_order(model: QuotientModel, order: str) -> QuotientModel:
     last = len(model.classes) - 1
     gtilde = tuple(last - j for j in reversed(model.gtilde))
     table = model.interior_preimage_table[::-1]
-    reordered = QuotientModel(model.classes[::-1], model.edge_points, gtilde, table)
-    reordered.__dict__["edge_components"] = model.edge_components  # the cached per-edge table
-    return reordered
+    return QuotientModel(model.classes[::-1], model.edge_points, gtilde, table)
 
 
 def boundary_matrix(p: Presentation, model: QuotientModel) -> IntMatrix:
@@ -282,8 +279,8 @@ def ktheory_report(p: Presentation, order: str = "lex") -> KTheoryReport:
         k0_basis=k0_basis,
         psi0=psi0,
         psi1=psi1,
-        k0_limit=make_limit(psi0),
-        k1_limit=make_limit(psi1),
+        k0_limit=StationaryLimitGroup(psi0),
+        k1_limit=StationaryLimitGroup(psi1),
         zn_target=zn_target,
         validation=report,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .intlin import IntMatrix
-from .limits import Classification, StationaryLimitGroup, make_limit
+from .limits import Classification, StationaryLimitGroup
 from .model import Finding, ValidationReport, _Checked, _is_primitive
 
 
@@ -66,7 +66,7 @@ class SftDimensionGroup(NamedTuple):
 
 def sft_dimension_group(s: SftPresentation) -> SftDimensionGroup:
     """K0 as the stationary limit of the transfer map; K1 is trivial."""
-    k0 = make_limit(s.adjacency.transpose())
+    k0 = StationaryLimitGroup(s.adjacency.transpose())
     return SftDimensionGroup(k0=k0, k0_classification=k0.classify(), k1="trivial")
 
 

@@ -96,6 +96,22 @@ def n_solenoid(n: int):
     return parse_presentation(n_solenoid_text(n))
 
 
+def endpoint_failures() -> dict[str, Presentation]:
+    """Presentations built past the parser, which refuses them, keyed by the
+    message of the one endpoint finding ``validate`` reports for each."""
+    p = parse_presentation(
+        "solenoid v1\nvertex u\nvertex v\nedge a u u\nedge b u v\nmap a -> a a\nmap b -> a b\n"
+    )
+    g, images = p.graph, p.edge_map
+    return {
+        "vertex 'v' has no image vertex": Presentation(g, images, {"u": "u"}),
+        "edge 'b' has no image path": Presentation(g, {"a": images["a"]}, p.vertex_map),
+        "image path of 'b' is discontinuous": Presentation(
+            g, {**images, "b": EdgePath((Dart("b"), Dart("b")))}, p.vertex_map
+        ),
+    }
+
+
 def count_calls(monkeypatch, home, name: str) -> dict[str, int]:
     """Count calls of ``home.name`` made through any solk module that binds it."""
     original = getattr(home, name)

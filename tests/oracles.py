@@ -63,7 +63,6 @@ from solk.germs import (
 from solk.intlin import (
     CokernelStructure,
     IntMatrix,
-    _swap_rows,
     column_hnf,
     invert_unimodular,
     rank,
@@ -485,7 +484,7 @@ def hermite_normal_form_rows_oracle(A: IntMatrix) -> IntMatrix:
         pivot_row = next((i for i in range(r, nrows) if H[i][col] != 0), None)
         if pivot_row is None:
             continue
-        _swap_rows(H, r, pivot_row)
+        H[r], H[pivot_row] = H[pivot_row], H[r]
         for i in range(r + 1, nrows):
             if H[i][col] == 0:
                 continue

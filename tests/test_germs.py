@@ -31,6 +31,7 @@ from helpers import (
     aabab,
     closure_stress_text,
     count_calls,
+    endpoint_failures,
     fibonacci,
     n_solenoid,
     random_valid_presentations,
@@ -186,10 +187,10 @@ def test_model_tables_are_read_only():
             assert isinstance(table, tuple)
             with pytest.raises(TypeError):
                 table[0] = table[0]
-    # Reordering permutes the per-class tables and shares the per-edge one.
+    # Reordering permutes the per-class tables and leaves the per-edge one as it is.
     paper = with_class_order(m, "paper")
     assert paper.preimage_counts == m.preimage_counts[::-1] and paper.arcs == m.arcs[::-1]
-    assert with_class_order(m, "paper").edge_components is m.edge_components
+    assert paper.edge_components == m.edge_components
     # The model keeps its own copy of the tables it is given.
     gtilde, table = list(m.gtilde), list(m.interior_preimage_table)
     own = QuotientModel(m.classes, m.edge_points, gtilde, table)
@@ -259,6 +260,16 @@ def test_orientation_reversing_image_is_named(images, edge, dart):
             f(p)
     with pytest.raises(ValueError, match=f"reversed dart {dart}"):
         junction_germs(p)
+
+
+def test_image_path_that_fails_the_endpoint_check_is_named():
+    failures = endpoint_failures()
+    broken = failures["image path of 'b' is discontinuous"]  # b -> b b
+    with pytest.raises(ValueError, match="darts b, b do not meet at a common vertex"):
+        junction_germs(broken)
+    for p in (broken, failures["vertex 'v' has no image vertex"]):
+        with pytest.raises(ValueError, match="image path of 'b' fails the endpoint check"):
+            occurring_classes(p)
 
 
 def test_closure_is_fixed_point():

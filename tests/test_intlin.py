@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import solk.intlin
 from solk.intlin import (
     CokernelStructure,
     IntMatrix,
@@ -13,6 +14,7 @@ from solk.intlin import (
     column_hnf,
     determinant,
     hermite_normal_form_rows,
+    in_column_lattice,
     invert_unimodular,
     kernel_basis,
     rank,
@@ -24,7 +26,7 @@ from solk.intlin import (
     xgcd,
 )
 
-from helpers import random_int_matrix, random_unimodular
+from helpers import count_calls, random_int_matrix, random_unimodular
 from oracles import exact_elimination_oracle
 
 DELTA0 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
@@ -44,6 +46,24 @@ def test_matrix_basics():
         IntMatrix(2, 2, [1, 2, 3])
     with pytest.raises(AttributeError):
         m.rows = 5
+    wide = IntMatrix.zeros(2, 3)
+    for call, error, message in [
+        (lambda: IntMatrix(-1, 0, []), ValueError, "dimensions must be nonnegative"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+        # Each index below reads an entry of the row-major tuple when it is not checked.
+        (lambda: m[0, 2], IndexError, None),
+        (lambda: m.col(2), IndexError, None),
+        (lambda: m.submatrix([0], [2]), IndexError, "submatrix index out of range"),
+        (lambda: wide @ m, ValueError, r"shape mismatch: \(2, 3\) @ \(2, 2\)"),
+        (lambda: m + wide, ValueError, "shape mismatch"),
+        (lambda: m - wide, ValueError, "shape mismatch"),
+        (lambda: m.mul_vector([1, 2, 3]), ValueError, "vector length mismatch"),
+        (lambda: wide.power(2), ValueError, "power of a non-square matrix"),
+        (lambda: m.power(-1), ValueError, "negative power"),
+        (lambda: m.hstack(IntMatrix.zeros(3, 1)), ValueError, "row count mismatch"),
+    ]:
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_xgcd():
@@ -138,12 +158,24 @@ def test_restrict_needs_an_echelon_basis():
         restrict_endomorphism(t, b)
 
 
-def test_column_hnf_canonicalizes():
+def test_restrict_checks_shapes():
+    b = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="endomorphism matrix must be square"):
+        restrict_endomorphism(IntMatrix.zeros(2, 3), b)
+    with pytest.raises(ValueError, match="shape mismatch between T and B"):
+        restrict_endomorphism(IntMatrix.identity(2), b)
+
+
+def test_column_hnf_canonicalizes(monkeypatch):
     b1 = IntMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
     b2 = IntMatrix.from_rows([[1, 1], [1, 1], [0, 1]])  # same lattice, mixed basis
     assert column_hnf(b1) == column_hnf(b2)
     b3 = IntMatrix.from_rows([[2, 0], [2, 0], [0, 1]])  # index-2 sublattice
     assert column_hnf(b1) != column_hnf(b3)
+    # Lattices in different ambient ranks differ before any normal form is taken.
+    calls = count_calls(monkeypatch, solk.intlin, "column_hnf")
+    assert not same_column_lattice(b1, IntMatrix.identity(2))
+    assert calls == {"column_hnf": 0}
 
 
 def test_hermite_rows_shape_and_pivots():
@@ -163,6 +195,7 @@ def test_solve_columns():
     x = solve_columns(b, c)
     assert x is not None and (b @ x) == c
     assert solve_columns(b, IntMatrix.from_rows([[1], [0]])) is None
+    assert in_column_lattice(b, [4, 9]) and not in_column_lattice(b, [1, 0])
 
 
 def test_invert_unimodular():
@@ -171,6 +204,8 @@ def test_invert_unimodular():
     assert m @ inv == IntMatrix.identity(2)
     with pytest.raises(ValueError):
         invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+        invert_unimodular(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_saturate_columns():

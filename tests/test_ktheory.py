@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import solk.germs
@@ -203,6 +205,8 @@ def test_report_model_is_its_summary_model_in_the_report_order():
             r = ktheory_report(p, order=order)
             assert r.order == order
             assert r.model == with_class_order(r.summary.model, order)
+    with pytest.raises(ValueError, match="unknown order 'rev'"):
+        with_class_order(lex_model(aabab()), "rev")
 
 
 def test_report_summary_equals_a_fresh_quotient_summary():
@@ -246,8 +250,15 @@ def test_psi1_rejects_a_rule_that_does_not_descend(monkeypatch):
 
 def test_report_exactness_checks_raise(monkeypatch):
     # Real errors, not asserts: they must also fire under python -O.
-    monkeypatch.setattr(solk.ktheory, "rank", lambda A: rank(A) + 1)
-    with pytest.raises(RuntimeError, match="rank"):
+    with monkeypatch.context() as m:
+        m.setattr(solk.ktheory, "rank", lambda A: rank(A) + 1)
+        with pytest.raises(RuntimeError, match="number of classes"):
+            ktheory_report(aabab())
+    # One generator too many in K1 leaves the class count right and the edge count wrong.
+    monkeypatch.setattr(
+        solk.ktheory, "psi_star_k1", lambda p, m: IntMatrix.identity(psi_star_k1(p, m).rows + 1)
+    )
+    with pytest.raises(RuntimeError, match="number of edges"):
         ktheory_report(aabab())
 
 
@@ -384,12 +395,13 @@ def test_wedge_24_report_keeps_normal_form_entries_small(monkeypatch):
 @pytest.mark.parametrize("order", ["lex", "paper"])
 def test_report_computes_class_graph_components_once(monkeypatch, order):
     # quotient_summary reads them for `connected` and the report for K1; the
-    # reordered model shares them.
-    components, models = solk.germs.QuotientModel._components, []
-    monkeypatch.setattr(
-        solk.germs.QuotientModel, "_components", lambda m: models.append(m) or components(m)
-    )
+    # reordered model computes its own, once.
+    components, models = solk.germs.QuotientModel.__dict__["edge_components"].func, []
+    counted = functools.cached_property(lambda m: models.append(m) or components(m))
+    counted.__set_name__(solk.germs.QuotientModel, "edge_components")
+    monkeypatch.setattr(solk.germs.QuotientModel, "edge_components", counted)
     r = ktheory_report(parse_presentation(TWO_VERTEX_TEXT), order=order)
-    assert len(models) == 1
-    assert r.model.edge_components is r.summary.model.edge_components
+    assert len(models) == {"lex": 1, "paper": 2}[order]
+    assert len(set(map(id, models))) == len(models)
+    assert r.model.edge_components == r.summary.model.edge_components
     assert r.psi1.rows == len(set(r.model.edge_components))

@@ -8,6 +8,7 @@ import solk.intlin
 from solk.intlin import IntMatrix, NotInvariant, determinant
 from solk.limits import (
     StationaryLimitGroup,
+    classify,
     element_add,
     element_equal,
     element_negate,
@@ -100,6 +101,13 @@ def test_element_errors():
         g.element(-1, [1])
     with pytest.raises(ValueError):
         g.element(0, [1, 2])
+    with pytest.raises(ValueError, match="elements of different groups"):
+        element_add(g.element(0, [1]), h.element(0, [1]))
+    for group in (g, make_limit(M([[1, 1], [1, 1]]))):  # full rank, then singular
+        with pytest.raises(ValueError, match="vector length must equal the ambient rank"):
+            group.from_ambient(0, [1, 2, 3])
+    with pytest.raises(ValueError, match="endomorphism must be square"):
+        StationaryLimitGroup(M([[1, 2]]))
 
 
 def test_from_ambient():
@@ -164,6 +172,7 @@ def test_classify_generic():
     c = g.classify()
     assert c.kind == "generic" and c.rank == 2
     assert "Generic" in str(c)
+    assert classify(g) is c
 
 
 def test_classify_invariant_under_unimodular_conjugation():
@@ -283,6 +292,8 @@ def test_torsion_limit_examples():
     assert stationary_torsion_limit((2, 2), M([[0, 1], [1, 0]])) == (2, 2)
     with pytest.raises(ValueError):
         stationary_torsion_limit((1,), M([[1]]))
+    with pytest.raises(ValueError, match="endomorphism shape must match the moduli"):
+        stationary_torsion_limit((2,), M([[1, 0], [0, 1]]))
 
 
 def test_from_ambient_outside_eventual_lattice_is_runtime_error(monkeypatch):

@@ -3,7 +3,9 @@ import pytest
 import solk.model
 from solk.model import (
     Dart,
+    Edge,
     EdgePath,
+    Finding,
     Graph,
     ParseError,
     Presentation,
@@ -19,6 +21,7 @@ from helpers import (
     FIBONACCI_TEXT,
     aabab,
     count_calls,
+    endpoint_failures,
     fibonacci,
     n_solenoid,
     n_solenoid_text,
@@ -65,6 +68,8 @@ def test_parse_errors():
         parse_presentation("solenoid v1\nvertex p\nedge a p p\nedge a p p\n")
     with pytest.raises(ParseError, match="unknown vertex"):
         parse_presentation("solenoid v1\nvertex p\nedge a p q\n")
+    with pytest.raises(ParseError, match="line 5: unknown vertex 'q'"):
+        parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a a\nvmap p -> q\n")
     with pytest.raises(ParseError, match="duplicate map"):
         parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a\nmap a -> a a\n")
     with pytest.raises(ParseError, match="no image path"):
@@ -182,6 +187,8 @@ def test_validate_endpoint_mismatch():
     bad = Presentation(graph=g.graph, edge_map=g.edge_map, vertex_map={"u": "v", "v": "v"})
     report = validate(bad)
     assert any(f.code == "endpoints" for f in report.errors())
+    for message, bad in endpoint_failures().items():
+        assert validate(bad).findings == (Finding("error", "endpoints", message),)
 
 
 def test_explicit_vmap_conflicting_with_images_fails_validation():
@@ -225,6 +232,8 @@ def test_substitution_power_abelianization():
         m = abelianization(p)
         for k in (1, 2, 3):
             assert abelianization(substitution_power(p, k)) == m.power(k)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        substitution_power(aabab(), 0)
 
 
 def test_substitution_power_endpoints_stay_valid():
@@ -245,6 +254,8 @@ def test_inferred_vertex_map_is_endpoint_compatible():
 def test_graph_rejects_bad_structure():
     with pytest.raises(ValueError):
         Graph(("p", "p"), ())
+    with pytest.raises(ValueError, match="edge a has undeclared endpoint"):
+        Graph(("p",), (Edge("a", "p", "q"),))
     with pytest.raises(ValueError):
         EdgePath(())
     d = Dart("a")
