@@ -53,7 +53,6 @@ from .limits import (
     stationary_torsion_limit,
 )
 from .model import (
-    Dart,
     Edge,
     EdgePath,
     Finding,

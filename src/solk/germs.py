@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import Dart, Presentation, _Checked
+from .model import Presentation, _Checked
 
 
 class UnreachableVertex(ValueError):
@@ -32,8 +32,8 @@ class DegreeNotConstant(RuntimeError):
 class GermClass(NamedTuple):
     """A vertex point of the quotient: (vertex, arriving edge, departing edge).
 
-    Every dart of a model runs forward, so a class is the edge pair at its
-    vertex, and the field order is the class order.
+    An image path runs each of its edges forward, so a class is the edge
+    pair at its vertex, and the field order is the class order.
     """
 
     vertex: str
@@ -95,24 +95,27 @@ class QuotientModel(_Checked, _QuotientModelFields):
         return tuple(find(i) for i in range(len(root)))
 
 
-def _germ(p: Presentation, in_dart: Dart, out_dart: Dart) -> GermClass:
-    vertex = p.graph.dart_end(in_dart)
-    if p.graph.dart_start(out_dart) != vertex:
-        raise ValueError(f"darts {in_dart}, {out_dart} do not meet at a common vertex")
-    for d in (in_dart, out_dart):
-        if not d.forward:
-            raise ValueError(f"unsupported: reversed dart {d}")
-    return GermClass(vertex, in_dart.edge, out_dart.edge)
+def _image_paths(p: Presentation) -> list[tuple[str, ...]]:
+    """Each edge's image path, in declaration order, checked as validate() checks endpoints."""
+    graph, vmap, paths = p.graph, p.vertex_map, []
+    for e in graph.edges:
+        path = p.edge_map.get(e.name)
+        ends = None if path is None else (path.start(graph), path.end(graph))
+        if ends != (vmap.get(e.source), vmap.get(e.target)) or not path.is_continuous(graph):
+            raise ValueError(f"image path of '{e.name}' fails the endpoint check of validate()")
+        paths.append(path.edges)
+    return paths
 
 
 def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     """Germs realized at interior junctions of image paths, deduplicated.
 
     Returned in discovery order (edges in declaration order, junctions left
-    to right).
+    to right).  ``ValueError`` names an edge whose image path fails the
+    endpoint check of ``validate``.
     """
-    darts = [p.edge_map[e].darts for e in p.graph.edge_names()]
-    return tuple(dict.fromkeys(_germ(p, a, b) for d in darts for a, b in zip(d, d[1:])))
+    pairs = [(a, b) for path in _image_paths(p) for a, b in zip(path, path[1:])]
+    return tuple(dict.fromkeys(GermClass(p.graph.edge(a).target, a, b) for a, b in pairs))
 
 
 def occurring_classes(p: Presentation) -> QuotientModel:
@@ -128,20 +131,12 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     order (vertex, in edge, out edge), so the induced map is one integer
     table read from each edge's last and first image edge.  The germs on
     its cycles are its eventual image: the image of the germ set is taken
-    again until it stops shrinking.  Image paths must run forward, and pass
-    the endpoint check of ``validate``; ``ValueError`` names an edge that
-    does not.
+    again until it stops shrinking.  Image paths must pass the endpoint
+    check of ``validate``; ``ValueError`` names the first edge whose path
+    is missing or does not.
     """
-    graph, vmap, edges = p.graph, p.vertex_map, p.graph.edges
-    for e in edges:
-        path = p.edge_map[e.name]
-        for d in path.darts:
-            if not d.forward:
-                raise ValueError(f"unsupported: reversed dart {d} in the image of '{e.name}'")
-        ends = (path.start(graph), path.end(graph))
-        if not path.is_continuous(graph) or ends != (vmap.get(e.source), vmap.get(e.target)):
-            raise ValueError(f"image path of '{e.name}' fails the endpoint check of validate()")
-    images = [[graph.index[d.edge] for d in p.edge_map[e.name].darts] for e in edges]
+    graph, edges = p.graph, p.graph.edges
+    images = [[graph.index[x] for x in path] for path in _image_paths(p)]
 
     ins: dict[str, list[int]] = {v: [] for v in sorted(graph.vertices)}
     outs: dict[str, list[int]] = {v: [] for v in ins}
@@ -208,7 +203,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
 def interior_preimages(p: Presentation, c: GermClass) -> tuple[tuple[str, int], ...]:
     """Edge-interior preimages of an occurring class: pairs (edge, junction index).
 
-    Junction index i means the point between the i-th and (i+1)-st darts of
+    Junction index i means the point between the i-th and (i+1)-st edges of
     the image path, 1-based.
     """
     model = occurring_classes(p)
@@ -267,7 +262,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     degree = None
     if hausdorff and connected and model.classes:
-        occurrences = Counter(d.edge for path in p.edge_map.values() for d in path.darts)
+        occurrences = Counter(x for path in p.edge_map.values() for x in path.edges)
         edges = p.graph.edge_names()
         values = {*model.preimage_counts, *map(occurrences.__getitem__, edges)}
         if len(values) != 1 or min(values) < 2:

@@ -12,9 +12,9 @@ with matching endpoints.  The file format is line oriented:
     map b -> a b
     vmap p -> p        # optional; inferred from the maps when omitted
 
-``#`` starts a comment and blank lines are ignored.  A token ``~e`` in an
-image path denotes a reversed traversal of edge ``e``; the parser accepts
-it but validation rejects orientation-reversing substitutions.
+``#`` starts a comment and blank lines are ignored.  An image path runs
+each of its edges from source to target; a token ``~e`` (edge ``e`` run
+backwards) is a parse error, as solk handles only orientation-preserving maps.
 
 Every record of solk is a ``typing.NamedTuple``: it unpacks and indexes,
 equals a plain tuple of equal values, and offers ``_fields`` and ``_replace``.
@@ -91,55 +91,34 @@ class Graph(_Checked, _GraphFields):
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
-    def dart_start(self, d: "Dart") -> str:
-        e = self.edge(d.edge)
-        return e.source if d.forward else e.target
-
-    def dart_end(self, d: "Dart") -> str:
-        e = self.edge(d.edge)
-        return e.target if d.forward else e.source
-
-
-class Dart(NamedTuple):
-    """One-sided traversal of an edge; forward runs source to target."""
-
-    edge: str
-    forward: bool = True
-
-    def reversed(self) -> "Dart":
-        return Dart(self.edge, not self.forward)
-
-    def __str__(self) -> str:
-        return self.edge if self.forward else "~" + self.edge
-
 
 class _EdgePathFields(NamedTuple):
-    darts: tuple[Dart, ...]
+    edges: tuple[str, ...]
 
 
 class EdgePath(_Checked, _EdgePathFields):
-    def __new__(cls, darts: tuple[Dart, ...]):
-        if not darts:
+    def __new__(cls, edges: tuple[str, ...]):
+        if not edges:
             raise ValueError("edge path must be nonempty")
-        return super().__new__(cls, darts)
+        return super().__new__(cls, edges)
 
     def start(self, graph: Graph) -> str:
-        return graph.dart_start(self.darts[0])
+        return graph.edge(self.edges[0]).source
 
     def end(self, graph: Graph) -> str:
-        return graph.dart_end(self.darts[-1])
+        return graph.edge(self.edges[-1]).target
 
     def is_continuous(self, graph: Graph) -> bool:
         return all(
-            graph.dart_end(a) == graph.dart_start(b)
-            for a, b in zip(self.darts, self.darts[1:])
+            graph.edge(a).target == graph.edge(b).source
+            for a, b in zip(self.edges, self.edges[1:])
         )
 
     def __len__(self) -> int:
-        return len(self.darts)
+        return len(self.edges)
 
     def __str__(self) -> str:
-        return " ".join(str(d) for d in self.darts)
+        return " ".join(self.edges)
 
 
 class _PresentationFields(NamedTuple):
@@ -153,12 +132,10 @@ class Presentation(_Checked, _PresentationFields):
         cls, graph: Graph, edge_map: Mapping[str, EdgePath], vertex_map: Mapping[str, str]
     ):
         proxies = MappingProxyType(dict(edge_map)), MappingProxyType(dict(vertex_map))
+        for e, path in proxies[0].items():
+            if undeclared := set(path.edges).difference(graph.index):
+                raise ValueError(f"image path of {e} names undeclared edge {min(undeclared)}")
         return super().__new__(cls, graph, *proxies)
-
-    def dart_image(self, d: Dart) -> tuple[Dart, ...]:
-        """The image path of a dart; a reversed dart runs its edge's image backwards."""
-        img = self.edge_map[d.edge].darts
-        return img if d.forward else tuple(x.reversed() for x in reversed(img))
 
 
 class Finding(NamedTuple):
@@ -193,9 +170,9 @@ def parse_presentation(text: str) -> Presentation:
 
     Graph-level structure (name uniqueness, declared endpoints, internal
     continuity of image paths) is enforced here; substitution-level checks
-    live in validate().  A class is labelled ``in|out@vertex`` and ``~``
-    marks a reversed dart, so an edge name may not contain ``|`` or start
-    with ``~``, and a vertex name may not contain ``@``.
+    live in validate().  A class is labelled ``in|out@vertex`` and a ``~e``
+    token, a reversed edge, is refused, so an edge name may not contain ``|``
+    or start with ``~``, and a vertex name may not contain ``@``.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
@@ -245,14 +222,13 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(line_no, f"unknown edge '{name}'")
             if name in edge_map:
                 raise ParseError(line_no, f"duplicate map for edge '{name}'")
-            darts = []
             for tok in tokens[3:]:
-                forward = not tok.startswith("~")
-                ename = tok if forward else tok[1:]
-                if ename not in edge_names:
-                    raise ParseError(line_no, f"unknown edge '{ename}'")
-                darts.append(Dart(ename, forward))
-            path = EdgePath(tuple(darts))
+                if tok.startswith("~"):
+                    message = f"unsupported: orientation-reversing image of '{name}' (dart {tok})"
+                    raise ParseError(line_no, message)
+                if tok not in edge_names:
+                    raise ParseError(line_no, f"unknown edge '{tok}'")
+            path = EdgePath(tuple(tokens[3:]))
             if graph is None or len(graph.edges) != len(edges):
                 graph = Graph(tuple(vertices), tuple(edges))
             if not path.is_continuous(graph):
@@ -315,14 +291,14 @@ def abelianization(p: Presentation) -> IntMatrix:
     """Occurrence-count matrix of the substitution.
 
     Square, indexed by edges in declaration order; entry (f, e) counts the
-    traversals of edge f (either direction) in the image of edge e.
+    occurrences of edge f in the image of edge e.
     """
     index = p.graph.index
     n = len(index)
     entries = [[0] * n for _ in range(n)]
     for j, e in enumerate(index):
-        for d in p.edge_map[e].darts:
-            entries[index[d.edge]][j] += 1
+        for f in p.edge_map[e].edges:
+            entries[index[f]][j] += 1
     return IntMatrix.from_rows(entries, cols=n)
 
 
@@ -333,7 +309,7 @@ def substitution_power(p: Presentation, k: int) -> Presentation:
     result = p
     for _ in range(k - 1):
         new_map = {
-            e: EdgePath(tuple(x for d in result.edge_map[e].darts for x in p.dart_image(d)))
+            e: EdgePath(tuple(x for f in result.edge_map[e].edges for x in p.edge_map[f].edges))
             for e in p.graph.edge_names()
         }
         new_vmap = {v: p.vertex_map[result.vertex_map[v]] for v in p.graph.vertices}
@@ -388,8 +364,8 @@ def validate(p: Presentation) -> ValidationReport:
 
     These are necessary conditions for the presentation to define an
     expanding, mixing one-dimensional solenoid, not a full certificate:
-    (a) endpoints   (b) homeomorphism   (c) orientation
-    (d) primitivity (warning only)      (e) eventual expansion
+    (a) endpoints   (b) homeomorphism   (c) primitivity (warning only)
+    (d) eventual expansion
     """
     findings: list[Finding] = []
     graph = p.graph
@@ -418,34 +394,26 @@ def validate(p: Presentation) -> ValidationReport:
     if any(f.code == "endpoints" for f in findings):
         return ValidationReport(tuple(findings))
 
-    # (c) orientation: reversed darts in image paths are unsupported.
-    for e in graph.edge_names():
-        for d in p.edge_map[e].darts:
-            if not d.forward:
-                message = f"unsupported: orientation-reversing image of '{e}' (dart {d})"
-                findings.append(Finding("error", "orientation", message))
-                break
-
     # (b) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
-        images = [p.edge_map[e].darts[0].edge for e in graph.edge_names()]
+        images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
             message = "substitution permutes the edges, so the map is invertible"
             findings.append(Finding("error", "homeomorphism", message))
 
-    # (d) primitivity is the combinatorial stand-in for mixing.  Bit j of row
+    # (c) primitivity is the combinatorial stand-in for mixing.  Bit j of row
     # i of the occurrence pattern is set when edge i occurs in the image of
     # edge j, as in ``abelianization``.
     names, index = graph.edge_names(), graph.index
     pattern = [0] * len(names)
     for j, e in enumerate(names):
-        for d in p.edge_map[e].darts:
-            pattern[index[d.edge]] |= 1 << j
+        for f in p.edge_map[e].edges:
+            pattern[index[f]] |= 1 << j
     if not _is_primitive_pattern(pattern):
         message = "occurrence matrix has no strictly positive power; mixing is unverified"
         findings.append(Finding("warning", "not-primitive", message))
 
-    # (e) every edge must eventually have an image of length >= 2.  While an
+    # (d) every edge must eventually have an image of length >= 2.  While an
     # edge's image is one edge f, every later image of it is an image of f:
     # follow one-edge images until one is longer, or an edge repeats and the
     # edge never expands.
@@ -457,6 +425,6 @@ def validate(p: Presentation) -> ValidationReport:
                 findings.append(Finding("error", "not-expanding", message))
                 break
             seen.add(e)
-            e = p.edge_map[e].darts[0].edge
+            e = p.edge_map[e].edges[0]
 
     return ValidationReport(tuple(findings))

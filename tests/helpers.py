@@ -6,7 +6,6 @@ import random
 import sys
 
 from solk import (
-    Dart,
     Edge,
     EdgePath,
     Graph,
@@ -107,7 +106,7 @@ def endpoint_failures() -> dict[str, Presentation]:
         "vertex 'v' has no image vertex": Presentation(g, images, {"u": "u"}),
         "edge 'b' has no image path": Presentation(g, {"a": images["a"]}, p.vertex_map),
         "image path of 'b' is discontinuous": Presentation(
-            g, {**images, "b": EdgePath((Dart("b"), Dart("b")))}, p.vertex_map
+            g, {**images, "b": EdgePath(("b", "b"))}, p.vertex_map
         ),
     }
 
@@ -186,7 +185,7 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> IntMatrix:
 
 
 def _paths_between(graph: Graph, start: str, end: str, max_len: int) -> list[tuple[str, ...]]:
-    """All forward edge paths from start to end with 1..max_len darts."""
+    """All edge paths from start to end with 1..max_len edges."""
     out: list[tuple[str, ...]] = []
     frontier: list[tuple[str, tuple[str, ...]]] = [(start, ())]
     for _ in range(max_len):
@@ -212,7 +211,7 @@ def random_presentation(rng: random.Random, max_vertices: int = 3, max_edges: in
     edges = tuple(
         Edge(f"e{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(ne)
     )
-    # Reduced presentations only: germ classes need darts on both sides.
+    # Reduced presentations only: germ classes need edges on both sides.
     for v in vertices:
         if not any(e.source == v for e in edges) or not any(e.target == v for e in edges):
             return None
@@ -223,8 +222,7 @@ def random_presentation(rng: random.Random, max_vertices: int = 3, max_edges: in
         options = _paths_between(graph, vmap[e.source], vmap[e.target], max_image_len)
         if not options:
             return None
-        names = rng.choice(options)
-        edge_map[e.name] = EdgePath(tuple(Dart(n) for n in names))
+        edge_map[e.name] = EdgePath(rng.choice(options))
     return Presentation(graph=graph, edge_map=edge_map, vertex_map=vmap)
 
 

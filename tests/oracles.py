@@ -30,7 +30,9 @@ the adjugate, and ``element_equal_oracle`` compares two elements at a common
 stage, as ``limits`` did before it compared canonical representatives.
 ``gtilde_on_class`` and ``edge_trace_row`` are the induced
 map on one class and the trace row of one edge by their definitions; the
-closure and the pullback read both off integer tables.  ``psi1_oracle``
+closure and the pullback read both off integer tables.
+``junction_germs_oracle`` reads the germs at the junctions of image paths
+off the graph's edges, beside the library's checked ``junction_germs``.  ``psi1_oracle``
 conjugates the first-edge matrix by the Smith transform ``U`` of the
 boundary matrix and reduces modulo the invariant factors, as ``ktheory`` did
 before it read psi1 off the class-graph components.  ``strongly_connected_oracle`` is the forward and backward
@@ -53,13 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from solk.germs import (
-    GermClass,
-    QuotientModel,
-    UnreachableVertex,
-    _germ,
-    junction_germs,
-)
+from solk.germs import GermClass, QuotientModel, UnreachableVertex
 from solk.intlin import (
     CokernelStructure,
     IntMatrix,
@@ -75,7 +71,7 @@ from solk.intlin import (
 )
 from solk.limits import LimitElement, StationaryLimitGroup
 from solk.ktheory import trace_pullback_matrix
-from solk.model import Dart, Finding, Presentation, ValidationReport, abelianization
+from solk.model import Finding, Presentation, ValidationReport, abelianization
 from solk.sft import SftPresentation
 
 
@@ -91,13 +87,33 @@ def all_germs_oracle(p: Presentation) -> list[GermClass]:
     return out
 
 
+def _meet(p: Presentation, in_edge: str, out_edge: str) -> GermClass:
+    """The germ class of ``in_edge`` followed by ``out_edge`` at the vertex they share."""
+    vertex = p.graph.edge(in_edge).target
+    if p.graph.edge(out_edge).source != vertex:
+        raise ValueError(f"edges {in_edge}, {out_edge} do not meet at a common vertex")
+    return GermClass(vertex, in_edge, out_edge)
+
+
 def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
     """Image of a germ class under the induced map on the quotient.
 
-    The class maps to (last dart of the image of the incoming edge, first
-    dart of the image of the outgoing edge) at the image vertex.
+    The class maps to (last edge of the image of the incoming edge, first
+    edge of the image of the outgoing edge) at the image vertex.
     """
-    return _germ(p, p.dart_image(Dart(c.in_edge))[-1], p.dart_image(Dart(c.out_edge))[0])
+    return _meet(p, p.edge_map[c.in_edge].edges[-1], p.edge_map[c.out_edge].edges[0])
+
+
+def junction_germs_oracle(p: Presentation) -> tuple[GermClass, ...]:
+    """Germs at the junctions of image paths, deduplicated in discovery order."""
+    out: list[GermClass] = []
+    for e in p.graph.edge_names():
+        edges = p.edge_map[e].edges
+        for i in range(len(edges) - 1):
+            germ = _meet(p, edges[i], edges[i + 1])
+            if germ not in out:
+                out.append(germ)
+    return tuple(out)
 
 
 def edge_trace_row(p: Presentation, model: QuotientModel, edge: str) -> tuple[int, ...]:
@@ -136,7 +152,7 @@ def occurring_classes_oracle(p: Presentation) -> QuotientModel:
             x = step[x]
         on_cycle.update(cycle)
 
-    occurring = set(junction_germs(p)) | on_cycle
+    occurring = set(junction_germs_oracle(p)) | on_cycle
     frontier = list(occurring)
     while frontier:
         nxt = step[frontier.pop()]
@@ -154,9 +170,9 @@ def occurring_classes_oracle(p: Presentation) -> QuotientModel:
     position = {c: i for i, c in enumerate(classes)}
     table: list[list[tuple[str, int]]] = [[] for _ in classes]
     for e in p.graph.edge_names():
-        darts = p.edge_map[e].darts
-        for i in range(len(darts) - 1):
-            table[position[_germ(p, darts[i], darts[i + 1])]].append((e, i + 1))
+        edges = p.edge_map[e].edges
+        for i in range(len(edges) - 1):
+            table[position[_meet(p, edges[i], edges[i + 1])]].append((e, i + 1))
 
     return QuotientModel(
         classes=classes,
@@ -183,8 +199,8 @@ def validate_oracle(p: Presentation) -> ValidationReport:
 
     These are necessary conditions for the presentation to define an
     expanding, mixing one-dimensional solenoid, not a full certificate:
-    (a) endpoints   (b) homeomorphism   (c) orientation
-    (d) primitivity (warning only)      (e) eventual expansion
+    (a) endpoints   (b) homeomorphism   (c) primitivity (warning only)
+    (d) eventual expansion
     """
     findings: list[Finding] = []
     graph = p.graph
@@ -227,22 +243,9 @@ def validate_oracle(p: Presentation) -> ValidationReport:
     if any(f.code == "endpoints" for f in findings):
         return ValidationReport(tuple(findings))
 
-    # (c) orientation: reversed darts in image paths are unsupported.
-    for e in graph.edge_names():
-        for d in p.edge_map[e].darts:
-            if not d.forward:
-                findings.append(
-                    Finding(
-                        "error",
-                        "orientation",
-                        f"unsupported: orientation-reversing image of '{e}' (dart {d})",
-                    )
-                )
-                break
-
     # (b) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
-        images = [p.edge_map[e].darts[0].edge for e in graph.edge_names()]
+        images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
             findings.append(
                 Finding(
@@ -254,7 +257,7 @@ def validate_oracle(p: Presentation) -> ValidationReport:
 
     M = abelianization(p)
 
-    # (d) primitivity is the combinatorial stand-in for mixing.
+    # (c) primitivity is the combinatorial stand-in for mixing.
     if not is_primitive_oracle(M):
         findings.append(
             Finding(
@@ -264,7 +267,7 @@ def validate_oracle(p: Presentation) -> ValidationReport:
             )
         )
 
-    # (e) every edge must eventually have an image of length >= 2.
+    # (d) every edge must eventually have an image of length >= 2.
     n = len(graph.edges)
     if n > 0:
         lengths_ok = [False] * n

@@ -2,7 +2,6 @@ import pytest
 
 import solk.model
 from solk.model import (
-    Dart,
     Edge,
     EdgePath,
     Finding,
@@ -33,15 +32,15 @@ def test_parse_aabab():
     p = aabab()
     assert p.graph.vertices == ("p",)
     assert p.graph.edge_names() == ("a", "b")
-    assert [d.edge for d in p.edge_map["a"].darts] == ["a", "a", "b"]
-    assert [d.edge for d in p.edge_map["b"].darts] == ["a", "b"]
-    assert all(d.forward for d in p.edge_map["a"].darts)
+    assert p.edge_map["a"] == EdgePath(("a", "a", "b"))
+    assert p.edge_map["b"].edges == ("a", "b")
+    assert str(p.edge_map["a"]) == "a a b"
     assert p.vertex_map == {"p": "p"}
 
 
 def test_parse_n_solenoid():
     p = n_solenoid(2)
-    assert [d.edge for d in p.edge_map["a"].darts] == ["a", "a"]
+    assert p.edge_map["a"].edges == ("a", "a")
 
 
 def test_parse_comments_blank_lines_and_vmap():
@@ -89,7 +88,7 @@ def test_parse_errors():
     ],
 )
 def test_names_that_make_class_labels_ambiguous_are_rejected(declaration, reason):
-    # A class is labelled in|out@vertex and ~ marks a reversed dart.
+    # A class is labelled in|out@vertex, and ~e would reverse edge e.
     text = f"solenoid v1\nvertex p\nedge a p p\n{declaration}\nmap a -> a a\n"
     with pytest.raises(ParseError, match=reason) as exc:
         parse_presentation(text)
@@ -125,11 +124,12 @@ def test_parse_error_carries_line_number():
 
 
 def test_reversed_dart_parses_but_fails_validation():
-    p = parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a ~a\n")
-    assert not p.edge_map["a"].darts[1].forward
-    report = validate(p)
-    assert not report.ok
-    assert any(f.code == "orientation" for f in report.errors())
+    # A reversed dart does not reach validation: the parser refuses it at its line.
+    with pytest.raises(ParseError) as exc:
+        parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a ~a\n")
+    assert exc.value.line_no == 4
+    assert exc.value.reason == "unsupported: orientation-reversing image of 'a' (dart ~a)"
+    assert str(exc.value) == "line 4: " + exc.value.reason
 
 
 def test_validate_aabab_clean():
@@ -258,8 +258,6 @@ def test_graph_rejects_bad_structure():
         Graph(("p",), (Edge("a", "p", "q"),))
     with pytest.raises(ValueError):
         EdgePath(())
-    d = Dart("a")
-    assert str(d.reversed()) == "~a"
 
 
 def test_parser_fuzz_only_raises_parse_error():

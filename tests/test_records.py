@@ -19,7 +19,6 @@ import solk
 from solk import (
     Classification,
     CokernelStructure,
-    Dart,
     Edge,
     EdgePath,
     Finding,
@@ -51,7 +50,7 @@ GROUP = make_limit(IntMatrix.from_rows([[2]]))
 SFT = SftPresentation.from_matrix([[2]])
 
 GRAPH = "Graph(vertices=('p',), edges=(Edge(name='a', source='p', target='p'),))"
-PATH = "EdgePath(darts=(Dart(edge='a', forward=True), Dart(edge='a', forward=True)))"
+PATH = "EdgePath(edges=('a', 'a'))"
 MODEL = (
     "QuotientModel(classes=(GermClass(vertex='p', in_edge='a', out_edge='a'),), "
     "edge_points=('a',), gtilde=(0,), interior_preimage_table=((('a', 1),),))"
@@ -70,7 +69,6 @@ RECORDS = {
         ("name", "source", "target"),
         (),
     ),
-    Dart: (Dart("a"), "Dart(edge='a', forward=True)", ("edge", "forward"), ()),
     Finding: (
         Finding("warning", "reducible", "not strongly connected"),
         "Finding(severity='warning', code='reducible', message='not strongly connected')",
@@ -135,7 +133,7 @@ RECORDS = {
         (),
     ),
     Graph: (P.graph, GRAPH, ("vertices", "edges"), ("index",)),
-    EdgePath: (P.edge_map["a"], PATH, ("darts",), ()),
+    EdgePath: (P.edge_map["a"], PATH, ("edges",), ()),
     Presentation: (
         P,
         f"Presentation(graph={GRAPH}, edge_map=mappingproxy({{'a': {PATH}}}), "
@@ -163,7 +161,7 @@ def test_every_public_record_is_covered():
         obj for obj in vars(solk).values()
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
     }
-    assert records == set(RECORDS) and len(records) == 17
+    assert records == set(RECORDS) and len(records) == 16
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -205,7 +203,16 @@ def test_every_route_to_a_checked_record_runs_its_constructor():
     with pytest.raises(ValueError, match="duplicate edge"):
         Graph._make((("p",), graph.edges * 2))
     with pytest.raises(ValueError, match="nonempty"):
-        path._replace(darts=())
+        path._replace(edges=())
+    # A presentation whose image path names an undeclared edge, built around the constructor.
+    bad = tuple.__new__(Presentation, (P.graph, {"a": EdgePath(("a", "zz"))}, P.vertex_map))
+    for route in (
+        lambda: Presentation(*bad),
+        lambda: P._replace(edge_map=bad.edge_map),
+        lambda: pickle.loads(pickle.dumps(bad)),
+    ):
+        with pytest.raises(ValueError, match="image path of a names undeclared edge zz"):
+            route()
     with pytest.raises(ValueError, match="square"):
         SFT._replace(states=("0", "1"))
     assert type(P._replace(vertex_map={"p": "p"}).vertex_map) is MappingProxyType
