@@ -95,26 +95,14 @@ class QuotientModel(_Checked, _QuotientModelFields):
         return tuple(find(i) for i in range(len(root)))
 
 
-def _image_paths(p: Presentation) -> list[tuple[str, ...]]:
-    """Each edge's image path, in declaration order, checked as validate() checks endpoints."""
-    graph, vmap, paths = p.graph, p.vertex_map, []
-    for e in graph.edges:
-        path = p.edge_map.get(e.name)
-        ends = None if path is None else (path.start(graph), path.end(graph))
-        if ends != (vmap.get(e.source), vmap.get(e.target)) or not path.is_continuous(graph):
-            raise ValueError(f"image path of '{e.name}' fails the endpoint check of validate()")
-        paths.append(path.edges)
-    return paths
-
-
 def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     """Germs realized at interior junctions of image paths, deduplicated.
 
     Returned in discovery order (edges in declaration order, junctions left
-    to right).  ``ValueError`` names an edge whose image path fails the
-    endpoint check of ``validate``.
+    to right).
     """
-    pairs = [(a, b) for path in _image_paths(p) for a, b in zip(path, path[1:])]
+    paths = (p.edge_map[e.name].edges for e in p.graph.edges)
+    pairs = [(a, b) for path in paths for a, b in zip(path, path[1:])]
     return tuple(dict.fromkeys(GermClass(p.graph.edge(a).target, a, b) for a, b in pairs))
 
 
@@ -131,12 +119,10 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     order (vertex, in edge, out edge), so the induced map is one integer
     table read from each edge's last and first image edge.  The germs on
     its cycles are its eventual image: the image of the germ set is taken
-    again until it stops shrinking.  Image paths must pass the endpoint
-    check of ``validate``; ``ValueError`` names the first edge whose path
-    is missing or does not.
+    again until it stops shrinking.
     """
     graph, edges = p.graph, p.graph.edges
-    images = [[graph.index[x] for x in path] for path in _image_paths(p)]
+    images = [[graph.index[x] for x in p.edge_map[e.name].edges] for e in edges]
 
     ins: dict[str, list[int]] = {v: [] for v in sorted(graph.vertices)}
     outs: dict[str, list[int]] = {v: [] for v in ins}

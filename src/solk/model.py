@@ -18,7 +18,8 @@ backwards) is a parse error, as solk handles only orientation-preserving maps.
 
 Every record of solk is a ``typing.NamedTuple``: it unpacks and indexes,
 equals a plain tuple of equal values, and offers ``_fields`` and ``_replace``.
-``Graph``, ``EdgePath`` and ``Presentation`` check their fields in ``__new__``.
+``Graph``, ``EdgePath`` and ``Presentation`` check their fields in ``__new__``,
+so a ``Presentation`` is a graph map with matching endpoints by construction.
 """
 
 from __future__ import annotations
@@ -128,14 +129,40 @@ class _PresentationFields(NamedTuple):
 
 
 class Presentation(_Checked, _PresentationFields):
+    """A graph map: each edge goes to an edge path that starts and ends at its ends' images.
+
+    ``ValueError`` refuses an image for an undeclared edge or vertex; an edge
+    with no image path, or one that names an undeclared edge or is
+    discontinuous; a vertex with no declared image; and an image path whose
+    first or last vertex disagrees with the vertex map.
+    """
+
     def __new__(
         cls, graph: Graph, edge_map: Mapping[str, EdgePath], vertex_map: Mapping[str, str]
     ):
-        proxies = MappingProxyType(dict(edge_map)), MappingProxyType(dict(vertex_map))
-        for e, path in proxies[0].items():
+        images, vmap = MappingProxyType(dict(edge_map)), MappingProxyType(dict(vertex_map))
+        if extra := set(images).difference(graph.index):
+            raise ValueError(f"image path given for undeclared edge {min(extra)}")
+        vertices = set(graph.vertices)
+        if extra := set(vmap).difference(vertices):
+            raise ValueError(f"image vertex given for undeclared vertex {min(extra)}")
+        if unmapped := [v for v in graph.vertices if vmap.get(v) not in vertices]:
+            raise ValueError(f"vertex '{unmapped[0]}' has no image vertex")
+        for e in graph.edges:
+            if (path := images.get(e.name)) is None:
+                raise ValueError(f"edge '{e.name}' has no image path")
             if undeclared := set(path.edges).difference(graph.index):
-                raise ValueError(f"image path of {e} names undeclared edge {min(undeclared)}")
-        return super().__new__(cls, graph, *proxies)
+                raise ValueError(f"image path of {e.name} names undeclared edge {min(undeclared)}")
+            if not path.is_continuous(graph):
+                raise ValueError(f"image path of '{e.name}' is discontinuous")
+            for verb, end, at, want in (
+                ("starts", "source", path.start(graph), vmap[e.source]),
+                ("ends", "target", path.end(graph), vmap[e.target]),
+            ):
+                if at != want:
+                    why = f"image of '{e.name}' {verb} at {at}, but {end} vertex maps to {want}"
+                    raise ValueError(why)
+        return super().__new__(cls, graph, images, vmap)
 
 
 class Finding(NamedTuple):
@@ -169,10 +196,12 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format.
 
     Graph-level structure (name uniqueness, declared endpoints, internal
-    continuity of image paths) is enforced here; substitution-level checks
-    live in validate().  A class is labelled ``in|out@vertex`` and a ``~e``
-    token, a reversed edge, is refused, so an edge name may not contain ``|``
-    or start with ``~``, and a vertex name may not contain ``@``.
+    continuity of image paths) is refused at its line; an image path at odds
+    with the vertex map fails the ``Presentation`` constructor and is refused
+    at the last line.  Substitution-level checks live in validate().  A class
+    is labelled ``in|out@vertex`` and a ``~e`` token, a reversed edge, is
+    refused, so an edge name may not contain ``|`` or start with ``~``, and a
+    vertex name may not contain ``@``.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
@@ -274,7 +303,10 @@ def parse_presentation(text: str) -> Presentation:
             )
         vertex_map[v] = inferred
 
-    return Presentation(graph=graph, edge_map=edge_map, vertex_map=vertex_map)
+    try:
+        return Presentation(graph=graph, edge_map=edge_map, vertex_map=vertex_map)
+    except ValueError as exc:
+        raise ParseError(last_line, str(exc)) from None
 
 
 def serialize_presentation(p: Presentation) -> str:
@@ -364,44 +396,20 @@ def validate(p: Presentation) -> ValidationReport:
 
     These are necessary conditions for the presentation to define an
     expanding, mixing one-dimensional solenoid, not a full certificate:
-    (a) endpoints   (b) homeomorphism   (c) primitivity (warning only)
-    (d) eventual expansion
+    (a) homeomorphism   (b) primitivity (warning only)   (c) eventual expansion.
+    Endpoints need no check: the ``Presentation`` constructor owns it.
     """
     findings: list[Finding] = []
     graph = p.graph
 
-    # (a) vertex map total and compatible with the image-path endpoints.
-    for v in graph.vertices:
-        w = p.vertex_map.get(v)
-        if w is None or w not in graph.vertices:
-            findings.append(Finding("error", "endpoints", f"vertex '{v}' has no image vertex"))
-    for e in graph.edges:
-        path = p.edge_map.get(e.name)
-        if path is None:
-            findings.append(Finding("error", "endpoints", f"edge '{e.name}' has no image path"))
-            continue
-        if not path.is_continuous(graph):
-            message = f"image path of '{e.name}' is discontinuous"
-            findings.append(Finding("error", "endpoints", message))
-            continue
-        for verb, end, at, want in (
-            ("starts", "source", path.start(graph), p.vertex_map.get(e.source)),
-            ("ends", "target", path.end(graph), p.vertex_map.get(e.target)),
-        ):
-            if want is not None and at != want:
-                message = f"image of '{e.name}' {verb} at {at}, but {end} vertex maps to {want}"
-                findings.append(Finding("error", "endpoints", message))
-    if any(f.code == "endpoints" for f in findings):
-        return ValidationReport(tuple(findings))
-
-    # (b) the substitution must not be invertible.
+    # (a) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
         images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
             message = "substitution permutes the edges, so the map is invertible"
             findings.append(Finding("error", "homeomorphism", message))
 
-    # (c) primitivity is the combinatorial stand-in for mixing.  Bit j of row
+    # (b) primitivity is the combinatorial stand-in for mixing.  Bit j of row
     # i of the occurrence pattern is set when edge i occurs in the image of
     # edge j, as in ``abelianization``.
     names, index = graph.edge_names(), graph.index
@@ -413,7 +421,7 @@ def validate(p: Presentation) -> ValidationReport:
         message = "occurrence matrix has no strictly positive power; mixing is unverified"
         findings.append(Finding("warning", "not-primitive", message))
 
-    # (d) every edge must eventually have an image of length >= 2.  While an
+    # (c) every edge must eventually have an image of length >= 2.  While an
     # edge's image is one edge f, every later image of it is an image of f:
     # follow one-edge images until one is longer, or an edge repeats and the
     # edge never expands.

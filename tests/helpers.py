@@ -95,19 +95,24 @@ def n_solenoid(n: int):
     return parse_presentation(n_solenoid_text(n))
 
 
-def endpoint_failures() -> dict[str, Presentation]:
-    """Presentations built past the parser, which refuses them, keyed by the
-    message of the one endpoint finding ``validate`` reports for each."""
+def endpoint_failures() -> dict[str, tuple]:
+    """What the ``Presentation`` constructor refuses: fields that make no graph
+    map, one entry per refusal, keyed by the message of its ``ValueError``."""
     p = parse_presentation(
         "solenoid v1\nvertex u\nvertex v\nedge a u u\nedge b u v\nmap a -> a a\nmap b -> a b\n"
     )
-    g, images = p.graph, p.edge_map
+    g, images, vmap = p
     return {
-        "vertex 'v' has no image vertex": Presentation(g, images, {"u": "u"}),
-        "edge 'b' has no image path": Presentation(g, {"a": images["a"]}, p.vertex_map),
-        "image path of 'b' is discontinuous": Presentation(
-            g, {**images, "b": EdgePath(("b", "b"))}, p.vertex_map
+        "image path given for undeclared edge zz": (g, {**images, "zz": EdgePath(("a",))}, vmap),
+        "edge 'b' has no image path": (g, {"a": images["a"]}, vmap),
+        "image path of b names undeclared edge zz": (
+            g, {**images, "b": EdgePath(("a", "zz"))}, vmap
         ),
+        "image path of 'b' is discontinuous": (g, {**images, "b": EdgePath(("b", "b"))}, vmap),
+        "image vertex given for undeclared vertex w": (g, images, {**vmap, "w": "u"}),
+        "vertex 'v' has no image vertex": (g, images, {"u": "u"}),
+        "image of 'a' starts at u, but source vertex maps to v": (g, images, {"u": "v", "v": "v"}),
+        "image of 'b' ends at v, but target vertex maps to u": (g, images, {"u": "u", "v": "u"}),
     }
 
 

@@ -199,51 +199,12 @@ def validate_oracle(p: Presentation) -> ValidationReport:
 
     These are necessary conditions for the presentation to define an
     expanding, mixing one-dimensional solenoid, not a full certificate:
-    (a) endpoints   (b) homeomorphism   (c) primitivity (warning only)
-    (d) eventual expansion
+    (a) homeomorphism   (b) primitivity (warning only)   (c) eventual expansion
     """
     findings: list[Finding] = []
     graph = p.graph
 
-    # (a) vertex map total and compatible with the image-path endpoints.
-    for v in graph.vertices:
-        w = p.vertex_map.get(v)
-        if w is None or w not in graph.vertices:
-            findings.append(Finding("error", "endpoints", f"vertex '{v}' has no image vertex"))
-    for e in graph.edges:
-        path = p.edge_map.get(e.name)
-        if path is None:
-            findings.append(Finding("error", "endpoints", f"edge '{e.name}' has no image path"))
-            continue
-        if not path.is_continuous(graph):
-            findings.append(
-                Finding("error", "endpoints", f"image path of '{e.name}' is discontinuous")
-            )
-            continue
-        want_start = p.vertex_map.get(e.source)
-        want_end = p.vertex_map.get(e.target)
-        if want_start is not None and path.start(graph) != want_start:
-            findings.append(
-                Finding(
-                    "error",
-                    "endpoints",
-                    f"image of '{e.name}' starts at {path.start(graph)}, "
-                    f"but source vertex maps to {want_start}",
-                )
-            )
-        if want_end is not None and path.end(graph) != want_end:
-            findings.append(
-                Finding(
-                    "error",
-                    "endpoints",
-                    f"image of '{e.name}' ends at {path.end(graph)}, "
-                    f"but target vertex maps to {want_end}",
-                )
-            )
-    if any(f.code == "endpoints" for f in findings):
-        return ValidationReport(tuple(findings))
-
-    # (b) the substitution must not be invertible.
+    # (a) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
         images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
@@ -257,7 +218,7 @@ def validate_oracle(p: Presentation) -> ValidationReport:
 
     M = abelianization(p)
 
-    # (c) primitivity is the combinatorial stand-in for mixing.
+    # (b) primitivity is the combinatorial stand-in for mixing.
     if not is_primitive_oracle(M):
         findings.append(
             Finding(
@@ -267,7 +228,7 @@ def validate_oracle(p: Presentation) -> ValidationReport:
             )
         )
 
-    # (d) every edge must eventually have an image of length >= 2.
+    # (c) every edge must eventually have an image of length >= 2.
     n = len(graph.edges)
     if n > 0:
         lengths_ok = [False] * n

@@ -31,7 +31,6 @@ from helpers import (
     aabab,
     closure_stress_text,
     count_calls,
-    endpoint_failures,
     fibonacci,
     n_solenoid,
     random_valid_presentations,
@@ -259,11 +258,16 @@ def test_orientation_reversing_image_is_named(images, edge, dart):
 
 
 def test_image_path_that_fails_the_endpoint_check_is_named():
-    failures = endpoint_failures()
-    for p in failures.values():  # b -> b b, v unmapped, b with no image path
-        for f in (junction_germs, occurring_classes, quotient_summary):
-            with pytest.raises(ValueError, match="image path of 'b' fails the endpoint check"):
-                f(p)
+    # The closure makes no path check of its own: no presentation has an image
+    # path at odds with its vertex map.  An inferred vertex map that conflicts
+    # with an image (v -> u from a's image, while b's image ends at v) is a
+    # parse error at the last line.
+    text = "solenoid v1\nvertex u\nvertex v\nedge a u v\nedge b v u\nedge c u u\n"
+    text += "map a -> c\nmap b -> a\nmap c -> c c\n"
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert exc.value.line_no == 9
+    assert exc.value.reason == "image of 'b' ends at v, but target vertex maps to u"
 
 
 def test_closure_is_fixed_point():

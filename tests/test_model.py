@@ -4,7 +4,6 @@ import solk.model
 from solk.model import (
     Edge,
     EdgePath,
-    Finding,
     Graph,
     ParseError,
     Presentation,
@@ -180,15 +179,12 @@ def test_validate_never_expanding_edge():
 
 
 def test_validate_endpoint_mismatch():
-    # Hand-built: vertex map disagrees with the image-path endpoints.
-    g = parse_presentation(
-        "solenoid v1\nvertex u\nvertex v\nedge a u u\nedge b u v\nmap a -> a a\nmap b -> a b\n"
-    )
-    bad = Presentation(graph=g.graph, edge_map=g.edge_map, vertex_map={"u": "v", "v": "v"})
-    report = validate(bad)
-    assert any(f.code == "endpoints" for f in report.errors())
-    for message, bad in endpoint_failures().items():
-        assert validate(bad).findings == (Finding("error", "endpoints", message),)
+    # The constructor refuses fields that make no graph map, naming the first
+    # fault, so validate never sees one.
+    for message, fields in endpoint_failures().items():
+        with pytest.raises(ValueError) as exc:
+            Presentation(*fields)
+        assert str(exc.value) == message
 
 
 def test_explicit_vmap_conflicting_with_images_fails_validation():
@@ -204,9 +200,11 @@ map c -> c a
 vmap u -> u
 vmap v -> u
 """
-    p = parse_presentation(text)
-    report = validate(p)
-    assert any(f.code == "endpoints" for f in report.errors())
+    # The parser hands the constructor's refusal on as a parse error at the last line.
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert exc.value.line_no == 11
+    assert exc.value.reason == "image of 'b' ends at v, but target vertex maps to u"
 
 
 def test_abelianization_examples():

@@ -43,7 +43,7 @@ from solk import (
     smith_normal_form,
 )
 
-from helpers import n_solenoid
+from helpers import endpoint_failures, n_solenoid
 
 P = n_solenoid(2)  # one vertex p, one edge a -> a a
 GROUP = make_limit(IntMatrix.from_rows([[2]]))
@@ -204,15 +204,25 @@ def test_every_route_to_a_checked_record_runs_its_constructor():
         Graph._make((("p",), graph.edges * 2))
     with pytest.raises(ValueError, match="nonempty"):
         path._replace(edges=())
-    # A presentation whose image path names an undeclared edge, built around the constructor.
-    bad = tuple.__new__(Presentation, (P.graph, {"a": EdgePath(("a", "zz"))}, P.vertex_map))
-    for route in (
-        lambda: Presentation(*bad),
-        lambda: P._replace(edge_map=bad.edge_map),
-        lambda: pickle.loads(pickle.dumps(bad)),
-    ):
-        with pytest.raises(ValueError, match="image path of a names undeclared edge zz"):
-            route()
+    # Presentations that make no graph map, built around the constructor: the
+    # 2-solenoid with an image path for an undeclared edge zz, and every entry
+    # of the table of refusals.
+    refused = {
+        "image path given for undeclared edge zz": (
+            P.graph, {**P.edge_map, "zz": EdgePath(("a",))}, P.vertex_map
+        ),
+        **endpoint_failures(),
+    }
+    for message, fields in refused.items():
+        bad = tuple.__new__(Presentation, fields)
+        for route in (
+            lambda: Presentation(*bad),
+            lambda: P._replace(**bad._asdict()),
+            lambda: pickle.loads(pickle.dumps(bad)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                route()
+            assert str(exc.value) == message
     with pytest.raises(ValueError, match="square"):
         SFT._replace(states=("0", "1"))
     assert type(P._replace(vertex_map={"p": "p"}).vertex_map) is MappingProxyType
