@@ -75,6 +75,20 @@ def _print_findings(report) -> None:
         print(f"{f.severity}: [{f.code}] {f.message}")
 
 
+class _IntText(dict):
+    """int -> its JSON text; an int outside the table is written, not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> str:
+        return int.__repr__(key)
+
+
+# Nearly every int a report writes is -1, 0 or 1, and almost all lie within +-8.
+_INT_TEXT = _IntText({i: int.__repr__(i) for i in range(-16, 17)})
+_LITERAL_TEXT = {True: "true", False: "false", None: "null"}
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)``, byte for byte.
 
@@ -82,29 +96,35 @@ def _json_text(value, newline: str = "\n") -> str:
     a list writes its int and str items inline, without a recursive call, and
     strings go through the C escaper that ``json.dumps`` uses under
     ``ensure_ascii``.  ``int`` is tested by exact type, so a bool is not
-    written as an int; other scalars go through ``json.dumps`` one at a time.
-    An ``IntMatrix`` is written as its list of rows, one ``str.join`` per row
-    of its entries.  Dict keys are ``str``, as in every report solk writes;
-    the escaper raises ``TypeError`` on any other key.  ``newline`` is a line
-    break plus the indent of the line that holds ``value``.
+    written as an int, and its text comes from a table for -16..16 and from
+    ``int.__repr__`` past it; ``true``, ``false`` and ``null`` come from a
+    table too.  ``list``, ``tuple`` and ``dict`` are tested by exact type
+    first, and their subclasses (a named tuple) by ``isinstance``.  Any other
+    scalar, such as a float, goes through ``json.dumps``.  An ``IntMatrix``
+    is written as its list of rows, one ``str.join`` per row of its entries.
+    Dict keys are ``str``, as in every report solk writes; the escaper raises
+    ``TypeError`` on any other key.  ``newline`` is a line break plus the
+    indent of the line that holds ``value``.
     """
     t = type(value)
     if t is str:
         return _escape(value)
     if t is int:
-        return int.__repr__(value)
+        return _INT_TEXT[value]
+    if t is bool or value is None:
+        return _LITERAL_TEXT[value]
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
+    if t is list or t is tuple or (t is not dict and isinstance(value, (list, tuple))):
         if not value:
             return "[]"
         items = [
-            int.__repr__(v) if type(v) is int
+            _INT_TEXT[v] if type(v) is int
             else _escape(v) if type(v) is str
             else _json_text(v, inner)
             for v in value
         ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
+    if t is dict or isinstance(value, dict):
         if not value:
             return "{}"
         items = [
@@ -114,8 +134,9 @@ def _json_text(value, newline: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if t is IntMatrix:
         e, c, deeper = value._entries, value.cols, inner + "  "
+        text = _INT_TEXT.__getitem__
         rows = [
-            "[" + deeper + ("," + deeper).join(map(int.__repr__, e[i : i + c])) + inner + "]"
+            "[" + deeper + ("," + deeper).join(map(text, e[i : i + c])) + inner + "]"
             for i in range(0, len(e), c)
         ] if c else ["[]"] * value.rows
         return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"

@@ -20,6 +20,12 @@ Kernels, saturations, solves, ranks and determinants need no Smith form:
 share one fraction-free (Bareiss) elimination.  Nor does the cokernel of a
 boundary matrix (see ``ktheory``).
 
+``echelon_span``, the Gauss-Jordan elimination behind every stationary limit,
+clears a row u at the pivot p of a row w as p u - a w with the multiplier
+pair (p, a) divided by its gcd.  Most pivots it meets are 1 or divide their
+multiplier; such a step is u - (a/p) w, with no product by p and no division
+by the content.
+
 The fraction-free eliminations (``_bareiss``, ``adjugate``) take row x to
 (p x - a y) / prev for the pivot row y (Bareiss, Math. Comp. 22, 1968).  A row
 with multiplier a == 0 is only rescaled by p / prev, and left alone when the
@@ -635,23 +641,45 @@ def echelon_span(A: IntMatrix) -> IntMatrix:
 
     Each column has a positive pivot at its first nonzero row, zeros in the
     other pivot rows and content 1 (Gauss-Jordan elimination that divides by
-    the content after every update), so the basis depends only on the Q-span.
-    A repeated column, as in the transfer matrix of an edge shift, goes in once.
+    the content), so the basis depends only on the Q-span.  A row u is
+    cleared at the pivot p of a row w as p u - a w, with the multiplier pair
+    (p, a) divided by its gcd.  When that leaves p = 1 the step is u - a w,
+    with no product by p and no content division: a column being reduced
+    may carry a content until it is inserted, and a basis column whose own
+    pivot is 1 has content 1 anyway.  A repeated column, as in the transfer
+    matrix of an edge shift, goes in once.
     """
     basis: dict[int, list[int]] = {}  # pivot row -> column
     for v in map(list, dict.fromkeys(map(A.col, range(A.cols)))):
         for c, b in basis.items():
-            if v[c]:
-                v = _primitive([b[c] * x - v[c] * y for x, y in zip(v, b)])
+            a = v[c]
+            if a:
+                p = b[c]
+                g = gcd(p, a)
+                if g == p:
+                    a //= p
+                    v = [x - a * y for x, y in zip(v, b)]
+                else:
+                    p, a = p // g, a // g
+                    v = _primitive([p * x - a * y for x, y in zip(v, b)])
         for pivot, x in enumerate(v):
             if x:
                 break
         else:
             continue
         v = _primitive(v if v[pivot] > 0 else [-x for x in v])
+        q = v[pivot]
         for c, b in basis.items():
-            if b[pivot]:
-                basis[c] = _primitive([v[pivot] * x - b[pivot] * y for x, y in zip(b, v)])
+            a = b[pivot]
+            if a:
+                g = gcd(q, a)
+                if g == q:
+                    a //= q
+                    b = [x - a * y for x, y in zip(b, v)]
+                    basis[c] = b if b[c] == 1 else _primitive(b)
+                else:
+                    p, a = q // g, a // g
+                    basis[c] = _primitive([p * x - a * y for x, y in zip(b, v)])
         basis[pivot] = v
     columns = [basis[c] for c in sorted(basis)]
     return IntMatrix._of(A.rows, len(columns), tuple([x for row in zip(*columns) for x in row]))

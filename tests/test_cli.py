@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -430,6 +431,28 @@ def test_json_writer_writes_a_matrix_as_its_list_of_rows():
             assert _json_text(wrap(m)) == json.dumps(wrap(rows), indent=2), (m, wrap(rows))
 
 
+def test_json_writer_int_and_literal_tables_match_json_dumps():
+    table = solk.cli._INT_TEXT
+    size = len(table)
+    Pair = collections.namedtuple("Pair", "x y")  # a tuple subclass: written as a list
+    lo, hi = min(table), max(table)
+    edges = [lo - 2, lo - 1, lo, lo + 1, -1, 0, 1, hi - 1, hi, hi + 1, hi + 2, 2**70, -(2**200)]
+    values = [
+        *edges, edges, tuple(edges), True, False, None,
+        [0, True, 1, False, -1, None, hi + 1],
+        {"t": True, "f": False, "n": None, "i": 1, "z": 0},
+        [{"ok": True, "k": [hi, hi + 1]}, {"ok": False, "k": [lo, lo - 1]}],
+        Pair(hi + 1, True), [Pair(lo - 1, None)], {"p": Pair({"a": 2**70}, [False])},
+    ]
+    for value in values:
+        assert _json_text(value) == json.dumps(value, indent=2), value
+    crossing = [[lo - 1, lo, 0], [hi, hi + 1, 2**70], [-(2**200), 1, -1]]
+    m = IntMatrix.from_rows(crossing)
+    assert _json_text(m) == json.dumps(crossing, indent=2)
+    assert _json_text({"m": m}) == json.dumps({"m": crossing}, indent=2)
+    assert len(table) == size  # an int past the table is written, not stored
+
+
 def test_json_writer_rejects_what_json_dumps_rejects():
     for value in ({(1, 2): 0}, {1}, [object()]):
         with pytest.raises(TypeError):
@@ -475,8 +498,7 @@ def test_ktheory_json_makes_no_indented_json_dumps_call(capsys, monkeypatch, aab
     monkeypatch.setattr(json, "dumps", recording_dumps)
     code, out, _ = run(capsys, ["ktheory", aabab_file, "--json"])
     assert code == 0
-    assert calls  # the diagnostics' bools and None go through json.dumps one by one
-    assert all("indent" not in kwargs for kwargs in calls)
+    assert calls == []  # ints, true, false and null come from the writer's tables
 
 
 def test_colliding_class_labels_exit_2(capsys, tmp_path):

@@ -7,7 +7,7 @@ edge_shift_56.sft.json and edge_shift_56.limit.json hold `solk sft --json`
 and `solk limit --json` with tests/helpers.py `dense_edge_shift()` as the
 matrix, and pivots2.limit.json `solk limit --json` with PIVOTS2_MATRIX, whose
 image span has echelon pivots 2 and drops rank once more.  The wedges with
-24, 32 and 40 loops are too large to keep whole: tests/golden/ktheory.sha256
+24, 32, 40 and 48 loops are too large to keep whole: tests/golden/ktheory.sha256
 holds the SHA-256 of their `solk ktheory --json` in both orders.
 `solk classes --json` on the closure-stress family at n = 15 and the cyclic
 family at n = 14 (tests/helpers.py ``closure_stress_text``, ``cyclic_text``),
@@ -17,7 +17,7 @@ sizes 211 and 183) is kept in the same digest file, and so is that of the
 closure-stress family at n = 21 and the cyclic family at n = 20 (full-rank
 psi0 of sizes 421 and 381), and of stress 31 in lex order (a 931 x 931 psi0
 and a 49 MB report).  The wedge-24 digests and those of stress 15 and
-cyclic 14 are checked here; CI checks all fifteen with
+cyclic 14 are checked here; CI checks all seventeen with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
@@ -58,7 +58,9 @@ DIGESTS = GOLDEN / "ktheory.sha256"
 MATRIX_COMMANDS = ("sft", "limit")
 # im T has echelon pivots 2, 2, 1, and im T^2 has rank 2: stabilization index 2.
 PIVOTS2_MATRIX = "2,0,0,0;0,2,0,0;1,1,0,0;0,0,1,0"
-WEDGE_CASES = [f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40) for order in ("lex", "paper")]
+WEDGE_CASES = [
+    f"wedge_{k}.ktheory.{order}.json" for k in (24, 32, 40, 48) for order in ("lex", "paper")
+]
 FULL_RANK_CASES = [
     f"{fixture}.ktheory.{order}.json"
     for fixture in ("closure_stress_15", "cyclic_14")

@@ -9,6 +9,7 @@ import itertools
 import pathlib
 import random
 import sys
+from math import gcd
 
 import pytest
 
@@ -424,6 +425,35 @@ def test_echelon_span_matches_rational_gauss_jordan():
         E, want = echelon_span(A), echelon_span_oracle(A)
         assert (E.shape, E._entries) == (want.shape, want._entries)
         assert E.cols == rank(A)
+
+
+def test_echelon_span_with_shared_multiplier_factors_matches_rational_gauss_jordan(monkeypatch):
+    # Entries with the common factors 2 and 3 give multiplier pairs (p, a) that
+    # share a factor.  The recorder sees the pair of each elimination step and
+    # the line it came from: one line for the forward steps, one for the
+    # back-reductions.
+    steps = []
+
+    def recording_gcd(*args):
+        frame = sys._getframe(1)
+        if frame.f_code is echelon_span.__code__:
+            steps.append((frame.f_lineno, args))
+        return gcd(*args)
+
+    monkeypatch.setattr(solk.intlin, "gcd", recording_gcd)
+    rng = random.Random(73)
+    entries = (0, 0, 2, -2, 4, -4, 6, -6, 3, 9)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        A = IntMatrix(m, n, [rng.choice(entries) for _ in range(m * n)])
+        E, want = echelon_span(A), echelon_span_oracle(A)
+        assert (E.shape, E._entries) == (want.shape, want._entries)
+    forward, back = sorted({line for line, _ in steps})
+    for line in (forward, back):
+        pairs = [(p, a) for at, (p, a) in steps if at == line]
+        assert any(p == 1 for p, a in pairs)  # unit pivot
+        assert any(1 < gcd(p, a) == p for p, a in pairs)  # p divides a: a unit pivot once divided
+        assert any(1 < gcd(p, a) < p for p, a in pairs)  # a reduced pair that leaves p > 1
 
 
 def test_echelon_span_of_repeated_columns_matches_rational_gauss_jordan():
