@@ -54,7 +54,6 @@ from .limits import (
 )
 from .model import (
     Edge,
-    EdgePath,
     Finding,
     Graph,
     ParseError,

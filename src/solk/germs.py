@@ -101,7 +101,7 @@ def junction_germs(p: Presentation) -> tuple[GermClass, ...]:
     Returned in discovery order (edges in declaration order, junctions left
     to right).
     """
-    paths = (p.edge_map[e.name].edges for e in p.graph.edges)
+    paths = (p.edge_map[e.name] for e in p.graph.edges)
     pairs = [(a, b) for path in paths for a, b in zip(path, path[1:])]
     return tuple(dict.fromkeys(GermClass(p.graph.edge(a).target, a, b) for a, b in pairs))
 
@@ -122,7 +122,7 @@ def occurring_classes(p: Presentation) -> QuotientModel:
     again until it stops shrinking.
     """
     graph, edges = p.graph, p.graph.edges
-    images = [[graph.index[x] for x in p.edge_map[e.name].edges] for e in edges]
+    images = [[graph.index[x] for x in p.edge_map[e.name]] for e in edges]
 
     ins: dict[str, list[int]] = {v: [] for v in sorted(graph.vertices)}
     outs: dict[str, list[int]] = {v: [] for v in ins}
@@ -248,7 +248,7 @@ def quotient_summary(p: Presentation) -> QuotientSummary:
 
     degree = None
     if hausdorff and connected and model.classes:
-        occurrences = Counter(x for path in p.edge_map.values() for x in path.edges)
+        occurrences = Counter(x for path in p.edge_map.values() for x in path)
         edges = p.graph.edge_names()
         values = {*model.preimage_counts, *map(occurrences.__getitem__, edges)}
         if len(values) != 1 or min(values) < 2:

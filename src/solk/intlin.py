@@ -150,11 +150,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
-
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
@@ -174,21 +169,9 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._entries)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         e, c = self._entries, self.cols

@@ -125,7 +125,7 @@ def first_edge_matrix(p: Presentation) -> IntMatrix:
     index = p.graph.index
     entries = [[0] * len(index) for _ in index]
     for j, e in enumerate(index):
-        entries[index[p.edge_map[e].edges[0]]][j] = 1
+        entries[index[p.edge_map[e][0]]][j] = 1
     return IntMatrix.from_rows(entries, cols=len(index))
 
 

@@ -244,7 +244,7 @@ def stationary_torsion_limit(moduli: tuple[int, ...], endo: IntMatrix) -> tuple[
     relations = IntMatrix(s, s, [moduli[i] if i == j else 0 for i in range(s) for j in range(s)])
 
     def subgroup_lattice(gens: IntMatrix) -> IntMatrix:
-        return column_hnf(gens.hstack(relations))
+        return column_hnf(IntMatrix.from_rows([gens.row(i) + relations.row(i) for i in range(s)]))
 
     current = subgroup_lattice(IntMatrix.identity(s))
     while True:

@@ -18,8 +18,8 @@ backwards) is a parse error, as solk handles only orientation-preserving maps.
 
 Every record of solk is a ``typing.NamedTuple``: it unpacks and indexes,
 equals a plain tuple of equal values, and offers ``_fields`` and ``_replace``.
-``Graph``, ``EdgePath`` and ``Presentation`` check their fields in ``__new__``,
-so a ``Presentation`` is a graph map with matching endpoints by construction.
+``Graph`` and ``Presentation`` check their fields in ``__new__``, so a
+``Presentation`` is a graph map with matching endpoints by construction.
 """
 
 from __future__ import annotations
@@ -93,54 +93,34 @@ class Graph(_Checked, _GraphFields):
         return tuple(e.name for e in self.edges)
 
 
-class _EdgePathFields(NamedTuple):
-    edges: tuple[str, ...]
-
-
-class EdgePath(_Checked, _EdgePathFields):
-    def __new__(cls, edges: tuple[str, ...]):
-        if not edges:
-            raise ValueError("edge path must be nonempty")
-        return super().__new__(cls, edges)
-
-    def start(self, graph: Graph) -> str:
-        return graph.edge(self.edges[0]).source
-
-    def end(self, graph: Graph) -> str:
-        return graph.edge(self.edges[-1]).target
-
-    def is_continuous(self, graph: Graph) -> bool:
-        return all(
-            graph.edge(a).target == graph.edge(b).source
-            for a, b in zip(self.edges, self.edges[1:])
-        )
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __str__(self) -> str:
-        return " ".join(self.edges)
-
-
 class _PresentationFields(NamedTuple):
     graph: Graph
-    edge_map: Mapping[str, EdgePath]
+    edge_map: Mapping[str, tuple[str, ...]]
     vertex_map: Mapping[str, str]
 
 
 class Presentation(_Checked, _PresentationFields):
     """A graph map: each edge goes to an edge path that starts and ends at its ends' images.
 
-    ``ValueError`` refuses an image for an undeclared edge or vertex; an edge
-    with no image path, or one that names an undeclared edge or is
-    discontinuous; a vertex with no declared image; and an image path whose
-    first or last vertex disagrees with the vertex map.
+    An image path is a tuple of edge names; the constructor turns any other
+    iterable of names into one.  ``ValueError`` refuses an empty or ``str``
+    image path; an image for an undeclared edge or vertex; an edge with no
+    image path, or one that names an undeclared edge or is discontinuous; a
+    vertex with no declared image; and an image path whose first or last
+    vertex disagrees with the vertex map.
     """
 
     def __new__(
-        cls, graph: Graph, edge_map: Mapping[str, EdgePath], vertex_map: Mapping[str, str]
+        cls, graph: Graph, edge_map: Mapping[str, tuple[str, ...]], vertex_map: Mapping[str, str]
     ):
-        images, vmap = MappingProxyType(dict(edge_map)), MappingProxyType(dict(vertex_map))
+        images = {}
+        for name, path in edge_map.items():
+            if isinstance(path, str):
+                raise ValueError(f"image path of '{name}' is a str, not a tuple of edge names")
+            images[name] = path = tuple(path)
+            if not path:
+                raise ValueError(f"image path of '{name}' is empty")
+        images, vmap = MappingProxyType(images), MappingProxyType(dict(vertex_map))
         if extra := set(images).difference(graph.index):
             raise ValueError(f"image path given for undeclared edge {min(extra)}")
         vertices = set(graph.vertices)
@@ -151,13 +131,14 @@ class Presentation(_Checked, _PresentationFields):
         for e in graph.edges:
             if (path := images.get(e.name)) is None:
                 raise ValueError(f"edge '{e.name}' has no image path")
-            if undeclared := set(path.edges).difference(graph.index):
+            if undeclared := set(path).difference(graph.index):
                 raise ValueError(f"image path of {e.name} names undeclared edge {min(undeclared)}")
-            if not path.is_continuous(graph):
+            run = [graph.edge(x) for x in path]
+            if any(a.target != b.source for a, b in zip(run, run[1:])):
                 raise ValueError(f"image path of '{e.name}' is discontinuous")
             for verb, end, at, want in (
-                ("starts", "source", path.start(graph), vmap[e.source]),
-                ("ends", "target", path.end(graph), vmap[e.target]),
+                ("starts", "source", run[0].source, vmap[e.source]),
+                ("ends", "target", run[-1].target, vmap[e.target]),
             ):
                 if at != want:
                     why = f"image of '{e.name}' {verb} at {at}, but {end} vertex maps to {want}"
@@ -196,18 +177,19 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format.
 
     Graph-level structure (name uniqueness, declared endpoints, internal
-    continuity of image paths) is refused at its line; an image path at odds
-    with the vertex map fails the ``Presentation`` constructor and is refused
-    at the last line.  Substitution-level checks live in validate().  A class
+    continuity of image paths) is refused at its line, read from the edges
+    declared so far; the one ``Graph`` is built after the last line.  A vertex
+    with no ``vmap`` line maps to the start (or end) of the image of the first
+    edge that leaves (or enters) it.  An image path at odds with the vertex map
+    fails the ``Presentation`` constructor and is refused at the last line.
+    Substitution-level checks live in validate().  A class
     is labelled ``in|out@vertex`` and a ``~e`` token, a reversed edge, is
     refused, so an edge name may not contain ``|`` or start with ``~``, and a
     vertex name may not contain ``@``.
     """
     vertices: list[str] = []
-    edges: list[Edge] = []
-    edge_names: set[str] = set()
-    graph: Graph | None = None  # rebuilt only when an edge was declared after the last build
-    edge_map: dict[str, EdgePath] = {}
+    table: dict[str, Edge] = {}
+    edge_map: dict[str, tuple[str, ...]] = {}
     vmap_explicit: dict[str, str] = {}
     saw_header = False
     last_line = 0
@@ -235,19 +217,18 @@ def parse_presentation(text: str) -> Presentation:
             name, src, tgt = tokens[1:]
             if "|" in name or name.startswith("~"):
                 raise ParseError(line_no, f"edge name '{name}' contains '|' or starts with '~'")
-            if name in edge_names:
+            if name in table:
                 raise ParseError(line_no, f"duplicate edge '{name}'")
             if src not in vertices:
                 raise ParseError(line_no, f"unknown vertex '{src}'")
             if tgt not in vertices:
                 raise ParseError(line_no, f"unknown vertex '{tgt}'")
-            edges.append(Edge(name, src, tgt))
-            edge_names.add(name)
+            table[name] = Edge(name, src, tgt)
         elif keyword == "map":
             if len(tokens) < 4 or tokens[2] != "->":
                 raise ParseError(line_no, "expected 'map <edge> -> <edge> ...'")
             name = tokens[1]
-            if name not in edge_names:
+            if name not in table:
                 raise ParseError(line_no, f"unknown edge '{name}'")
             if name in edge_map:
                 raise ParseError(line_no, f"duplicate map for edge '{name}'")
@@ -255,12 +236,10 @@ def parse_presentation(text: str) -> Presentation:
                 if tok.startswith("~"):
                     message = f"unsupported: orientation-reversing image of '{name}' (dart {tok})"
                     raise ParseError(line_no, message)
-                if tok not in edge_names:
+                if tok not in table:
                     raise ParseError(line_no, f"unknown edge '{tok}'")
-            path = EdgePath(tuple(tokens[3:]))
-            if graph is None or len(graph.edges) != len(edges):
-                graph = Graph(tuple(vertices), tuple(edges))
-            if not path.is_continuous(graph):
+            path = tuple(tokens[3:])
+            if any(table[a].target != table[b].source for a, b in zip(path, path[1:])):
                 raise ParseError(line_no, f"image path of '{name}' is discontinuous")
             edge_map[name] = path
         elif keyword == "vmap":
@@ -279,8 +258,7 @@ def parse_presentation(text: str) -> Presentation:
 
     if not saw_header:
         raise ParseError(last_line or 1, "empty input; expected header 'solenoid v1'")
-    if graph is None or len(graph.edges) != len(edges) or len(graph.vertices) != len(vertices):
-        graph = Graph(tuple(vertices), tuple(edges))
+    edges = table.values()
     for e in edges:
         if e.name not in edge_map:
             raise ParseError(last_line, f"no image path for edge '{e.name}'")
@@ -292,10 +270,10 @@ def parse_presentation(text: str) -> Presentation:
         inferred = None
         for e in edges:
             if e.source == v:
-                inferred = edge_map[e.name].start(graph)
+                inferred = table[edge_map[e.name][0]].source
                 break
             if e.target == v:
-                inferred = edge_map[e.name].end(graph)
+                inferred = table[edge_map[e.name][-1]].target
                 break
         if inferred is None:
             raise ParseError(
@@ -303,6 +281,7 @@ def parse_presentation(text: str) -> Presentation:
             )
         vertex_map[v] = inferred
 
+    graph = Graph(tuple(vertices), tuple(edges))
     try:
         return Presentation(graph=graph, edge_map=edge_map, vertex_map=vertex_map)
     except ValueError as exc:
@@ -314,7 +293,7 @@ def serialize_presentation(p: Presentation) -> str:
     lines = ["solenoid v1"]
     lines.extend(f"vertex {v}" for v in p.graph.vertices)
     lines.extend(f"edge {e.name} {e.source} {e.target}" for e in p.graph.edges)
-    lines.extend(f"map {e.name} -> {p.edge_map[e.name]}" for e in p.graph.edges)
+    lines.extend(f"map {e.name} -> {' '.join(p.edge_map[e.name])}" for e in p.graph.edges)
     lines.extend(f"vmap {v} -> {p.vertex_map[v]}" for v in p.graph.vertices)
     return "\n".join(lines) + "\n"
 
@@ -329,7 +308,7 @@ def abelianization(p: Presentation) -> IntMatrix:
     n = len(index)
     entries = [[0] * n for _ in range(n)]
     for j, e in enumerate(index):
-        for f in p.edge_map[e].edges:
+        for f in p.edge_map[e]:
             entries[index[f]][j] += 1
     return IntMatrix.from_rows(entries, cols=n)
 
@@ -341,7 +320,7 @@ def substitution_power(p: Presentation, k: int) -> Presentation:
     result = p
     for _ in range(k - 1):
         new_map = {
-            e: EdgePath(tuple(x for f in result.edge_map[e].edges for x in p.edge_map[f].edges))
+            e: tuple(x for f in result.edge_map[e] for x in p.edge_map[f])
             for e in p.graph.edge_names()
         }
         new_vmap = {v: p.vertex_map[result.vertex_map[v]] for v in p.graph.vertices}
@@ -404,7 +383,7 @@ def validate(p: Presentation) -> ValidationReport:
 
     # (a) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
-        images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
+        images = [p.edge_map[e][0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
             message = "substitution permutes the edges, so the map is invertible"
             findings.append(Finding("error", "homeomorphism", message))
@@ -415,7 +394,7 @@ def validate(p: Presentation) -> ValidationReport:
     names, index = graph.edge_names(), graph.index
     pattern = [0] * len(names)
     for j, e in enumerate(names):
-        for f in p.edge_map[e].edges:
+        for f in p.edge_map[e]:
             pattern[index[f]] |= 1 << j
     if not _is_primitive_pattern(pattern):
         message = "occurrence matrix has no strictly positive power; mixing is unverified"
@@ -433,6 +412,6 @@ def validate(p: Presentation) -> ValidationReport:
                 findings.append(Finding("error", "not-expanding", message))
                 break
             seen.add(e)
-            e = p.edge_map[e].edges[0]
+            e = p.edge_map[e][0]
 
     return ValidationReport(tuple(findings))

@@ -7,7 +7,6 @@ import sys
 
 from solk import (
     Edge,
-    EdgePath,
     Graph,
     IntMatrix,
     Presentation,
@@ -103,12 +102,12 @@ def endpoint_failures() -> dict[str, tuple]:
     )
     g, images, vmap = p
     return {
-        "image path given for undeclared edge zz": (g, {**images, "zz": EdgePath(("a",))}, vmap),
+        "image path of 'b' is empty": (g, {**images, "b": ()}, vmap),
+        "image path of 'b' is a str, not a tuple of edge names": (g, {**images, "b": "ab"}, vmap),
+        "image path given for undeclared edge zz": (g, {**images, "zz": ("a",)}, vmap),
         "edge 'b' has no image path": (g, {"a": images["a"]}, vmap),
-        "image path of b names undeclared edge zz": (
-            g, {**images, "b": EdgePath(("a", "zz"))}, vmap
-        ),
-        "image path of 'b' is discontinuous": (g, {**images, "b": EdgePath(("b", "b"))}, vmap),
+        "image path of b names undeclared edge zz": (g, {**images, "b": ("a", "zz")}, vmap),
+        "image path of 'b' is discontinuous": (g, {**images, "b": ("b", "b")}, vmap),
         "image vertex given for undeclared vertex w": (g, images, {**vmap, "w": "u"}),
         "vertex 'v' has no image vertex": (g, images, {"u": "u"}),
         "image of 'a' starts at u, but source vertex maps to v": (g, images, {"u": "v", "v": "v"}),
@@ -227,7 +226,7 @@ def random_presentation(rng: random.Random, max_vertices: int = 3, max_edges: in
         options = _paths_between(graph, vmap[e.source], vmap[e.target], max_image_len)
         if not options:
             return None
-        edge_map[e.name] = EdgePath(rng.choice(options))
+        edge_map[e.name] = rng.choice(options)
     return Presentation(graph=graph, edge_map=edge_map, vertex_map=vmap)
 
 

@@ -101,14 +101,14 @@ def gtilde_on_class(p: Presentation, c: GermClass) -> GermClass:
     The class maps to (last edge of the image of the incoming edge, first
     edge of the image of the outgoing edge) at the image vertex.
     """
-    return _meet(p, p.edge_map[c.in_edge].edges[-1], p.edge_map[c.out_edge].edges[0])
+    return _meet(p, p.edge_map[c.in_edge][-1], p.edge_map[c.out_edge][0])
 
 
 def junction_germs_oracle(p: Presentation) -> tuple[GermClass, ...]:
     """Germs at the junctions of image paths, deduplicated in discovery order."""
     out: list[GermClass] = []
     for e in p.graph.edge_names():
-        edges = p.edge_map[e].edges
+        edges = p.edge_map[e]
         for i in range(len(edges) - 1):
             germ = _meet(p, edges[i], edges[i + 1])
             if germ not in out:
@@ -170,7 +170,7 @@ def occurring_classes_oracle(p: Presentation) -> QuotientModel:
     position = {c: i for i, c in enumerate(classes)}
     table: list[list[tuple[str, int]]] = [[] for _ in classes]
     for e in p.graph.edge_names():
-        edges = p.edge_map[e].edges
+        edges = p.edge_map[e]
         for i in range(len(edges) - 1):
             table[position[_meet(p, edges[i], edges[i + 1])]].append((e, i + 1))
 
@@ -206,7 +206,7 @@ def validate_oracle(p: Presentation) -> ValidationReport:
 
     # (a) the substitution must not be invertible.
     if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
-        images = [p.edge_map[e].edges[0] for e in graph.edge_names()]
+        images = [p.edge_map[e][0] for e in graph.edge_names()]
         if len(set(images)) == len(images):
             findings.append(
                 Finding(

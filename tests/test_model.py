@@ -3,7 +3,6 @@ import pytest
 import solk.model
 from solk.model import (
     Edge,
-    EdgePath,
     Graph,
     ParseError,
     Presentation,
@@ -31,15 +30,15 @@ def test_parse_aabab():
     p = aabab()
     assert p.graph.vertices == ("p",)
     assert p.graph.edge_names() == ("a", "b")
-    assert p.edge_map["a"] == EdgePath(("a", "a", "b"))
-    assert p.edge_map["b"].edges == ("a", "b")
-    assert str(p.edge_map["a"]) == "a a b"
+    assert p.edge_map["a"] == ("a", "a", "b")
+    assert p.edge_map["b"] == ("a", "b")
+    assert type(p.edge_map["a"]) is tuple
     assert p.vertex_map == {"p": "p"}
 
 
 def test_parse_n_solenoid():
     p = n_solenoid(2)
-    assert p.edge_map["a"].edges == ("a", "a")
+    assert p.edge_map["a"] == ("a", "a")
 
 
 def test_parse_comments_blank_lines_and_vmap():
@@ -245,8 +244,8 @@ def test_inferred_vertex_map_is_endpoint_compatible():
         graph = p.graph
         for e in graph.edges:
             path = p.edge_map[e.name]
-            assert path.start(graph) == p.vertex_map[e.source]
-            assert path.end(graph) == p.vertex_map[e.target]
+            assert graph.edge(path[0]).source == p.vertex_map[e.source]
+            assert graph.edge(path[-1]).target == p.vertex_map[e.target]
 
 
 def test_graph_rejects_bad_structure():
@@ -254,8 +253,6 @@ def test_graph_rejects_bad_structure():
         Graph(("p", "p"), ())
     with pytest.raises(ValueError, match="edge a has undeclared endpoint"):
         Graph(("p",), (Edge("a", "p", "q"),))
-    with pytest.raises(ValueError):
-        EdgePath(())
 
 
 def test_parser_fuzz_only_raises_parse_error():
@@ -302,6 +299,8 @@ def test_presentation_maps_are_read_only():
     p = Presentation(graph=aabab().graph, edge_map=edge_map, vertex_map={"p": "p"})
     edge_map["a"] = edge_map["b"]  # the caller's dict is copied, not shared
     assert p == aabab()
+    listed = Presentation(aabab().graph, {"a": ["a", "a", "b"], "b": ["a", "b"]}, {"p": "p"})
+    assert listed == aabab() and type(listed.edge_map["b"]) is tuple
     with pytest.raises(TypeError):
         p.edge_map["a"] = p.edge_map["b"]
     with pytest.raises(TypeError):
@@ -337,7 +336,7 @@ map b -> b a
 """
     p = parse_presentation(text)
     assert p.graph.edge_names() == ("a", "b")
-    assert str(p.edge_map["a"]) == "a a" and str(p.edge_map["b"]) == "b a"
+    assert p.edge_map["a"] == ("a", "a") and p.edge_map["b"] == ("b", "a")
     bad = text.replace("map b -> b a", "vertex q\nedge c q q\nmap b -> b c")
     with pytest.raises(ParseError, match="discontinuous"):
         parse_presentation(bad)

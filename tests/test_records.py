@@ -2,7 +2,7 @@
 
 A record keeps its field order, its repr text, equality and hash by value,
 and survives pickling and copying; its fields and derived tables cannot be
-written.  The five records that check or derive something at construction
+written.  The four records that check or derive something at construction
 run that constructor on every route to a new value, ``_replace`` included.
 """
 
@@ -20,7 +20,6 @@ from solk import (
     Classification,
     CokernelStructure,
     Edge,
-    EdgePath,
     Finding,
     GermClass,
     Graph,
@@ -50,7 +49,6 @@ GROUP = make_limit(IntMatrix.from_rows([[2]]))
 SFT = SftPresentation.from_matrix([[2]])
 
 GRAPH = "Graph(vertices=('p',), edges=(Edge(name='a', source='p', target='p'),))"
-PATH = "EdgePath(edges=('a', 'a'))"
 MODEL = (
     "QuotientModel(classes=(GermClass(vertex='p', in_edge='a', out_edge='a'),), "
     "edge_points=('a',), gtilde=(0,), interior_preimage_table=((('a', 1),),))"
@@ -133,10 +131,9 @@ RECORDS = {
         (),
     ),
     Graph: (P.graph, GRAPH, ("vertices", "edges"), ("index",)),
-    EdgePath: (P.edge_map["a"], PATH, ("edges",), ()),
     Presentation: (
         P,
-        f"Presentation(graph={GRAPH}, edge_map=mappingproxy({{'a': {PATH}}}), "
+        f"Presentation(graph={GRAPH}, edge_map=mappingproxy({{'a': ('a', 'a')}}), "
         "vertex_map=mappingproxy({'p': 'p'}))",
         ("graph", "edge_map", "vertex_map"),
         (),
@@ -161,7 +158,7 @@ def test_every_public_record_is_covered():
         obj for obj in vars(solk).values()
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
     }
-    assert records == set(RECORDS) and len(records) == 16
+    assert records == set(RECORDS) and len(records) == 15
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -197,23 +194,14 @@ def test_record_contract(cls):
 
 
 def test_every_route_to_a_checked_record_runs_its_constructor():
-    graph, path, model = P.graph, P.edge_map["a"], occurring_classes(P)
+    graph, model = P.graph, occurring_classes(P)
     with pytest.raises(ValueError, match="duplicate vertex"):
         graph._replace(vertices=("p", "p"))
     with pytest.raises(ValueError, match="duplicate edge"):
         Graph._make((("p",), graph.edges * 2))
-    with pytest.raises(ValueError, match="nonempty"):
-        path._replace(edges=())
-    # Presentations that make no graph map, built around the constructor: the
-    # 2-solenoid with an image path for an undeclared edge zz, and every entry
-    # of the table of refusals.
-    refused = {
-        "image path given for undeclared edge zz": (
-            P.graph, {**P.edge_map, "zz": EdgePath(("a",))}, P.vertex_map
-        ),
-        **endpoint_failures(),
-    }
-    for message, fields in refused.items():
+    # Presentations that make no graph map, built around the constructor: every
+    # entry of the table of refusals, the empty and the ``str`` image path among them.
+    for message, fields in endpoint_failures().items():
         bad = tuple.__new__(Presentation, fields)
         for route in (
             lambda: Presentation(*bad),
