@@ -56,6 +56,7 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(map(index, entries))  # TypeError on a float or str, no truncation
+        rows, cols = index(rows), index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -112,6 +113,8 @@ class IntMatrix:
         return self._entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:

@@ -143,18 +143,14 @@ def psi_star_k1(p: Presentation, model: QuotientModel) -> IntMatrix:
     kernel im delta0 (an incidence matrix is totally unimodular).  Generator
     k, the k-th component by last edge, lifts to its component's first edge.
     """
-    E, last = first_edge_matrix(p), model.edge_components
+    last = model.edge_components
     roots = sorted(set(last))
-    generator = {root: k for k, root in enumerate(roots)}
-    # image[j][k]: the weight of component k in the first-edge image of edge j
-    image = [[0] * len(roots) for _ in range(E.cols)]
-    for i, root in enumerate(last):
-        for j, x in enumerate(E.row(i)):
-            image[j][generator[root]] += x
-    if any(image[u] != image[v] for u, v in model.arcs):
+    # C[k][i] = 1 when edge i is in component k; column j of the image is edge j's weights
+    C = IntMatrix.from_rows([[int(x == root) for x in last] for root in roots], cols=len(last))
+    image = C @ first_edge_matrix(p)
+    if any(image.col(u) != image.col(v) for u, v in model.arcs):
         raise NotWellDefined("first-edge rule does not carry the boundary image into itself")
-    lifts = [last.index(root) for root in roots]
-    return IntMatrix.from_rows([[image[j][k] for j in lifts] for k in range(len(roots))])
+    return image.submatrix(range(len(roots)), [last.index(root) for root in roots])
 
 
 def _class_forest(arcs: tuple[tuple[int, int], ...], nodes: int) -> Forest:

@@ -98,12 +98,7 @@ class StationaryLimitGroup:
 
     def element(self, stage: int, vector: tuple[int, ...] | list[int]) -> "LimitElement":
         """Element given by a vector in eventual-lattice coordinates at a stage."""
-        if stage < 0:
-            raise ValueError("stage must be nonnegative")
-        vector = tuple(map(index, vector))
-        if len(vector) != self.eventual_rank:
-            raise ValueError("vector length must equal the eventual rank")
-        return self._canonical(stage, vector)
+        return self._canonical(*self._checked(stage, vector, self.eventual_rank, "eventual"))
 
     def from_ambient(self, stage: int, vector: tuple[int, ...] | list[int]) -> "LimitElement":
         """Element represented by an ambient Z^r vector at a stage.
@@ -112,11 +107,7 @@ class StationaryLimitGroup:
         vector in the eventual lattice, where it is re-expressed in the
         lattice basis.  At k = 0 that basis is the identity.
         """
-        if stage < 0:
-            raise ValueError("stage must be nonnegative")
-        vector = tuple(map(index, vector))
-        if len(vector) != self.ambient_rank:
-            raise ValueError("vector length must equal the ambient rank")
+        stage, vector = self._checked(stage, vector, self.ambient_rank, "ambient")
         if not self.stabilization_index:
             return self._canonical(stage, vector)
         for _ in range(self.stabilization_index):
@@ -125,6 +116,15 @@ class StationaryLimitGroup:
         if coords is None:
             raise RuntimeError("pushed vector must lie in the eventual lattice")
         return self._canonical(stage + self.stabilization_index, coords.col(0))
+
+    @staticmethod
+    def _checked(stage, vector, rank: int, lattice: str) -> tuple[int, tuple[int, ...]]:
+        # operator.index: a float or str stage, like such an entry, raises TypeError
+        if (stage := index(stage)) < 0:
+            raise ValueError("stage must be nonnegative")
+        if len(vector := tuple(map(index, vector))) != rank:
+            raise ValueError(f"vector length must equal the {lattice} rank")
+        return stage, vector
 
     @cached_property
     def _adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:

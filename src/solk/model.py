@@ -121,18 +121,18 @@ class Presentation(_Checked, _PresentationFields):
             if not path:
                 raise ValueError(f"image path of '{name}' is empty")
         images, vmap = MappingProxyType(images), MappingProxyType(dict(vertex_map))
-        if extra := set(images).difference(graph.index):
-            raise ValueError(f"image path given for undeclared edge {min(extra)}")
+        if extra := [e for e in images if e not in graph.index]:
+            raise ValueError(f"image path given for undeclared edge {extra[0]}")
         vertices = set(graph.vertices)
-        if extra := set(vmap).difference(vertices):
-            raise ValueError(f"image vertex given for undeclared vertex {min(extra)}")
+        if extra := [v for v in vmap if v not in vertices]:
+            raise ValueError(f"image vertex given for undeclared vertex {extra[0]}")
         if unmapped := [v for v in graph.vertices if vmap.get(v) not in vertices]:
             raise ValueError(f"vertex '{unmapped[0]}' has no image vertex")
         for e in graph.edges:
             if (path := images.get(e.name)) is None:
                 raise ValueError(f"edge '{e.name}' has no image path")
-            if undeclared := set(path).difference(graph.index):
-                raise ValueError(f"image path of {e.name} names undeclared edge {min(undeclared)}")
+            if undeclared := [x for x in path if x not in graph.index]:
+                raise ValueError(f"image path of {e.name} names undeclared edge {undeclared[0]}")
             run = [graph.edge(x) for x in path]
             if any(a.target != b.source for a, b in zip(run, run[1:])):
                 raise ValueError(f"image path of '{e.name}' is discontinuous")

@@ -105,10 +105,14 @@ def endpoint_failures() -> dict[str, tuple]:
         "image path of 'b' is empty": (g, {**images, "b": ()}, vmap),
         "image path of 'b' is a str, not a tuple of edge names": (g, {**images, "b": "ab"}, vmap),
         "image path given for undeclared edge zz": (g, {**images, "zz": ("a",)}, vmap),
+        # Names of mixed types: the first offender in the caller's order is named.
+        "image path given for undeclared edge 9": (g, {**images, 9: ("a",), "zz": ("a",)}, vmap),
         "edge 'b' has no image path": (g, {"a": images["a"]}, vmap),
         "image path of b names undeclared edge zz": (g, {**images, "b": ("a", "zz")}, vmap),
+        "image path of b names undeclared edge 9": (g, {**images, "b": ("a", 9, "zz")}, vmap),
         "image path of 'b' is discontinuous": (g, {**images, "b": ("b", "b")}, vmap),
         "image vertex given for undeclared vertex w": (g, images, {**vmap, "w": "u"}),
+        "image vertex given for undeclared vertex 9": (g, images, {**vmap, 9: "u", "w": "u"}),
         "vertex 'v' has no image vertex": (g, images, {"u": "u"}),
         "image of 'a' starts at u, but source vertex maps to v": (g, images, {"u": "v", "v": "v"}),
         "image of 'b' ends at v, but target vertex maps to u": (g, images, {"u": "u", "v": "u"}),

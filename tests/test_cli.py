@@ -33,6 +33,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def solk_process(argv, stdout=subprocess.PIPE):
+    """``python -m solk.cli`` with argv in a fresh interpreter, on this tree's ``solk``."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solk.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "solk.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+
+
 def test_validate_ok(capsys, aabab_file):
     code, out, _ = run(capsys, ["validate", aabab_file])
     assert code == 0
@@ -190,16 +199,46 @@ def test_closed_stdout_exits_141_quietly():
     # no race with a reader that exits early, as `solk limit ... | head -1` has.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solk.__file__).parents[1])}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "solk.cli", "limit", "--matrix", "3,1;0,2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = solk_process(["limit", "--matrix", "3,1;0,2"], stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, stream, line",
+    [
+        (["ktheory", "FILE", "--json"], AABAB_TEXT, 0, None, None),
+        (["validate", "FILE"], n_solenoid_text(1), 1,
+         "out", "error: [not-expanding] edge 'a' never expands under iteration"),
+        (["validate", "FILE"],
+         "solenoid v1\nvertex u\nvertex v\nedge a u u\nedge b u v\nmap a -> a a\nmap b -> b a\n",
+         2, "err", "parse error: line 7: image path of 'b' is discontinuous"),
+        (["ktheory", "FILE"], None, 2, None, None),  # FILE is never written
+        (["limit", "--matrix", "-1,0;0,2"], None, 2,
+         "err", "solk limit: error: argument --matrix: expected one argument"),
+    ],
+    ids=["ok", "invalid", "parse-error", "missing-path", "usage"],
+)
+def test_exit_code_as_a_process(capsys, tmp_path, argv, text, code, stream, line):
+    # One command per exit path, run as a process and through main(): the code
+    # passes through sys.exit (or argparse's SystemExit) and the bytes through the pipes.
+    f = tmp_path / "input.sol"
+    if text is not None:
+        f.write_text(text, encoding="utf-8")
+    argv = [str(f) if arg == "FILE" else arg for arg in argv]
+    proc = solk_process(argv)
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == returned == code
+    assert (proc.stdout.decode(), proc.stderr.decode()) == (captured.out, captured.err)
+    if line is not None:
+        assert line in getattr(captured, stream).splitlines()
 
 
 def test_n_solenoid_end_to_end(capsys, tmp_path):

@@ -48,10 +48,14 @@ def test_matrix_basics():
     wide = IntMatrix.zeros(2, 3)
     for call, error, message in [
         (lambda: IntMatrix(-1, 0, []), ValueError, "dimensions must be nonnegative"),
+        (lambda: IntMatrix(2.0, 1, [1, 2]), TypeError, None),
+        (lambda: IntMatrix(1, 2.0, [1, 2]), TypeError, None),
         (lambda: IntMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
         # Each index below reads an entry of the row-major tuple when it is not checked.
         (lambda: m[0, 2], IndexError, None),
         (lambda: m.col(2), IndexError, None),
+        (lambda: m.row(5), IndexError, "5"),
+        (lambda: m.row(-1), IndexError, "-1"),
         (lambda: m.submatrix([0], [2]), IndexError, "submatrix index out of range"),
         (lambda: wide @ m, ValueError, r"shape mismatch: \(2, 3\) @ \(2, 2\)"),
         (lambda: m + wide, ValueError, "shape mismatch"),

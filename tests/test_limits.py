@@ -155,6 +155,11 @@ def test_element_and_from_ambient_reject_non_integral_vectors(T, bad):
         g.from_ambient(0, [bad, 1])
     with pytest.raises(TypeError):
         g.from_ambient(1, [1, bad])
+    # A stage is read the same way: a fractional one would reach element_add's promotion.
+    with pytest.raises(TypeError):
+        g.element(bad, [1] * g.eventual_rank)
+    with pytest.raises(TypeError):
+        g.from_ambient(bad, [1, 1])
     # A bool reads as 1, as it does for int().
     e = g.element(0, [True] * g.eventual_rank)
     assert e.vector == (1,) * g.eventual_rank and all(type(x) is int for x in e.vector)

@@ -71,8 +71,9 @@ def test_parse_errors():
         parse_presentation("solenoid v1\nvertex p\nedge a p p\nmap a -> a\nmap a -> a a\n")
     with pytest.raises(ParseError, match="no image path"):
         parse_presentation("solenoid v1\nvertex p\nedge a p p\n")
-    with pytest.raises(ParseError, match="isolated vertex"):
+    with pytest.raises(ParseError) as exc:
         parse_presentation("solenoid v1\nvertex p\nvertex q\nedge a p p\nmap a -> a a\n")
+    assert str(exc.value) == "line 5: cannot infer image of isolated vertex 'q'; add a vmap line"
     with pytest.raises(ParseError, match="malformed|expected"):
         parse_presentation("solenoid v1\nvertex\n")
 

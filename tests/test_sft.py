@@ -3,6 +3,7 @@ import random
 import pytest
 
 from solk.intlin import IntMatrix
+from solk.model import Finding
 from solk.sft import SftPresentation, edge_shift, sft_dimension_group, validate_sft
 
 
@@ -26,7 +27,9 @@ def test_validate_golden_mean_irreducible():
 def test_validate_identity_reducible_warning():
     report = validate_sft(S([[1, 0], [0, 1]]))
     assert report.ok
-    assert any(f.code == "reducible" for f in report.warnings())
+    assert report.warnings() == (
+        Finding("warning", "reducible", "transition graph is not strongly connected"),
+    )
 
 
 def test_validate_negative_entry_and_dead_state():
