@@ -247,6 +247,31 @@ def test_inferred_vertex_map_is_endpoint_compatible():
             path = p.edge_map[e.name]
             assert graph.edge(path[0]).source == p.vertex_map[e.source]
             assert graph.edge(path[-1]).target == p.vertex_map[e.target]
+    # A vertex with no vmap line is read off the first declared edge at it:
+    # the start of its image when the edge leaves the vertex (a loop too),
+    # else the end.  Explicit lines come first in the map, then vertex order.
+    p = parse_presentation(
+        "solenoid v1\nvertex u\nvertex v\nvertex w\nedge a v w\nedge b w u\nedge c u v\n"
+        "map a -> b c a b\nmap b -> c a b c\nmap c -> a b c a\nvmap w -> u\n"
+    )
+    assert p.vertex_map == {"u": "v", "v": "w", "w": "u"}
+    assert list(p.vertex_map) == ["w", "u", "v"]
+    head = "solenoid v1\nvertex u\nvertex v\n"
+    for body, reason in [
+        # The first edge decides: a sets u -> u and v -> v, so b fails.
+        ("edge a u v\nedge b v u\nmap a -> a\nmap b -> a\n",
+         "image of 'b' starts at u, but source vertex maps to v"),
+        # On the self-loop a the source rule wins: u -> u, not u -> v.
+        ("edge a u u\nedge b u v\nedge c v u\nmap a -> b\nmap b -> b\nmap c -> c\n",
+         "image of 'a' ends at v, but target vertex maps to u"),
+        # An explicit vmap line wins over the first edge's inference.
+        ("edge a u u\nedge b u v\nedge c v u\nmap a -> a\nmap b -> b\nmap c -> c\n"
+         "vmap u -> v\n",
+         "image of 'a' starts at u, but source vertex maps to v"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(head + body)
+        assert exc.value.reason == reason
 
 
 def test_graph_rejects_bad_structure():

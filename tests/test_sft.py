@@ -37,6 +37,16 @@ def test_validate_negative_entry_and_dead_state():
     assert any(f.code == "negative-entry" for f in report.errors())
     report = validate_sft(S([[1, 1], [0, 0]]))
     assert any(f.code == "dead-state" for f in report.errors())
+    # The negative entries row by row, then the dead states: for each state,
+    # outgoing before incoming.  State 1 has neither, state 3 no incoming.
+    report = validate_sft(S([[1, 0, -1, 0], [0, 0, 0, 0], [-2, 0, 1, 0], [1, 0, 1, 0]]))
+    assert report.findings == (
+        Finding("error", "negative-entry", "entry (0,2) is negative"),
+        Finding("error", "negative-entry", "entry (2,0) is negative"),
+        Finding("error", "dead-state", "state '1' has no outgoing transition"),
+        Finding("error", "dead-state", "state '1' has no incoming transition"),
+        Finding("error", "dead-state", "state '3' has no incoming transition"),
+    )
 
 
 def test_dimension_group_full_shifts():
