@@ -154,7 +154,7 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
+        if len(v := tuple(map(index, v))) != self.cols:  # TypeError on a float, as in __init__
             raise ValueError("vector length mismatch")
         return tuple([sum(map(mul, self.row(i), v)) for i in range(self.rows)])
 

@@ -183,7 +183,10 @@ class LimitElement(NamedTuple):
     """Canonical representative (stage, vector): stage 0 or vector not in im T'.
 
     T' is injective, so this least-stage representative is unique and two
-    elements are equal exactly when their stages and vectors are.
+    elements are equal exactly when their stages and vectors are.  Elements
+    come from ``element``, ``from_ambient``, ``zero`` and the operations; a
+    hand-built ``LimitElement(...)`` is taken as canonical unchecked, so
+    ``element_equal`` can misjudge it.
     """
 
     group: StationaryLimitGroup

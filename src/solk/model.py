@@ -179,13 +179,13 @@ def parse_presentation(text: str) -> Presentation:
     Graph-level structure (name uniqueness, declared endpoints, internal
     continuity of image paths) is refused at its line, read from the edges
     declared so far; the one ``Graph`` is built after the last line.  A vertex
-    with no ``vmap`` line maps to the start (or end) of the image of the first
-    edge that leaves (or enters) it.  An image path at odds with the vertex map
-    fails the ``Presentation`` constructor and is refused at the last line.
-    Substitution-level checks live in validate().  A class
-    is labelled ``in|out@vertex`` and a ``~e`` token, a reversed edge, is
-    refused, so an edge name may not contain ``|`` or start with ``~``, and a
-    vertex name may not contain ``@``.
+    with no ``vmap`` line maps to the start of the image of the first edge at
+    it, or to its end if that edge enters it.  An image path at odds with the
+    vertex map fails the ``Presentation`` constructor and is refused at the
+    last line.  Substitution-level checks live in validate().  A class is
+    labelled ``in|out@vertex`` and a ``~e`` token, a reversed edge, is refused,
+    so an edge name may not contain ``|`` or start with ``~``, and a vertex
+    name may not contain ``@``.
     """
     vertices: list[str] = []
     table: dict[str, Edge] = {}
@@ -259,27 +259,18 @@ def parse_presentation(text: str) -> Presentation:
     if not saw_header:
         raise ParseError(last_line or 1, "empty input; expected header 'solenoid v1'")
     edges = table.values()
+    inferred: dict[str, str] = {}  # a vertex's image, read off the first edge at it
     for e in edges:
-        if e.name not in edge_map:
+        if (path := edge_map.get(e.name)) is None:
             raise ParseError(last_line, f"no image path for edge '{e.name}'")
-
+        inferred.setdefault(e.source, table[path[0]].source)
+        inferred.setdefault(e.target, table[path[-1]].target)
     vertex_map = dict(vmap_explicit)
     for v in vertices:
-        if v in vertex_map:
-            continue
-        inferred = None
-        for e in edges:
-            if e.source == v:
-                inferred = table[edge_map[e.name][0]].source
-                break
-            if e.target == v:
-                inferred = table[edge_map[e.name][-1]].target
-                break
-        if inferred is None:
+        if vertex_map.setdefault(v, inferred.get(v)) is None:
             raise ParseError(
                 last_line, f"cannot infer image of isolated vertex '{v}'; add a vmap line"
             )
-        vertex_map[v] = inferred
 
     graph = Graph(tuple(vertices), tuple(edges))
     try:
@@ -344,14 +335,7 @@ def _bool_product(X: list[int], Y: list[int]) -> list[int]:
     return out
 
 
-def _is_primitive(M: IntMatrix) -> bool:
-    """Whether some power of the non-negative matrix M is strictly positive."""
-    return _is_primitive_pattern(
-        [sum(1 << j for j, x in enumerate(M.row(i)) if x > 0) for i in range(M.rows)]
-    )
-
-
-def _is_primitive_pattern(power: list[int]) -> bool:
+def _is_primitive(power: list[int]) -> bool:
     """Whether some Boolean power of the 0/1 pattern, given as bit-rows, is all ones.
 
     By Wielandt's bound a primitive n x n matrix has M^k > 0 for every
@@ -376,27 +360,29 @@ def validate(p: Presentation) -> ValidationReport:
     These are necessary conditions for the presentation to define an
     expanding, mixing one-dimensional solenoid, not a full certificate:
     (a) homeomorphism   (b) primitivity (warning only)   (c) eventual expansion.
-    Endpoints need no check: the ``Presentation`` constructor owns it.
+    (a) and (b) read the images in one pass.  Endpoints need no check: the
+    ``Presentation`` constructor owns it.
     """
     findings: list[Finding] = []
-    graph = p.graph
-
-    # (a) the substitution must not be invertible.
-    if all(len(p.edge_map[e]) == 1 for e in graph.edge_names()):
-        images = [p.edge_map[e][0] for e in graph.edge_names()]
-        if len(set(images)) == len(images):
-            message = "substitution permutes the edges, so the map is invertible"
-            findings.append(Finding("error", "homeomorphism", message))
-
-    # (b) primitivity is the combinatorial stand-in for mixing.  Bit j of row
-    # i of the occurrence pattern is set when edge i occurs in the image of
-    # edge j, as in ``abelianization``.
-    names, index = graph.edge_names(), graph.index
+    names, index = p.graph.edge_names(), p.graph.index
+    # Bit j of pattern[i] is set when edge i occurs in the image of edge j, as in abelianization.
     pattern = [0] * len(names)
+    single_heads = set()  # the edges that are a whole image by themselves
     for j, e in enumerate(names):
-        for f in p.edge_map[e]:
+        path = p.edge_map[e]
+        if len(path) == 1:
+            single_heads.add(path[0])
+        for f in path:
             pattern[index[f]] |= 1 << j
-    if not _is_primitive_pattern(pattern):
+
+    # (a) the substitution must not be invertible, as it is exactly when the
+    # images are single edges, all distinct.
+    if len(single_heads) == len(names):
+        message = "substitution permutes the edges, so the map is invertible"
+        findings.append(Finding("error", "homeomorphism", message))
+
+    # (b) primitivity is the combinatorial stand-in for mixing.
+    if not _is_primitive(pattern):
         message = "occurrence matrix has no strictly positive power; mixing is unverified"
         findings.append(Finding("warning", "not-primitive", message))
 

@@ -35,23 +35,23 @@ class SftPresentation(_Checked, _SftFields):
 
 
 def validate_sft(s: SftPresentation) -> ValidationReport:
-    """Nonnegativity, no dead states, and an irreducibility warning."""
-    A, n = s.adjacency, s.adjacency.rows
+    """Nonnegativity, no dead states, and an irreducibility warning, from one pass over A."""
     findings: list[Finding] = []  # the negative entries, row by row, then the dead states
-    dead: list[Finding] = []
-    # Row i of A holds the transitions leaving state i, row i of its transpose those entering.
-    for i, (out, into) in enumerate(zip(map(A.row, range(n)), map(A.transpose().row, range(n)))):
+    masks, entered = [], 0  # bit j of masks[i] is set when A[i][j] != 0; entered ORs them
+    for i, row in enumerate(map(s.adjacency.row, range(len(s.states)))):
         findings += [
             Finding("error", "negative-entry", f"entry ({i},{j}) is negative")
-            for j, x in enumerate(out) if x < 0
+            for j, x in enumerate(row) if x < 0
         ]
-        for word, row in (("outgoing", out), ("incoming", into)):
-            if not any(row):
-                message = f"state '{s.states[i]}' has no {word} transition"
-                dead.append(Finding("error", "dead-state", message))
-    findings += dead
-    # Every finding so far is an error; irreducibility is checked only without one.
-    if not findings and not _is_primitive(A + IntMatrix.identity(n)):
+        masks.append(mask := sum(1 << j for j, x in enumerate(row) if x))
+        entered |= mask
+    for i, (state, mask) in enumerate(zip(s.states, masks)):
+        for word, live in (("outgoing", mask), ("incoming", entered >> i & 1)):
+            if not live:
+                message = f"state '{state}' has no {word} transition"
+                findings.append(Finding("error", "dead-state", message))
+    # Every finding so far is an error; irreducibility (I + A primitive) is checked without one.
+    if not findings and not _is_primitive([m | 1 << i for i, m in enumerate(masks)]):
         findings.append(
             Finding("warning", "reducible", "transition graph is not strongly connected")
         )

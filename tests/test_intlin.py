@@ -60,6 +60,7 @@ def test_matrix_basics():
         (lambda: wide @ m, ValueError, r"shape mismatch: \(2, 3\) @ \(2, 2\)"),
         (lambda: m + wide, ValueError, "shape mismatch"),
         (lambda: m.mul_vector([1, 2, 3]), ValueError, "vector length mismatch"),
+        (lambda: m.mul_vector([1.5, 2]), TypeError, None),
         (lambda: wide.power(2), ValueError, "power of a non-square matrix"),
         (lambda: m.power(-1), ValueError, "negative power"),
     ]:

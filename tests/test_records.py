@@ -230,8 +230,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "import sys; before = sorted(sys.modules); sys.path.insert(0, sys.argv[1]); "
         "import solk.cli; print(' '.join(before)); print(' '.join(sorted(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
+    out = subprocess.run(  # -B: -I ignores PYTHONDONTWRITEBYTECODE
+        [sys.executable, "-B", "-I", "-S", "-c", code, src],
+        capture_output=True, text=True, check=True,
     )
     before, after = (set(line.split()) for line in out.stdout.splitlines())
     added = after - before
