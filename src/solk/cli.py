@@ -51,11 +51,12 @@ def _print_matrix(m: IntMatrix, row_labels: list[str] | None = None, indent: str
     if m.rows == 0 or m.cols == 0:
         print(f"{indent}(empty {m.rows}x{m.cols} matrix)")
         return
-    width = max(len(str(x)) for row in m.to_rows() for x in row)
+    rows = [list(map(str, m.row(i))) for i in range(m.rows)]
+    width = max(len(x) for row in rows for x in row)
     label_w = max((len(l) for l in row_labels), default=0) if row_labels else 0
-    for i, row in enumerate(m.to_rows()):
+    for i, row in enumerate(rows):
         label = f"{row_labels[i]:>{label_w}} " if row_labels else ""
-        print(f"{indent}{label}[ " + "  ".join(f"{x:>{width}}" for x in row) + " ]")
+        print(f"{indent}{label}[ " + "  ".join(x.rjust(width) for x in row) + " ]")
 
 
 def _parse_matrix_flag(text: str) -> IntMatrix:
@@ -101,7 +102,7 @@ def _json_text(value, newline: str = "\n") -> str:
     table too.  ``list``, ``tuple`` and ``dict`` are tested by exact type
     first, and their subclasses (a named tuple) by ``isinstance``.  Any other
     scalar, such as a float, goes through ``json.dumps``.  An ``IntMatrix``
-    is written as its list of rows, one ``str.join`` per row of its entries.
+    is written as its list of rows, one ``str.join`` per ``IntMatrix.row``.
     Dict keys are ``str``, as in every report solk writes; the escaper raises
     ``TypeError`` on any other key.  ``newline`` is a line break plus the
     indent of the line that holds ``value``.
@@ -133,12 +134,11 @@ def _json_text(value, newline: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if t is IntMatrix:
-        e, c, deeper = value._entries, value.cols, inner + "  "
-        text = _INT_TEXT.__getitem__
+        deeper, text = inner + "  ", _INT_TEXT.__getitem__
         rows = [
-            "[" + deeper + ("," + deeper).join(map(text, e[i : i + c])) + inner + "]"
-            for i in range(0, len(e), c)
-        ] if c else ["[]"] * value.rows
+            "[" + deeper + ("," + deeper).join(map(text, row)) + inner + "]" if row else "[]"
+            for row in map(value.row, range(value.rows))
+        ]
         return "[" + inner + ("," + inner).join(rows) + newline + "]" if rows else "[]"
     return json.dumps(value)
 

@@ -85,16 +85,17 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            return IntMatrix(0, 0 if cols is None else cols, ())
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else cols or 0  # no rows: cols, or 0, is the width
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(nrows, ncols, [x for r in rows for x in r])
+        if cols is not None and cols != ncols:
+            raise ValueError(f"rows of width {ncols} given for {cols} columns")
+        return IntMatrix(len(rows), ncols, [x for r in rows for x in r])
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         # Each 1 is followed by the n zeros before the next row's 1.
         return IntMatrix._of(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
@@ -147,11 +148,6 @@ class IntMatrix:
             else:
                 out.extend([sum(map(mul, row, col)) for col in cols])
         return IntMatrix._of(self.rows, n, tuple(out))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v := tuple(map(index, v))) != self.cols:  # TypeError on a float, as in __init__
@@ -589,6 +585,43 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     when every pivot is 1.
     """
     return _saturate_echelon(echelon_span(A))
+
+
+def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
+    """(k, E, T'): E is the echelon basis of the eventual lattice L of T, the
+    saturation of the Q-span of im T^k, k <= r the stabilization index: the
+    first k with rank T^(k+1) == rank T^k.  T' is the restriction of T to L,
+    which is injective.  No power of T is multiplied out.  If T has full rank,
+    L is Z^r and T' is T.  Otherwise im T is written in the pivot rows of its
+    echelon basis E1, where a multiple M of T restricted to it is d1 x d1, and
+    a basis Y is replaced by the echelon basis of M Y until its rank stops
+    dropping.  Saturating and restricting take no Smith form, and no product
+    with T unless a pivot of E1 is not 1.
+    """
+    if T.rows != T.cols:
+        raise ValueError("endomorphism must be square")
+    rank = (span := echelon_span(T)).cols  # span is E1, the basis of im T
+    if rank == T.rows:  # T has full rank: the eventual lattice is Z^r and T' is T
+        return 0, IntMatrix.identity(rank), T
+    # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
+    # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
+    pivot_rows, L, scaled = _cleared_pivots(span)
+    M = T.submatrix(pivot_rows, range(T.cols)) @ scaled
+    # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
+    Y, image, k = IntMatrix.identity(rank), M, 1
+    while (nxt := echelon_span(image)).cols < rank:
+        Y, rank, k = nxt, nxt.cols, k + 1
+        image = M @ Y
+    if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
+        basis = _saturate_echelon(Y)
+        eventual = span if k == 1 else span @ basis
+        reduced = solve_echelon(basis, image if basis is Y else M @ basis)
+    else:  # back to Z^r once, through the integral E1 diag(L/q) Y
+        eventual = _saturate_echelon(span if k == 1 else echelon_span(scaled @ Y))
+        reduced = solve_echelon(eventual, T @ eventual)
+    if reduced is None:
+        raise NotInvariant("image of the eventual lattice is not contained in it")
+    return k, eventual, reduced
 
 
 def _cleared_pivots(E: IntMatrix) -> tuple[list[int], int, IntMatrix]:

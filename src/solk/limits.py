@@ -1,19 +1,13 @@
 """Stationary inductive limits of free abelian groups, as first-class values.
 
 lim(Z^r, T) is presented by its eventual lattice L and the restriction T'
-of T to L, which is injective.  L is the saturation of the Q-span of im T^k,
-k <= r the stabilization index: the first k with rank T^(k+1) == rank T^k.
-No power of T is multiplied out.  If T has full rank, L is Z^r and T' is T.
-Otherwise im T is written in the pivot rows of its echelon basis E1, where a
-multiple M of T restricted to it is d1 x d1, and a basis Y is replaced by the
-echelon basis of M Y until its rank stops dropping.  Saturating and
-restricting take no Smith form, and no product with T unless a pivot of E1
-is not 1.  Every element is represented at some stage s by a vector in the
-coordinates of L, with (s, v) identified with (s+1, T'v); adj(T') and
-det(T') retract it to its least stage, and a retraction stops at the first
-row of adj(T') v that det(T') does not divide.  T' is injective, so that
-least-stage representative is unique and elements compare by it.  An
-element (``LimitElement``) and a ``Classification`` are ``typing.NamedTuple``s.
+of T to L, which is injective (``intlin.eventual_lattice``).  Every element
+is represented at some stage s by a vector in the coordinates of L, with
+(s, v) identified with (s+1, T'v); adj(T') and det(T') retract it to its
+least stage, and a retraction stops at the first row of adj(T') v that
+det(T') does not divide.  T' is injective, so that least-stage
+representative is unique and elements compare by it.  An element
+(``LimitElement``) and a ``Classification`` are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -24,13 +18,10 @@ from typing import NamedTuple
 
 from .intlin import (
     IntMatrix,
-    NotInvariant,
-    _cleared_pivots,
-    _saturate_echelon,
     adjugate,
     column_hnf,
     determinant,
-    echelon_span,
+    eventual_lattice,
     smith_normal_form,
     solve_echelon,
 )
@@ -61,35 +52,10 @@ class StationaryLimitGroup:
     """
 
     def __init__(self, endomorphism: IntMatrix):
-        if endomorphism.rows != endomorphism.cols:
-            raise ValueError("endomorphism must be square")
-        self.ambient_rank = r = endomorphism.rows
-        self.endomorphism = endomorphism
-        rank = (span := echelon_span(endomorphism)).cols  # span is E1, the basis of im T
-        if rank == r:  # T has full rank: the eventual lattice is Z^r and T' is T
-            self.stabilization_index, self.eventual_rank = 0, r
-            self.eventual_basis, self.reduced_endomorphism = IntMatrix.identity(r), endomorphism
-            return
-        # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
-        # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
-        pivot_rows, L, scaled = _cleared_pivots(span)
-        M = IntMatrix(rank, r, [x for i in pivot_rows for x in endomorphism.row(i)]) @ scaled
-        # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
-        Y, image, k = IntMatrix.identity(rank), M, 1
-        while (nxt := echelon_span(image)).cols < rank:
-            Y, rank, k = nxt, nxt.cols, k + 1
-            image = M @ Y
-        self.stabilization_index, self.eventual_rank = k, rank
-        if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
-            basis = _saturate_echelon(Y)
-            self.eventual_basis = span if k == 1 else span @ basis
-            reduced = solve_echelon(basis, image if basis is Y else M @ basis)
-        else:  # back to Z^r once, through the integral E1 diag(L/q) Y
-            basis = _saturate_echelon(span if k == 1 else echelon_span(scaled @ Y))
-            self.eventual_basis, reduced = basis, solve_echelon(basis, endomorphism @ basis)
-        if reduced is None:
-            raise NotInvariant("image of the eventual lattice is not contained in it")
-        self.reduced_endomorphism = reduced
+        k, basis, reduced = eventual_lattice(endomorphism)
+        self.ambient_rank, self.endomorphism = endomorphism.rows, endomorphism
+        self.stabilization_index, self.eventual_rank = k, basis.cols
+        self.eventual_basis, self.reduced_endomorphism = basis, reduced
 
     # -- elements ---------------------------------------------------------
 

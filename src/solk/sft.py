@@ -31,7 +31,7 @@ class SftPresentation(_Checked, _SftFields):
     @staticmethod
     def from_matrix(rows: list[list[int]]) -> "SftPresentation":
         states = tuple(str(i) for i in range(len(rows)))
-        return SftPresentation(states=states, adjacency=IntMatrix.from_rows(rows, cols=len(rows)))
+        return SftPresentation(states=states, adjacency=IntMatrix.from_rows(rows))
 
 
 def validate_sft(s: SftPresentation) -> ValidationReport:

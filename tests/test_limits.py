@@ -5,7 +5,7 @@ import random
 import pytest
 
 import solk.intlin
-from solk.intlin import IntMatrix, NotInvariant, determinant
+from solk.intlin import IntMatrix, NotInvariant, determinant, eventual_lattice
 from solk.limits import (
     StationaryLimitGroup,
     classify,
@@ -18,6 +18,7 @@ from solk.limits import (
 )
 
 from helpers import count_calls, dense_edge_shift, random_unimodular, record_calls
+from test_golden import PIVOTS2_MATRIX
 
 
 def M(rows):
@@ -312,9 +313,32 @@ def test_from_ambient_outside_eventual_lattice_is_runtime_error(monkeypatch):
 def test_eventual_lattice_not_invariant_raises(monkeypatch):
     # The restriction solves E T' = T E with the kept product; a failed solve
     # is a real error, also under -O.
-    monkeypatch.setattr("solk.limits.solve_echelon", lambda A, B: None)
+    monkeypatch.setattr("solk.intlin.solve_echelon", lambda A, B: None)
     with pytest.raises(NotInvariant):
         make_limit(M([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        M([list(map(int, row.split(","))) for row in PIVOTS2_MATRIX.split(";")]),
+        dense_edge_shift(),
+        M([[2, 1], [1, 1]]),
+        M([[0]]),
+    ],
+    ids=["pivots-2", "edge-shift-56", "full-rank", "zero"],
+)
+def test_group_reads_its_lattice_from_eventual_lattice(T):
+    g = StationaryLimitGroup(T)
+    assert eventual_lattice(T) == (
+        g.stabilization_index, g.eventual_basis, g.reduced_endomorphism
+    )
+    assert (g.ambient_rank, g.endomorphism, g.eventual_rank) == (T.rows, T, g.eventual_basis.cols)
+
+
+def test_eventual_lattice_of_a_non_square_matrix_raises():
+    with pytest.raises(ValueError, match="endomorphism must be square"):
+        eventual_lattice(IntMatrix.zeros(2, 3))
 
 
 def test_saturation_that_changes_the_basis_multiplies_once_more(monkeypatch):
