@@ -15,10 +15,11 @@ answers rank, cokernel and solve for the matrix it factors; callers asking
 several of these of one matrix keep it.  No report path takes one.
 Kernels, saturations, solves, ranks and determinants need no Smith form:
 ``kernel_basis`` reads the kernel off the Hermite form of [A^T | I],
-``saturate_columns`` takes one such kernel of a congruence system,
-``solve_echelon`` substitutes forward, and ``rank`` and ``determinant``
-share one fraction-free (Bareiss) elimination.  Nor does the cokernel of a
-boundary matrix (see ``ktheory``).
+``saturate_columns`` meets I with one congruence at a time modulo the
+pivots (so no report path takes a Hermite form), ``solve_echelon``
+substitutes forward, and ``rank`` and ``determinant`` share one
+fraction-free (Bareiss) elimination.  Nor does the cokernel of a boundary
+matrix (see ``ktheory``).
 
 ``echelon_span``, the Gauss-Jordan elimination behind every stationary limit,
 clears a row u at the pivot p of a row w as p u - a w with the multiplier
@@ -508,12 +509,10 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
     The rows of the Hermite form of [A^T | I] that vanish on A^T span
     {(0, x) : A x = 0}, and their right halves are the row HNF of ker A
-    (Cohen, GTM 138, §2.4).  The rows go in from the last column of A
-    to the first: for a congruence system [C | diag(m)] the moduli come first
-    and reduce the rows of C as they arrive.
+    (Cohen, GTM 138, §2.4).
     """
     m, n = A.rows, A.cols
-    augmented = [list(A.col(j)) + [int(i == j) for i in range(n)] for j in reversed(range(n))]
+    augmented = [list(A.col(j)) + [int(i == j) for i in range(n)] for j in range(n)]
     rows = hermite_normal_form_rows(IntMatrix.from_rows(augmented, cols=m + n)).to_rows()
     return IntMatrix.from_rows([r[m:] for r in rows if not any(r[:m])], cols=n).transpose()
 
@@ -577,14 +576,14 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     """Canonical basis of Z^rows intersected with the Q-span of A's columns.
 
     Let E be the primitive reduced echelon basis of the span, with pivots
-    p_j.  The integer points of the span are E diag(1/p) w for the w in
-    Lambda = {w : sum_j E[i,j] w_j / p_j is an integer for every row i}, and
-    w is their restriction to the pivot rows, so E diag(1/p) HNF(Lambda) is
-    their column HNF.  Lambda is the kernel of the congruences of the rows
-    with a nontrivial denominator; it is all of Z^d, and the answer is E,
-    when every pivot is 1.
+    p_j and L = lcm(p).  The integer points of the span are E diag(1/p) w for
+    the w in Lambda = {w : E diag(L/p) w = 0 mod L}, w being their restriction
+    to the pivot rows, so E diag(1/p) HNF(Lambda) is their column HNF.  It is
+    E when every pivot is 1.  HNF(Lambda) is built modulo L
+    (``_saturate_echelon``): no report path takes a Hermite form.
     """
-    return _saturate_echelon(echelon_span(A))
+    E = echelon_span(A)
+    return _saturate_echelon(E, *_cleared_pivots(E))
 
 
 def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
@@ -613,11 +612,14 @@ def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
         Y, rank, k = nxt, nxt.cols, k + 1
         image = M @ Y
     if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
-        basis = _saturate_echelon(Y)
+        basis = _saturate_echelon(Y, *_cleared_pivots(Y))
         eventual = span if k == 1 else span @ basis
         reduced = solve_echelon(basis, image if basis is Y else M @ basis)
     else:  # back to Z^r once, through the integral E1 diag(L/q) Y
-        eventual = _saturate_echelon(span if k == 1 else echelon_span(scaled @ Y))
+        if k > 1:
+            span = echelon_span(scaled @ Y)
+            pivot_rows, L, scaled = _cleared_pivots(span)
+        eventual = _saturate_echelon(span, pivot_rows, L, scaled)
         reduced = solve_echelon(eventual, T @ eventual)
     if reduced is None:
         raise NotInvariant("image of the eventual lattice is not contained in it")
@@ -636,23 +638,51 @@ def _cleared_pivots(E: IntMatrix) -> tuple[list[int], int, IntMatrix]:
     return rows, L, IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
 
 
-def _saturate_echelon(E: IntMatrix) -> IntMatrix:
-    """``saturate_columns`` for a primitive reduced echelon basis E, without
-    its echelon step."""
-    d = E.cols
-    _, L, scaled = _cleared_pivots(E)
+def _saturate_echelon(E: IntMatrix, pivot_rows: list[int], L: int, scaled: IntMatrix) -> IntMatrix:
+    """``saturate_columns`` for a primitive reduced echelon basis E and its
+    ``_cleared_pivots``, so that no report path takes a Hermite form.  Lambda
+    holds p_j e_j: it is Z where p_j = 1, and Z^d' on the d' other
+    coordinates cut by the distinct congruences c.w = 0 mod m, the rows of
+    E diag(L/p) divided by what each shares with L.  As L Z^d' lies in
+    Lambda, a triangular basis from I meets them one at a time, entries off
+    its pivots kept mod L, and is reduced above its pivots at the end: the
+    Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+    1987; Cohen, GTM 138, §2.4)."""
     if L == 1:
         return E
-    # Row i of E diag(L/p) w must be 0 mod L; divide out what the row shares with L.
-    congruences = [(row, gcd(L, *row)) for row in map(scaled.row, range(E.rows))]
-    congruences = [([x // g % (L // g) for x in row], L // g) for row, g in congruences if g < L]
-    s = len(congruences)
-    system = IntMatrix.from_rows(
-        [row + [m if k == t else 0 for k in range(s)] for t, (row, m) in enumerate(congruences)]
+    nonunit = [j for j, i in enumerate(pivot_rows) if E[i, j] > 1]
+    C, n = scaled.submatrix(range(E.rows), nonunit), len(nonunit)
+    congruences = dict.fromkeys(  # (c, m), each once, in row order
+        (tuple([x // g % (L // g) for x in row]), L // g)
+        for row in map(C.row, range(C.rows)) if (g := gcd(L, *row)) < L
     )
-    # The kernel's rows past d hold the multiples of the moduli, which w determines.
-    H = kernel_basis(system).submatrix(range(d), range(d))
-    return IntMatrix(E.rows, d, [x // L for x in (scaled @ H)._entries])
+    basis = {t: [int(s == t) for s in range(n)] for t in range(n)}  # row t: pivot at t
+    for c, m in congruences:
+        # Rows [c.b mod m | b] and [m | 0] span [c.w + m z | w], w in the lattice.
+        # Bottom-up, [g | u] carries the gcd g of m and the first entries passed,
+        # and row k becomes the xgcd complement of [g | u] and [v | b], led by 0.
+        g, u = m, [0] * n
+        for k in reversed(range(n)):
+            b = basis[k]  # still the old row k
+            if not (v := sum(map(mul, c, b)) % m):
+                continue
+            h, x, y = xgcd(g, v) if v % g else (g, 1, 0)
+            a, t = g // h, v // h
+            row = [(a * p - t * q) % L for p, q in zip(b, u)]
+            row[k] = a * b[k]  # the pivot divides L, and may equal it
+            if h < g:
+                u, g = [(x * q + y * p) % L for p, q in zip(b, u)], h
+            basis[k] = row
+    _reduce_above_pivots(basis, 0)
+    # Column nonunit[t] of the saturation is E diag(L/p) h / L for the row h = basis[t].
+    out, d, columns = list(E._entries), E.cols, [C.col(s) for s in range(n)]
+    for j, h in zip(nonunit, basis.values()):
+        acc = [0] * E.rows
+        for a, column in zip(h, columns):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, column)]
+        out[j::d] = [x // L for x in acc]
+    return IntMatrix._of(E.rows, d, tuple(out))
 
 
 def echelon_span(A: IntMatrix) -> IntMatrix:

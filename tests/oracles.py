@@ -46,14 +46,17 @@ with a dense chain of length #classes per edge, as ``ktheory`` had it before
 it kept the chains and the K0 basis as sparse rows.  ``exact_elimination_oracle``
 takes rank, determinant and adjugate from sympy, or without it from
 Gauss-Jordan elimination over ``fractions.Fraction``, to check the
-fraction-free eliminations of ``intlin``.
+fraction-free eliminations of ``intlin``.  ``saturate_echelon_kernel_oracle``
+saturates an echelon basis by one ``kernel_basis`` (a Hermite form of
+[A^T | I]) of its whole congruence system, as ``intlin`` did before it met
+the congruences one at a time modulo the lcm of the pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from solk.germs import GermClass, QuotientModel, UnreachableVertex
 from solk.intlin import (
@@ -61,6 +64,7 @@ from solk.intlin import (
     IntMatrix,
     column_hnf,
     invert_unimodular,
+    kernel_basis,
     rank,
     restrict_endomorphism,
     saturate_columns,
@@ -319,6 +323,28 @@ def saturate_columns_oracle(A: IntMatrix) -> IntMatrix:
     """Canonical basis of Z^rows intersected with the Q-span of A's columns."""
     left_kernel = kernel_basis_oracle(A.transpose())  # columns annihilate A from the left
     return kernel_basis_oracle(left_kernel.transpose())
+
+
+def saturate_echelon_kernel_oracle(E: IntMatrix) -> IntMatrix:
+    """The saturation of a primitive reduced echelon basis E by one
+    ``kernel_basis`` of its congruence system [C | diag(m)]."""
+    d = E.cols
+    pivots = [next(x for x in E.col(j) if x) for j in range(d)]
+    L = lcm(*pivots)
+    if L == 1:
+        return E
+    scaled = IntMatrix.from_rows(
+        [[x * (L // p) for x, p in zip(row, pivots)] for row in E.to_rows()], cols=d
+    )
+    congruences = [(row, gcd(L, *row)) for row in map(scaled.row, range(E.rows))]
+    congruences = [([x // g % (L // g) for x in row], L // g) for row, g in congruences if g < L]
+    s = len(congruences)
+    system = IntMatrix.from_rows(
+        [row + [m if k == t else 0 for k in range(s)] for t, (row, m) in enumerate(congruences)]
+    )
+    # The kernel's rows past d hold the multiples of the moduli, which w determines.
+    H = kernel_basis(system).submatrix(range(d), range(d))
+    return IntMatrix(E.rows, d, [x // L for row in (scaled @ H).to_rows() for x in row])
 
 
 def restrict_endomorphism_oracle(T: IntMatrix, B: IntMatrix) -> IntMatrix | None:

@@ -16,8 +16,10 @@ orders; their `solk ktheory --json` (2.6 and 2.0 MB, with full-rank psi0 of
 sizes 211 and 183) is kept in the same digest file, and so is that of the
 closure-stress family at n = 21 and the cyclic family at n = 20 (full-rank
 psi0 of sizes 421 and 381), and of stress 31 in lex order (a 931 x 931 psi0
-and a 49 MB report).  The wedge-24 digests and those of stress 15 and
-cyclic 14 are checked here; CI checks all seventeen with
+and a 49 MB report).  The digest of the wedge with 64 loops, in lex order,
+byte-checks a 524 x 273 saturation on 93 pivots above 1.  The wedge-24
+digests and those of stress 15 and cyclic 14 are checked here; CI checks
+all eighteen with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
     from test_golden import check_wedge_digests; check_wedge_digests()"
@@ -73,7 +75,8 @@ LARGE_FULL_RANK_CASES = [
     for fixture in ("closure_stress_21", "cyclic_20")
     for order in ("lex", "paper")
 ] + ["closure_stress_31.ktheory.lex.json"]
-DIGEST_CASES = WEDGE_CASES + FULL_RANK_CASES + LARGE_FULL_RANK_CASES
+# Wedge 64, lex order only (12 to 18 s): checked by check_wedge_digests only.
+DIGEST_CASES = WEDGE_CASES + FULL_RANK_CASES + LARGE_FULL_RANK_CASES + ["wedge_64.ktheory.lex.json"]
 
 # name -> (presentation text, expected exit code)
 FIXTURES = {

@@ -1,5 +1,6 @@
 import ast
 import copy
+import math
 import pathlib
 import pickle
 import random
@@ -15,6 +16,7 @@ from solk.intlin import (
     cokernel,
     column_hnf,
     determinant,
+    echelon_span,
     hermite_normal_form_rows,
     in_column_lattice,
     invert_unimodular,
@@ -27,9 +29,15 @@ from solk.intlin import (
     solve_columns,
     xgcd,
 )
+from solk.ktheory import ktheory_report
+from solk.model import parse_presentation
 
-from helpers import count_calls, random_int_matrix, random_unimodular
-from oracles import exact_elimination_oracle
+from helpers import count_calls, random_int_matrix, random_unimodular, record_calls, wedge_text
+from oracles import (
+    exact_elimination_oracle,
+    saturate_columns_oracle,
+    saturate_echelon_kernel_oracle,
+)
 
 DELTA0 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
 
@@ -219,6 +227,64 @@ def test_saturate_columns():
     assert saturate_columns(a).to_rows() == [[1], [1]]
     assert saturate_columns(IntMatrix.zeros(2, 2)).shape == (2, 0)
     assert saturate_columns(IntMatrix.identity(3)) == IntMatrix.identity(3)
+
+
+def echelon_basis(rng: random.Random, rows: int, pivots: list[int]) -> IntMatrix:
+    """A primitive reduced echelon basis with the given pivots: below its pivot
+    a column has random entries in the rows that are no pivot row, up to the
+    pivot in size, and a 1 in the last row, which keeps its content 1."""
+    pivot_rows = sorted(rng.sample(range(rows - 1), len(pivots)))
+    columns = []
+    for r, q in zip(pivot_rows, pivots):
+        column = [0] * (rows - 1) + [1]
+        column[r] = q
+        for i in range(r + 1, rows - 1):
+            if i not in pivot_rows:
+                column[i] = rng.randint(-q, q)
+        columns.append(column)
+    return IntMatrix.from_rows([list(row) for row in zip(*columns)], cols=len(pivots))
+
+
+SATURATION_PIVOTS = {
+    "all-unit": lambda rng, d: [1] * d,
+    "mixed": lambda rng, d: [rng.choice([1, 1, 2, 3, 4, 6, 9]) for _ in range(d)],
+    "all-non-unit": lambda rng, d: [rng.choice([2, 3, 4, 5, 6, 8, 12]) for _ in range(d)],
+    # lcm(2^61 - 1, 2^31 - 1, ...) has more than 64 bits.
+    "L-over-64-bits": lambda rng, d: [2**61 - 1, 2**31 - 1] + [rng.choice([1, 6])] * (d - 2),
+    "no-columns": lambda rng, d: [],
+    "one-column": lambda rng, d: [rng.choice([1, 2, 9, 2**70])],
+}
+
+
+@pytest.mark.parametrize("case", SATURATION_PIVOTS)
+def test_saturation_matches_oracle_on_echelon_bases(case):
+    rng = random.Random(32)
+    for _ in range(25):
+        d = rng.randint(2, 5)
+        pivots = SATURATION_PIVOTS[case](rng, d)
+        E = echelon_basis(rng, len(pivots) + rng.randint(1, 4), pivots)
+        assert echelon_span(E) == E
+        got = saturate_columns(E)
+        assert got == saturate_columns_oracle(E)
+        # A zero column spans nothing more.
+        zero = IntMatrix.from_rows([list(row) + [0] for row in E.to_rows()], cols=E.cols + 1)
+        assert saturate_columns(zero) == got
+    if case == "L-over-64-bits":
+        assert math.lcm(*pivots).bit_length() > 64
+
+
+def test_saturation_matches_the_congruence_kernel_on_wedges(monkeypatch):
+    # Every eventual lattice the wedge reports saturate, against the
+    # kernel_basis construction the congruence sweep replaced.
+    seen = record_calls(monkeypatch, solk.intlin, "_saturate_echelon")
+    for k in range(4, 13):
+        ktheory_report(parse_presentation(wedge_text(k)))
+    monkeypatch.undo()
+    non_unit = 0
+    for E in seen:
+        assert saturate_columns(E) == saturate_echelon_kernel_oracle(E)
+        non_unit += any(next(filter(None, E.col(j))) > 1 for j in range(E.cols))
+    assert non_unit >= 5
 
 
 def test_snf_properties_random():

@@ -364,7 +364,7 @@ def test_exactness_check_runs_no_second_smith_form(monkeypatch):
 
 def test_report_factors_only_delta0(monkeypatch):
     # K0 comes from a spanning forest, K1 and psi1 from the components of the
-    # class graph, and the limits from echelon spans and congruence kernels:
+    # class graph, and the limits from echelon spans and saturations modulo the pivots:
     # a report factors no matrix, delta0 included.
     factored = record_calls(monkeypatch, solk.intlin, "smith_normal_form")
     inverted = count_calls(monkeypatch, solk.intlin, "invert_unimodular")

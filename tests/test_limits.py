@@ -16,8 +16,10 @@ from solk.limits import (
     make_limit,
     stationary_torsion_limit,
 )
+from solk.ktheory import ktheory_report
+from solk.model import parse_presentation
 
-from helpers import count_calls, dense_edge_shift, random_unimodular, record_calls
+from helpers import count_calls, dense_edge_shift, random_unimodular, record_calls, wedge_text
 from test_golden import PIVOTS2_MATRIX
 
 
@@ -426,11 +428,33 @@ def test_construction_takes_one_echelon_span_per_step(monkeypatch, T):
 
 
 def test_construction_runs_no_smith_form(monkeypatch):
-    # Echelon spans, a congruence-kernel saturation and triangular solves suffice here.
+    # Echelon spans, a saturation modulo the pivots and triangular solves
+    # suffice here; no report path takes a Hermite form either.
     factored = count_calls(monkeypatch, solk.intlin, "smith_normal_form")
     g = StationaryLimitGroup(dense_edge_shift())
     assert g.eventual_rank > 0
     assert factored == {"smith_normal_form": 0}
+
+
+HERMITE_FORMS = ("hermite_normal_form_rows", "kernel_basis")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ktheory_report(parse_presentation(wedge_text(8)), order="lex"),
+        lambda: ktheory_report(parse_presentation(wedge_text(8)), order="paper"),
+        lambda: StationaryLimitGroup(dense_edge_shift()),
+        lambda: StationaryLimitGroup(M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])),
+    ],
+    ids=["wedge-8-lex", "wedge-8-paper", "edge-shift-56", "pivots-2"],
+)
+def test_report_and_limit_paths_take_no_hermite_form(monkeypatch, build):
+    # The saturations here meet pivots above 1 (wedge 8, pivots-2); they
+    # run modulo the pivots, with no Hermite form of a congruence system.
+    calls = [count_calls(monkeypatch, solk.intlin, name) for name in HERMITE_FORMS]
+    build()
+    assert calls == [{name: 0} for name in HERMITE_FORMS]
 
 
 def test_element_operations_on_an_edge_shift_run_no_smith_form(monkeypatch):

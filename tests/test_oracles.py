@@ -511,7 +511,7 @@ def test_one_path_saturation_matches_two_kernel_oracle(monkeypatch):
         assert (got.shape, got._entries) == (want.shape, want._entries)
         congruences += not unit
     assert factored == {"smith_normal_form": 0}
-    assert congruences >= 100  # the congruence kernel ran, not only the unit-pivot case
+    assert congruences >= 100  # the congruence sweep ran, not only the unit-pivot case
     assert saturate_columns(IntMatrix.from_rows([[2], [1]])).to_rows() == [[2], [1]]
     # Full rank with non-unit pivots: Z^3 itself, whatever the index.
     full = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
