@@ -6,9 +6,9 @@ time is coefficient growth, not the operation count.  So the Hermite normal
 form keeps its basis reduced after every row it inserts (the Kannan-Bachem
 scheme): on a one-vertex wedge with 24 loops it brings a 124 x 147 matrix to
 normal form with every pivot entry under 64 bits, where unreduced
-elimination did not finish in two minutes.  The product reads each column
-of the right factor once as a strided slice, and forms a sparse row of the
-left factor as a combination of the rows of the right factor it selects.
+elimination did not finish in two minutes.  One product kernel,
+``_product``, serves ``@`` and the eventual lattice alike, and works along
+the sparser factor.
 
 A ``SmithDecomposition`` (a ``typing.NamedTuple``, as ``CokernelStructure``)
 answers rank, cokernel and solve for the matrix it factors; callers asking
@@ -21,11 +21,12 @@ substitutes forward, and ``rank`` and ``determinant`` share one
 fraction-free (Bareiss) elimination.  Nor does the cokernel of a boundary
 matrix (see ``ktheory``).
 
-``echelon_span``, the Gauss-Jordan elimination behind every stationary limit,
-clears a row u at the pivot p of a row w as p u - a w with the multiplier
-pair (p, a) divided by its gcd.  Most pivots it meets are 1 or divide their
-multiplier; such a step is u - (a/p) w, with no product by p and no division
-by the content.
+``_eliminate``, the Gauss-Jordan elimination behind every stationary limit,
+takes a list of columns and returns the basis columns with their pivot rows
+(``echelon_span`` is its matrix wrapper).  It clears a row u at the pivot p
+of a row w as p u - a w with the multiplier pair (p, a) divided by its gcd.
+Most pivots it meets are 1 or divide their multiplier; such a step is
+u - (a/p) w, with no product by p and no division by the content.
 
 The fraction-free eliminations (``_bareiss``, ``adjugate``) take row x to
 (p x - a y) / prev for the pivot row y (Bareiss, Math. Comp. 22, 1968).  A row
@@ -36,7 +37,7 @@ computed ints go through ``IntMatrix._of``, without the ``index`` check.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -134,21 +135,13 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        n = other.cols
-        cols = [other._entries[j::n] for j in range(n)]
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            support = [(k, a) for k, a in enumerate(row) if a]
-            if 2 * len(support) < len(row):
-                # Sparse row: a combination of the rows of other it selects.
-                acc = [0] * n
-                for k, a in support:
-                    acc = [x + a * y for x, y in zip(acc, other.row(k))]
-                out.extend(acc)
-            else:
-                out.extend([sum(map(mul, row, col)) for col in cols])
-        return IntMatrix._of(self.rows, n, tuple(out))
+        return _from_columns(self.rows, _product(_operand(self._rows()), other._columns()))
+
+    def _rows(self) -> list[tuple[int, ...]]:
+        return list(map(self.row, range(self.rows)))
+
+    def _columns(self) -> list[tuple[int, ...]]:
+        return list(map(self.col, range(self.cols)))
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v := tuple(map(index, v))) != self.cols:  # TypeError on a float, as in __init__
@@ -191,6 +184,8 @@ class IntMatrix:
         return hash((self.rows, self.cols, self._entries))
 
     def __repr__(self) -> str:
+        if not self.rows:  # no row to show the width by
+            return f"IntMatrix.zeros(0, {self.cols})"
         return f"IntMatrix({self.to_rows()!r})"
 
 
@@ -582,8 +577,8 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     E when every pivot is 1.  HNF(Lambda) is built modulo L
     (``_saturate_echelon``): no report path takes a Hermite form.
     """
-    E = echelon_span(A)
-    return _saturate_echelon(E, *_cleared_pivots(E))
+    E, pivot_rows = _eliminate(A._columns())
+    return _from_columns(A.rows, _saturate_echelon(E, pivot_rows, *_cleared(E, pivot_rows)))
 
 
 def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
@@ -595,66 +590,73 @@ def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
     echelon basis E1, where a multiple M of T restricted to it is d1 x d1, and
     a basis Y is replaced by the echelon basis of M Y until its rank stops
     dropping.  Saturating and restricting take no Smith form, and no product
-    with T unless a pivot of E1 is not 1.
+    with T unless a pivot of E1 is not 1.  Spans and products stay lists of
+    columns from E1 on, and M's nonzeros are found once; only E, T' and the
+    two sides of the solve for T' are built as matrices.
     """
     if T.rows != T.cols:
         raise ValueError("endomorphism must be square")
-    rank = (span := echelon_span(T)).cols  # span is E1, the basis of im T
-    if rank == T.rows:  # T has full rank: the eventual lattice is Z^r and T' is T
+    span, pivot_rows = _eliminate(T._columns())  # span is E1, the basis of im T
+    if (rank := len(span)) == T.rows:  # T has full rank: the eventual lattice is Z^r and T' is T
         return 0, IntMatrix.identity(rank), T
+    rows = T._rows()
     # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
     # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
-    pivot_rows, L, scaled = _cleared_pivots(span)
-    M = T.submatrix(pivot_rows, range(T.cols)) @ scaled
+    L, scaled = _cleared(span, pivot_rows)
+    top = [rows[i] for i in pivot_rows]
+    M = _product(_operand(top), scaled)
+    step = _operand(list(zip(*M)))  # M's nonzeros, counted once for the whole loop
     # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
-    Y, image, k = IntMatrix.identity(rank), M, 1
-    while (nxt := echelon_span(image)).cols < rank:
-        Y, rank, k = nxt, nxt.cols, k + 1
-        image = M @ Y
+    Y, y_pivots = IntMatrix.identity(rank)._columns(), list(range(rank))
+    image, k = M, 1
+    while len((nxt := _eliminate(image))[0]) < rank:
+        (Y, y_pivots), rank, k = nxt, len(nxt[0]), k + 1
+        image = _product(step, Y)
     if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
-        basis = _saturate_echelon(Y, *_cleared_pivots(Y))
-        eventual = span if k == 1 else span @ basis
-        reduced = solve_echelon(basis, image if basis is Y else M @ basis)
+        basis = _saturate_echelon(Y, y_pivots, *_cleared(Y, y_pivots))
+        eventual = span if k == 1 else _product(_operand(list(zip(*span))), basis)
+        image = image if basis is Y else _product(step, basis)
+        reduced = solve_echelon(_from_columns(len(span), basis), _from_columns(len(span), image))
+        E = _from_columns(T.rows, eventual)
     else:  # back to Z^r once, through the integral E1 diag(L/q) Y
         if k > 1:
-            span = echelon_span(scaled @ Y)
-            pivot_rows, L, scaled = _cleared_pivots(span)
+            span, pivot_rows = _eliminate(_product(_operand(list(zip(*scaled))), Y))
+            L, scaled = _cleared(span, pivot_rows)
         eventual = _saturate_echelon(span, pivot_rows, L, scaled)
-        reduced = solve_echelon(eventual, T @ eventual)
+        E = _from_columns(T.rows, eventual)
+        reduced = solve_echelon(E, _from_columns(T.rows, _product(_operand(rows), eventual)))
     if reduced is None:
         raise NotInvariant("image of the eventual lattice is not contained in it")
-    return k, eventual, reduced
+    return k, E, reduced
 
 
-def _cleared_pivots(E: IntMatrix) -> tuple[list[int], int, IntMatrix]:
-    """The pivot rows of a column echelon E, the lcm L of its pivots p, and
+def _cleared(E: list, pivot_rows: list[int]) -> tuple[int, list]:
+    """The lcm L of the pivots p of the echelon columns E, and the columns of
     E diag(L/p), whose pivots all equal L (E itself when L is 1)."""
-    d = E.cols
-    rows = [next(i for i, x in enumerate(E.col(j)) if x) for j in range(d)]
-    pivots = [E[i, j] for j, i in enumerate(rows)]
-    L = lcm(*pivots)
-    if L == 1:
-        return rows, L, E
-    return rows, L, IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
+    pivots = [e[i] for e, i in zip(E, pivot_rows)]
+    if (L := lcm(*pivots)) == 1:
+        return L, E
+    return L, [[x * (L // p) for x in e] for e, p in zip(E, pivots)]
 
 
-def _saturate_echelon(E: IntMatrix, pivot_rows: list[int], L: int, scaled: IntMatrix) -> IntMatrix:
-    """``saturate_columns`` for a primitive reduced echelon basis E and its
-    ``_cleared_pivots``, so that no report path takes a Hermite form.  Lambda
-    holds p_j e_j: it is Z where p_j = 1, and Z^d' on the d' other
-    coordinates cut by the distinct congruences c.w = 0 mod m, the rows of
-    E diag(L/p) divided by what each shares with L.  As L Z^d' lies in
+def _saturate_echelon(E: list, pivot_rows: list[int], L: int, scaled: list) -> list:
+    """``saturate_columns`` for the columns E of a primitive reduced echelon
+    basis and its ``_cleared`` pivots, so that no report path takes a Hermite
+    form.  Lambda holds p_j e_j: it is Z where p_j = 1, and Z^d' on the d'
+    other coordinates cut by the distinct congruences c.w = 0 mod m, the rows
+    of E diag(L/p) divided by what each shares with L.  As L Z^d' lies in
     Lambda, a triangular basis from I meets them one at a time, entries off
     its pivots kept mod L, and is reduced above its pivots at the end: the
     Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
     1987; Cohen, GTM 138, §2.4)."""
     if L == 1:
         return E
-    nonunit = [j for j, i in enumerate(pivot_rows) if E[i, j] > 1]
-    C, n = scaled.submatrix(range(E.rows), nonunit), len(nonunit)
+    nonunit = [j for j, i in enumerate(pivot_rows) if E[j][i] > 1]
+    C, n = [scaled[j] for j in nonunit], len(nonunit)
+    rows = list(zip(*C))
     congruences = dict.fromkeys(  # (c, m), each once, in row order
         (tuple([x // g % (L // g) for x in row]), L // g)
-        for row in map(C.row, range(C.rows)) if (g := gcd(L, *row)) < L
+        for row in rows if (g := gcd(L, *row)) < L
     )
     basis = {t: [int(s == t) for s in range(n)] for t in range(n)}  # row t: pivot at t
     for c, m in congruences:
@@ -675,18 +677,59 @@ def _saturate_echelon(E: IntMatrix, pivot_rows: list[int], L: int, scaled: IntMa
             basis[k] = row
     _reduce_above_pivots(basis, 0)
     # Column nonunit[t] of the saturation is E diag(L/p) h / L for the row h = basis[t].
-    out, d, columns = list(E._entries), E.cols, [C.col(s) for s in range(n)]
-    for j, h in zip(nonunit, basis.values()):
-        acc = [0] * E.rows
-        for a, column in zip(h, columns):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, column)]
-        out[j::d] = [x // L for x in acc]
-    return IntMatrix._of(E.rows, d, tuple(out))
+    out = list(E)
+    for j, column in zip(nonunit, _product(_operand(rows), list(basis.values()))):
+        out[j] = [x // L for x in column]
+    return out
+
+
+def _operand(rows: list) -> tuple[list, list, list[int]]:
+    """A left factor, given by its rows, as ``_product`` reads it: its rows,
+    its columns and the number of nonzeros in each row, counted once."""
+    return rows, list(zip(*rows)), [len(row) - row.count(0) for row in rows]
+
+
+def _product(A: tuple[list, list, list[int]], B: list) -> list:
+    """The columns of A @ B, for an ``_operand`` A and the columns B, formed
+    along the sparser factor.  If B is at most as dense as A, each column is
+    the combination of the columns of A at its nonzeros.  Otherwise a row of
+    A under half nonzero is the combination of the rows of B at its nonzeros,
+    and a denser row is a row of dot products with the columns of B."""
+    rows, cols, counts = A
+    m, n, p = len(rows), len(cols), len(B)
+    if sum([len(b) - b.count(0) for b in B]) * m <= sum(counts) * p:
+        out = []
+        for b in B:
+            acc = [0] * m
+            for y, column in zip(compress(b, b), compress(cols, b)):
+                acc = [x + y * z for x, z in zip(acc, column)]
+            out.append(acc)
+        return out
+    b_rows, out = list(zip(*B)), []
+    for row, count in zip(rows, counts):
+        if 2 * count < n:
+            acc = [0] * p
+            for a, b_row in zip(compress(row, row), compress(b_rows, row)):
+                acc = [x + a * y for x, y in zip(acc, b_row)]
+            out.append(acc)
+        else:
+            out.append([sum(map(mul, row, b)) for b in B])
+    return list(zip(*out))
+
+
+def _from_columns(rows: int, columns: list) -> IntMatrix:
+    return IntMatrix._of(rows, len(columns), tuple([x for row in zip(*columns) for x in row]))
 
 
 def echelon_span(A: IntMatrix) -> IntMatrix:
-    """Primitive reduced echelon basis, as columns, of the Q-span of A's columns.
+    """Primitive reduced echelon basis, as columns, of the Q-span of A's
+    columns (``_eliminate``)."""
+    return _from_columns(A.rows, _eliminate(A._columns())[0])
+
+
+def _eliminate(columns: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The primitive reduced echelon basis of the Q-span of the columns, as
+    columns in the order of their pivot rows, and those pivot rows.
 
     Each column has a positive pivot at its first nonzero row, zeros in the
     other pivot rows and content 1 (Gauss-Jordan elimination that divides by
@@ -699,7 +742,7 @@ def echelon_span(A: IntMatrix) -> IntMatrix:
     matrix of an edge shift, goes in once.
     """
     basis: dict[int, list[int]] = {}  # pivot row -> column
-    for v in map(list, dict.fromkeys(map(A.col, range(A.cols)))):
+    for v in map(list, dict.fromkeys(map(tuple, columns))):
         for c, b in basis.items():
             a = v[c]
             if a:
@@ -730,8 +773,8 @@ def echelon_span(A: IntMatrix) -> IntMatrix:
                     p, a = q // g, a // g
                     basis[c] = _primitive([p * x - a * y for x, y in zip(b, v)])
         basis[pivot] = v
-    columns = [basis[c] for c in sorted(basis)]
-    return IntMatrix._of(A.rows, len(columns), tuple([x for row in zip(*columns) for x in row]))
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def _primitive(v: list[int]) -> list[int]:

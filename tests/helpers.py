@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 
+import solk.intlin
 from solk import (
     Edge,
     Graph,
@@ -132,6 +133,20 @@ def count_calls(monkeypatch, home, name: str) -> dict[str, int]:
         if module_name.split(".")[0] == "solk" and module.__dict__.get(name) is original:
             monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def record_products(monkeypatch) -> list[IntMatrix]:
+    """The left factor of each product that ``intlin``'s product kernel forms,
+    ``IntMatrix.__matmul__`` and the eventual-lattice loop alike."""
+    original, seen = solk.intlin._product, []
+
+    def recorded(A, B):
+        rows, cols = A[0], A[1]
+        seen.append(IntMatrix(len(rows), len(cols), [x for row in rows for x in row]))
+        return original(A, B)
+
+    monkeypatch.setattr(solk.intlin, "_product", recorded)
+    return seen
 
 
 def record_calls(monkeypatch, home, name: str) -> list:

@@ -50,6 +50,10 @@ fraction-free eliminations of ``intlin``.  ``saturate_echelon_kernel_oracle``
 saturates an echelon basis by one ``kernel_basis`` (a Hermite form of
 [A^T | I]) of its whole congruence system, as ``intlin`` did before it met
 the congruences one at a time modulo the lcm of the pivots.
+``eventual_lattice_oracle``, with its ``_cleared_pivots`` and
+``_saturate_echelon``, is ``intlin.eventual_lattice`` as it was before the
+loop kept its spans and products as lists of columns: every span and
+product is a matrix, read back by strided column slices.
 """
 
 from __future__ import annotations
@@ -57,12 +61,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from solk.germs import GermClass, QuotientModel, UnreachableVertex
 from solk.intlin import (
     CokernelStructure,
     IntMatrix,
+    NotInvariant,
+    _reduce_above_pivots,
     column_hnf,
+    echelon_span,
     invert_unimodular,
     kernel_basis,
     rank,
@@ -345,6 +353,105 @@ def saturate_echelon_kernel_oracle(E: IntMatrix) -> IntMatrix:
     # The kernel's rows past d hold the multiples of the moduli, which w determines.
     H = kernel_basis(system).submatrix(range(d), range(d))
     return IntMatrix(E.rows, d, [x // L for row in (scaled @ H).to_rows() for x in row])
+
+
+def eventual_lattice_oracle(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
+    """(k, E, T'): E is the echelon basis of the eventual lattice L of T, the
+    saturation of the Q-span of im T^k, k <= r the stabilization index: the
+    first k with rank T^(k+1) == rank T^k.  T' is the restriction of T to L,
+    which is injective.  No power of T is multiplied out.  If T has full rank,
+    L is Z^r and T' is T.  Otherwise im T is written in the pivot rows of its
+    echelon basis E1, where a multiple M of T restricted to it is d1 x d1, and
+    a basis Y is replaced by the echelon basis of M Y until its rank stops
+    dropping.  Saturating and restricting take no Smith form, and no product
+    with T unless a pivot of E1 is not 1.
+    """
+    if T.rows != T.cols:
+        raise ValueError("endomorphism must be square")
+    rank = (span := echelon_span(T)).cols  # span is E1, the basis of im T
+    if rank == T.rows:  # T has full rank: the eventual lattice is Z^r and T' is T
+        return 0, IntMatrix.identity(rank), T
+    # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
+    # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
+    pivot_rows, L, scaled = _cleared_pivots(span)
+    M = T.submatrix(pivot_rows, range(T.cols)) @ scaled
+    # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
+    Y, image, k = IntMatrix.identity(rank), M, 1
+    while (nxt := echelon_span(image)).cols < rank:
+        Y, rank, k = nxt, nxt.cols, k + 1
+        image = M @ Y
+    if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
+        basis = _saturate_echelon(Y, *_cleared_pivots(Y))
+        eventual = span if k == 1 else span @ basis
+        reduced = solve_echelon(basis, image if basis is Y else M @ basis)
+    else:  # back to Z^r once, through the integral E1 diag(L/q) Y
+        if k > 1:
+            span = echelon_span(scaled @ Y)
+            pivot_rows, L, scaled = _cleared_pivots(span)
+        eventual = _saturate_echelon(span, pivot_rows, L, scaled)
+        reduced = solve_echelon(eventual, T @ eventual)
+    if reduced is None:
+        raise NotInvariant("image of the eventual lattice is not contained in it")
+    return k, eventual, reduced
+
+
+def _cleared_pivots(E: IntMatrix) -> tuple[list[int], int, IntMatrix]:
+    """The pivot rows of a column echelon E, the lcm L of its pivots p, and
+    E diag(L/p), whose pivots all equal L (E itself when L is 1)."""
+    d = E.cols
+    rows = [next(i for i, x in enumerate(E.col(j)) if x) for j in range(d)]
+    pivots = [E[i, j] for j, i in enumerate(rows)]
+    L = lcm(*pivots)
+    if L == 1:
+        return rows, L, E
+    return rows, L, IntMatrix(E.rows, d, [x * (L // pivots[t % d]) for t, x in enumerate(E._entries)])
+
+
+def _saturate_echelon(E: IntMatrix, pivot_rows: list[int], L: int, scaled: IntMatrix) -> IntMatrix:
+    """``saturate_columns`` for a primitive reduced echelon basis E and its
+    ``_cleared_pivots``, so that no report path takes a Hermite form.  Lambda
+    holds p_j e_j: it is Z where p_j = 1, and Z^d' on the d' other
+    coordinates cut by the distinct congruences c.w = 0 mod m, the rows of
+    E diag(L/p) divided by what each shares with L.  As L Z^d' lies in
+    Lambda, a triangular basis from I meets them one at a time, entries off
+    its pivots kept mod L, and is reduced above its pivots at the end: the
+    Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+    1987; Cohen, GTM 138, §2.4)."""
+    if L == 1:
+        return E
+    nonunit = [j for j, i in enumerate(pivot_rows) if E[i, j] > 1]
+    C, n = scaled.submatrix(range(E.rows), nonunit), len(nonunit)
+    congruences = dict.fromkeys(  # (c, m), each once, in row order
+        (tuple([x // g % (L // g) for x in row]), L // g)
+        for row in map(C.row, range(C.rows)) if (g := gcd(L, *row)) < L
+    )
+    basis = {t: [int(s == t) for s in range(n)] for t in range(n)}  # row t: pivot at t
+    for c, m in congruences:
+        # Rows [c.b mod m | b] and [m | 0] span [c.w + m z | w], w in the lattice.
+        # Bottom-up, [g | u] carries the gcd g of m and the first entries passed,
+        # and row k becomes the xgcd complement of [g | u] and [v | b], led by 0.
+        g, u = m, [0] * n
+        for k in reversed(range(n)):
+            b = basis[k]  # still the old row k
+            if not (v := sum(map(mul, c, b)) % m):
+                continue
+            h, x, y = xgcd(g, v) if v % g else (g, 1, 0)
+            a, t = g // h, v // h
+            row = [(a * p - t * q) % L for p, q in zip(b, u)]
+            row[k] = a * b[k]  # the pivot divides L, and may equal it
+            if h < g:
+                u, g = [(x * q + y * p) % L for p, q in zip(b, u)], h
+            basis[k] = row
+    _reduce_above_pivots(basis, 0)
+    # Column nonunit[t] of the saturation is E diag(L/p) h / L for the row h = basis[t].
+    out, d, columns = list(E._entries), E.cols, [C.col(s) for s in range(n)]
+    for j, h in zip(nonunit, basis.values()):
+        acc = [0] * E.rows
+        for a, column in zip(h, columns):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, column)]
+        out[j::d] = [x // L for x in acc]
+    return IntMatrix._of(E.rows, d, tuple(out))
 
 
 def restrict_endomorphism_oracle(T: IntMatrix, B: IntMatrix) -> IntMatrix | None:

@@ -79,6 +79,16 @@ def test_matrix_basics():
             call()
 
 
+def test_repr_of_a_matrix_without_rows_shows_its_width():
+    # A row list cannot tell 0 x 3 from 0 x 0, so those print as the zeros call.
+    for cols in (0, 3):
+        m = IntMatrix.zeros(0, cols)
+        assert repr(m) == f"IntMatrix.zeros(0, {cols})"
+        assert eval(repr(m), {"IntMatrix": IntMatrix}) == m
+    assert repr(IntMatrix.zeros(2, 0)) == "IntMatrix([[], []])"
+    assert repr(IntMatrix.from_rows([[1, -2]])) == "IntMatrix([[1, -2]])"
+
+
 def test_xgcd():
     for a, b in [(12, 18), (-4, 6), (0, 0), (0, -7), (5, 0), (270, 192)]:
         g, x, y = xgcd(a, b)
@@ -281,7 +291,7 @@ def test_saturation_matches_the_congruence_kernel_on_wedges(monkeypatch):
         ktheory_report(parse_presentation(wedge_text(k)))
     monkeypatch.undo()
     non_unit = 0
-    for E in seen:
+    for E in (IntMatrix.from_rows(columns).transpose() for columns in seen):  # a list of columns
         assert saturate_columns(E) == saturate_echelon_kernel_oracle(E)
         non_unit += any(next(filter(None, E.col(j))) > 1 for j in range(E.cols))
     assert non_unit >= 5

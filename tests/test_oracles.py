@@ -1,11 +1,15 @@
 """The linear-time closure, Boolean validation, one-factorization linear algebra,
 stabilization-index limits, reducing Hermite kernel, column-slice product,
-echelon-span limits, one-path saturation, echelon solve, spanning-forest K0,
-component-sum well-definedness, adjugate retraction and K1 and psi1 from the
-class-graph components against their straightforward oracles."""
+echelon-span limits, the eventual lattice on column lists, one-path
+saturation, echelon solve, spanning-forest K0, component-sum
+well-definedness, adjugate retraction and K1 and psi1 from the class-graph
+components against their straightforward oracles."""
 
+import contextlib
 import importlib.util
+import inspect
 import itertools
+import json
 import pathlib
 import random
 import sys
@@ -23,6 +27,7 @@ from solk.intlin import (
     column_hnf,
     determinant,
     echelon_span,
+    eventual_lattice,
     hermite_normal_form_rows,
     invert_unimodular,
     kernel_basis,
@@ -37,6 +42,7 @@ from solk.ktheory import (
     _class_forest,
     boundary_matrix,
     first_edge_matrix,
+    ktheory_report,
     psi_star_k0,
     psi_star_k1,
     trace_pullback_matrix,
@@ -62,6 +68,7 @@ from helpers import (
     closure_stress_text,
     count_calls,
     cyclic_text,
+    dense_edge_shift,
     fibonacci,
     long_tail_text,
     n_solenoid,
@@ -70,6 +77,8 @@ from helpers import (
     random_presentation,
     random_unimodular,
     random_valid_presentations,
+    record_calls,
+    record_products,
     wedge_text,
 )
 from oracles import (
@@ -81,6 +90,7 @@ from oracles import (
     cokernel_oracle,
     echelon_span_oracle,
     edge_shift_oracle,
+    eventual_lattice_oracle,
     hermite_normal_form_rows_oracle,
     is_primitive_oracle,
     kernel_basis_oracle,
@@ -95,6 +105,8 @@ from oracles import (
     validate_oracle,
 )
 from test_germs import corpus
+from test_golden import PIVOTS2_MATRIX
+from test_limits import nilpotent_shift
 
 IMPRIMITIVE_TEXT = "solenoid v1\nvertex p\nedge a p p\nedge b p p\nmap a -> b b\nmap b -> a a\n"
 
@@ -316,18 +328,15 @@ def test_limit_multiplies_t_only_when_a_first_pivot_is_not_1(monkeypatch):
     # The span iteration runs on T restricted to im T, in the pivot rows of
     # its echelon basis E1.  When every pivot of E1 is 1 the limit never
     # multiplies by T itself; otherwise it returns to Z^r once, for T @ E.
-    matmul, products, cases = IntMatrix.__matmul__, [], set()
+    cases = set()
     for T in endomorphism_stream(seed=43):
-        products.clear()
-        monkeypatch.setattr(
-            IntMatrix, "__matmul__", lambda a, b: products.append(a == T) or matmul(a, b)
-        )
+        products = record_products(monkeypatch)
         g = StationaryLimitGroup(T)
         monkeypatch.undo()
         first = echelon_span(T)
         unit = all(next(x for x in first.col(j) if x) == 1 for j in range(first.cols))
         k = g.stabilization_index
-        assert sum(products) == (0 if k == 0 or unit else 1)
+        assert sum(a == T for a in products) == (0 if k == 0 or unit else 1)
         if k:
             cases.add((first.cols > 0, unit, min(k, 2)))
     # Both finishes after one step and after several, and an empty first span.
@@ -446,7 +455,7 @@ def test_echelon_span_with_shared_multiplier_factors_matches_rational_gauss_jord
 
     def recording_gcd(*args):
         frame = sys._getframe(1)
-        if frame.f_code is echelon_span.__code__:
+        if frame.f_code is solk.intlin._eliminate.__code__:
             steps.append((frame.f_lineno, args))
         return gcd(*args)
 
@@ -855,20 +864,76 @@ def test_conjugate_endomorphisms_have_isomorphic_limits():
     assert {0, 1, 2, 3} <= indices
 
 
-def _irreducible_matrix(monkeypatch):
-    """``perfbench/corpus.py``'s generator of the sft-limits matrices, loaded read-only."""
+def _perfbench_corpus(monkeypatch):
+    """``perfbench/corpus.py``, the benchmark's input generator, loaded read-only."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
     spec.loader.exec_module(module)
-    return module.irreducible_matrix
+    return module
+
+
+@contextlib.contextmanager
+def lines_run(function):
+    """The source lines of ``function`` that run inside the block, seen by a trace function."""
+    code, ran = function.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield ran
+    finally:
+        sys.settrace(previous)
+
+
+def test_eventual_lattice_matches_the_matrix_loop_oracle(monkeypatch):
+    # The loop on lists of columns gives the (k, E, T') of the loop on
+    # matrices, on the stream, every K0 and K1 limit of the wedge reports in
+    # both class orders, the seed-0 sft-limits matrices with their edge
+    # shifts, and the 56-state edge shift, a long nilpotent tail and two
+    # matrices with pivots 2.
+    limits = record_calls(monkeypatch, solk.intlin, "eventual_lattice")
+    for k in range(4, 13):
+        for order in ("lex", "paper"):
+            ktheory_report(parse_presentation(wedge_text(k)), order)
+    wedges = len(limits)
+    for _, body in _perfbench_corpus(monkeypatch).generate("sft-limits", 0):
+        s = SftPresentation.from_matrix(json.loads(body)["matrix"])
+        sft_dimension_group(s)
+        sft_dimension_group(edge_shift(s))
+    monkeypatch.undo()
+    assert wedges == 36 and len(limits) == wedges + 64
+    pivots2 = M([list(map(int, row.split(","))) for row in PIVOTS2_MATRIX.split(";")])
+    matrices = [*endomorphism_stream(seed=16), *limits, dense_edge_shift(), nilpotent_shift(40)]
+    matrices += [pivots2, M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])]
+    with lines_run(solk.intlin._product) as ran:
+        got = [eventual_lattice(T) for T in matrices]
+    for T, (k, E, reduced) in zip(matrices, got):
+        want_k, want_E, want_reduced = eventual_lattice_oracle(T)
+        assert k == want_k
+        assert (E.shape, E._entries) == (want_E.shape, want_E._entries)
+        assert (reduced.shape, reduced._entries) == (want_reduced.shape, want_reduced._entries)
+    # Each way of forming a product ran, told by the line of its step: A's
+    # columns combined at a sparser B's nonzeros, a sparse row of A combined
+    # over B's rows, and a dense row of A as dot products.
+    source, first = inspect.getsourcelines(solk.intlin._product)
+    steps = {"columns": "y * z", "rows": "a * y", "dots": "map(mul"}
+    at = {
+        step: first + [mark in text for text in source].index(True) for step, mark in steps.items()
+    }
+    assert {step for step, line in at.items() if line in ran} == set(steps)
 
 
 def test_an_sft_and_its_edge_shift_have_isomorphic_limits(monkeypatch):
     # The edge shift is conjugate to the SFT, so the two transfer maps have
     # isomorphic stationary limits: equal eventual rank and det T', sign included.
-    irreducible_matrix, dets = _irreducible_matrix(monkeypatch), set()
+    irreducible_matrix, dets = _perfbench_corpus(monkeypatch).irreducible_matrix, set()
     for n in range(2, 7):
         for seed in range(12):
             s = SftPresentation.from_matrix(irreducible_matrix(n, random.Random(f"edge{n}:{seed}")))
