@@ -577,8 +577,7 @@ def saturate_columns(A: IntMatrix) -> IntMatrix:
     E when every pivot is 1.  HNF(Lambda) is built modulo L
     (``_saturate_echelon``): no report path takes a Hermite form.
     """
-    E, pivot_rows = _eliminate(A._columns())
-    return _from_columns(A.rows, _saturate_echelon(E, pivot_rows, *_cleared(E, pivot_rows)))
+    return _from_columns(A.rows, _saturate_echelon(*_eliminate(A._columns())))
 
 
 def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
@@ -586,11 +585,14 @@ def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
     saturation of the Q-span of im T^k, k <= r the stabilization index: the
     first k with rank T^(k+1) == rank T^k.  T' is the restriction of T to L,
     which is injective.  No power of T is multiplied out.  If T has full rank,
-    L is Z^r and T' is T.  Otherwise im T is written in the pivot rows of its
-    echelon basis E1, where a multiple M of T restricted to it is d1 x d1, and
-    a basis Y is replaced by the echelon basis of M Y until its rank stops
-    dropping.  Saturating and restricting take no Smith form, and no product
-    with T unless a pivot of E1 is not 1.  Spans and products stay lists of
+    L is Z^r and T' is T.  Otherwise im T is written in the pivot rows P of
+    its echelon basis E1, where a multiple M of T restricted to it is d1 x d1,
+    and a basis Y is replaced by the echelon basis of M Y until its rank stops
+    dropping.  Rows P of E1 diag(L/q) Y are L Y, so its columns divided by
+    their contents are the echelon basis of im T^k, and rows P fix every
+    vector of im T: with H the rows P of the saturated basis, T' solves
+    (L H) T' = M H on d1 rows.  So the limit takes k + 1 eliminations, no
+    Smith form and no product with T.  Spans and products stay lists of
     columns from E1 on, and M's nonzeros are found once; only E, T' and the
     two sides of the solve for T' are built as matrices.
     """
@@ -599,35 +601,28 @@ def eventual_lattice(T: IntMatrix) -> tuple[int, IntMatrix, IntMatrix]:
     span, pivot_rows = _eliminate(T._columns())  # span is E1, the basis of im T
     if (rank := len(span)) == T.rows:  # T has full rank: the eventual lattice is Z^r and T' is T
         return 0, IntMatrix.identity(rank), T
-    rows = T._rows()
     # A vector of im T is fixed by its entries in the pivot rows of E1, q_j in column j,
     # so M = L T|im T in those coordinates, L = lcm(q), takes only d1 rows of T.
     L, scaled = _cleared(span, pivot_rows)
-    top = [rows[i] for i in pivot_rows]
-    M = _product(_operand(top), scaled)
+    M = _product(_operand(list(map(T.row, pivot_rows))), scaled)
     step = _operand(list(zip(*M)))  # M's nonzeros, counted once for the whole loop
     # Echelon bases Y of im M^j until the rank stops dropping; image is M @ Y.
-    Y, y_pivots = IntMatrix.identity(rank)._columns(), list(range(rank))
+    Y, y_pivots = [[0] * j + [1] + [0] * (rank - j - 1) for j in range(rank)], list(range(rank))
     image, k = M, 1
     while len((nxt := _eliminate(image))[0]) < rank:
         (Y, y_pivots), rank, k = nxt, len(nxt[0]), k + 1
         image = _product(step, Y)
-    if L == 1:  # E1 carries Z^d1, its echelon bases and Hermite forms into Z^r
-        basis = _saturate_echelon(Y, y_pivots, *_cleared(Y, y_pivots))
-        eventual = span if k == 1 else _product(_operand(list(zip(*span))), basis)
-        image = image if basis is Y else _product(step, basis)
-        reduced = solve_echelon(_from_columns(len(span), basis), _from_columns(len(span), image))
-        E = _from_columns(T.rows, eventual)
-    else:  # back to Z^r once, through the integral E1 diag(L/q) Y
-        if k > 1:
-            span, pivot_rows = _eliminate(_product(_operand(list(zip(*scaled))), Y))
-            L, scaled = _cleared(span, pivot_rows)
-        eventual = _saturate_echelon(span, pivot_rows, L, scaled)
-        E = _from_columns(T.rows, eventual)
-        reduced = solve_echelon(E, _from_columns(T.rows, _product(_operand(rows), eventual)))
+    if k > 1:  # rows P of E1 diag(L/q) Y are L Y, reduced echelon with pivots L Y[y_pivots]
+        span = list(map(_primitive, _product(_operand(list(zip(*scaled))), Y)))
+    basis = _saturate_echelon(span, [pivot_rows[j] for j in y_pivots])
+    LH = [[L * e[i] for i in pivot_rows] for e in basis]  # L H, for H the rows P of the basis
+    if LH != Y:  # else L is 1 and H is Y, so M H is the loop's last image
+        image = _product(step, [[e[i] for i in pivot_rows] for e in basis])
+    d1 = len(pivot_rows)
+    reduced = solve_echelon(_from_columns(d1, LH), _from_columns(d1, image))
     if reduced is None:
         raise NotInvariant("image of the eventual lattice is not contained in it")
-    return k, E, reduced
+    return k, _from_columns(T.rows, basis), reduced
 
 
 def _cleared(E: list, pivot_rows: list[int]) -> tuple[int, list]:
@@ -639,16 +634,18 @@ def _cleared(E: list, pivot_rows: list[int]) -> tuple[int, list]:
     return L, [[x * (L // p) for x in e] for e, p in zip(E, pivots)]
 
 
-def _saturate_echelon(E: list, pivot_rows: list[int], L: int, scaled: list) -> list:
+def _saturate_echelon(E: list, pivot_rows: list[int]) -> list:
     """``saturate_columns`` for the columns E of a primitive reduced echelon
-    basis and its ``_cleared`` pivots, so that no report path takes a Hermite
-    form.  Lambda holds p_j e_j: it is Z where p_j = 1, and Z^d' on the d'
-    other coordinates cut by the distinct congruences c.w = 0 mod m, the rows
-    of E diag(L/p) divided by what each shares with L.  As L Z^d' lies in
-    Lambda, a triangular basis from I meets them one at a time, entries off
-    its pivots kept mod L, and is reduced above its pivots at the end: the
-    Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
-    1987; Cohen, GTM 138, §2.4)."""
+    basis and their pivot rows, so that no report path takes a Hermite form.
+    E itself when every pivot is 1.  Otherwise, with L and E diag(L/p) from
+    ``_cleared``, Lambda holds p_j e_j: it is Z where p_j = 1, and Z^d' on the
+    d' other coordinates cut by the distinct congruences c.w = 0 mod m, the
+    rows of E diag(L/p) divided by what each shares with L.  As L Z^d' lies
+    in Lambda, a triangular basis from I meets them one at a time, entries
+    off its pivots kept mod L, and is reduced above its pivots at the end:
+    the Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987; Cohen, GTM 138, §2.4)."""
+    L, scaled = _cleared(E, pivot_rows)
     if L == 1:
         return E
     nonunit = [j for j, i in enumerate(pivot_rows) if E[j][i] > 1]

@@ -53,7 +53,10 @@ the congruences one at a time modulo the lcm of the pivots.
 ``eventual_lattice_oracle``, with its ``_cleared_pivots`` and
 ``_saturate_echelon``, is ``intlin.eventual_lattice`` as it was before the
 loop kept its spans and products as lists of columns: every span and
-product is a matrix, read back by strided column slices.
+product is a matrix, read back by strided column slices.  It keeps the two
+tails ``intlin`` had before it took one path: when every pivot of E1 is 1 it
+saturates in Z^d1 and solves from M, and otherwise it returns to Z^r by a
+second elimination and solves from one product with T.
 """
 
 from __future__ import annotations

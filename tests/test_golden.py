@@ -17,7 +17,7 @@ sizes 211 and 183) is kept in the same digest file, and so is that of the
 closure-stress family at n = 21 and the cyclic family at n = 20 (full-rank
 psi0 of sizes 421 and 381), and of stress 31 in lex order (a 931 x 931 psi0
 and a 49 MB report).  The digest of the wedge with 64 loops, in lex order,
-byte-checks a 524 x 273 saturation on 93 pivots above 1.  The wedge-24
+byte-checks a 602 x 273 saturation on 93 pivots above 1.  The wedge-24
 digests and those of stress 15 and cyclic 14 are checked here; CI checks
 all eighteen with
 

@@ -29,6 +29,9 @@ def M(rows):
     return IntMatrix.from_rows(rows)
 
 
+PIVOTS2 = M([list(map(int, row.split(","))) for row in PIVOTS2_MATRIX.split(";")])
+
+
 def test_make_limit_times_n():
     g = make_limit(M([[3]]))
     assert g.eventual_rank == 1
@@ -325,7 +328,7 @@ def test_eventual_lattice_not_invariant_raises(monkeypatch):
 @pytest.mark.parametrize(
     "T",
     [
-        M([list(map(int, row.split(","))) for row in PIVOTS2_MATRIX.split(";")]),
+        PIVOTS2,
         dense_edge_shift(),
         M([[2, 1], [1, 1]]),
         M([[0]]),
@@ -348,13 +351,14 @@ def test_eventual_lattice_of_a_non_square_matrix_raises():
 def test_saturation_that_changes_the_basis_multiplies_once_more(monkeypatch):
     # im T is spanned by (2, 0, 1) and (0, 2, 1), echelon pivots 2; the
     # saturation adds (1, 1, 1).  The span iteration runs in the pivot rows
-    # of im T, so T itself is multiplied once, by the saturated basis.
+    # of im T, which fix every vector of im T, so T' is solved from M times
+    # those rows of the saturated basis: T itself is never multiplied.
     T = M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])
     products = record_products(monkeypatch)
     g = StationaryLimitGroup(T)
     monkeypatch.undo()
     assert g.stabilization_index == 1
-    assert sum(a == T for a in products) == 1
+    assert sum(a == T for a in products) == 0
     assert g.eventual_basis.to_rows() == [[1, 0], [1, 2], [1, 1]]
     assert g.reduced_endomorphism.to_rows() == [[2, 0], [0, 2]]
     assert T @ g.eventual_basis == g.eventual_basis @ g.reduced_endomorphism
@@ -409,12 +413,18 @@ def test_construction_stops_at_the_stabilization_index(monkeypatch, T):
 
 @pytest.mark.parametrize(
     "T",
-    [dense_edge_shift(), nilpotent_shift(40), M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])],
-    ids=["edge-shift-56", "nilpotent-40", "pivots-2"],
+    [
+        dense_edge_shift(),
+        nilpotent_shift(40),
+        M([[2, 0, 0], [0, 2, 0], [1, 1, 0]]),
+        PIVOTS2,
+    ],
+    ids=["edge-shift-56", "nilpotent-40", "pivots-2", "pivots-2-index-2"],
 )
 def test_construction_takes_one_echelon_span_per_step(monkeypatch, T):
-    # The span the iteration ends on is already echelon; saturating it runs
-    # no second elimination.
+    # The span the iteration ends on, lifted to Z^r and divided by its
+    # contents, is already echelon, also when a pivot of im T is not 1;
+    # saturating it runs no second elimination.
     spans = count_calls(monkeypatch, solk.intlin, "_eliminate")
     g = StationaryLimitGroup(T)
     assert g.stabilization_index > 0

@@ -326,8 +326,9 @@ def test_limit_at_stabilization_index_matches_full_power_oracle():
 
 def test_limit_multiplies_t_only_when_a_first_pivot_is_not_1(monkeypatch):
     # The span iteration runs on T restricted to im T, in the pivot rows of
-    # its echelon basis E1.  When every pivot of E1 is 1 the limit never
-    # multiplies by T itself; otherwise it returns to Z^r once, for T @ E.
+    # its echelon basis E1, and so does the solve for T': those rows fix every
+    # vector of im T.  So the limit never multiplies by T itself, whether or
+    # not every pivot of E1 is 1.
     cases = set()
     for T in endomorphism_stream(seed=43):
         products = record_products(monkeypatch)
@@ -336,7 +337,7 @@ def test_limit_multiplies_t_only_when_a_first_pivot_is_not_1(monkeypatch):
         first = echelon_span(T)
         unit = all(next(x for x in first.col(j) if x) == 1 for j in range(first.cols))
         k = g.stabilization_index
-        assert sum(a == T for a in products) == (0 if k == 0 or unit else 1)
+        assert sum(a == T for a in products) == 0
         if k:
             cases.add((first.cols > 0, unit, min(k, 2)))
     # Both finishes after one step and after several, and an empty first span.
@@ -893,11 +894,11 @@ def lines_run(function):
 
 
 def test_eventual_lattice_matches_the_matrix_loop_oracle(monkeypatch):
-    # The loop on lists of columns gives the (k, E, T') of the loop on
-    # matrices, on the stream, every K0 and K1 limit of the wedge reports in
-    # both class orders, the seed-0 sft-limits matrices with their edge
-    # shifts, and the 56-state edge shift, a long nilpotent tail and two
-    # matrices with pivots 2.
+    # The one path on lists of columns gives the (k, E, T') of the loop on
+    # matrices with its two tails, on the stream, every K0 and K1 limit of
+    # the wedge reports in both class orders, the seed-0 sft-limits matrices
+    # with their edge shifts, and the 56-state edge shift, a long nilpotent
+    # tail and two matrices with pivots 2.
     limits = record_calls(monkeypatch, solk.intlin, "eventual_lattice")
     for k in range(4, 13):
         for order in ("lex", "paper"):
@@ -914,11 +915,19 @@ def test_eventual_lattice_matches_the_matrix_loop_oracle(monkeypatch):
     matrices += [pivots2, M([[2, 0, 0], [0, 2, 0], [1, 1, 0]])]
     with lines_run(solk.intlin._product) as ran:
         got = [eventual_lattice(T) for T in matrices]
+    cases = set()
     for T, (k, E, reduced) in zip(matrices, got):
         want_k, want_E, want_reduced = eventual_lattice_oracle(T)
         assert k == want_k
         assert (E.shape, E._entries) == (want_E.shape, want_E._entries)
         assert (reduced.shape, reduced._entries) == (want_reduced.shape, want_reduced._entries)
+        if k:
+            first = echelon_span(T)
+            unit = all(next(x for x in first.col(j) if x) == 1 for j in range(first.cols))
+            cases.add((unit, min(k, 2)))
+    # Both of the oracle's tails ran, every pivot of E1 being 1 or not, each
+    # finishing after one step and after several.
+    assert cases == {(True, 1), (True, 2), (False, 1), (False, 2)}
     # Each way of forming a product ran, told by the line of its step: A's
     # columns combined at a sparser B's nonzeros, a sparse row of A combined
     # over B's rows, and a dense row of A as dot products.
